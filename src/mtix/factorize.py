@@ -85,12 +85,11 @@ class MetaTerm:
 
 @dataclass(frozen=True)
 class FactorParams:
-    """Stage-2 knobs. The pipeline is deterministic; seed is reserved."""
+    """Stage-2 knobs. The pipeline is deterministic."""
 
     min_cols: int = 4
     max_candidates_per_term: int = 64
     enable_stage2: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.min_cols < 2:

@@ -54,9 +54,6 @@ class PostingList:
     def support(self) -> tuple[int, ...]:
         return tuple(p.doc for p in self.postings)
 
-    def payloads(self) -> tuple[int, ...]:
-        return tuple(p.payload for p in self.postings)
-
 
 class Lexicon:
     """Bidirectional term-string <-> TermId map; ids assigned in first-seen order."""
@@ -118,9 +115,6 @@ class TermDocMatrix:
     @property
     def num_terms(self) -> int:
         return len(self.rows)
-
-    def row(self, term: int) -> PostingList:
-        return self.rows[term]
 
     def validate(self) -> None:
         if len(self.doc_names) != self.num_docs:

@@ -10,6 +10,7 @@ is per query.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -61,8 +62,8 @@ def top_k(f: Factorization, q: Query, lexicon: Lexicon) -> list[ScoredDoc]:
             continue
         for d, p in expand_term(f, tid):
             scores[d] = scores.get(d, 0) + p
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return [ScoredDoc(d, s) for d, s in ranked[: q.k]]
+    ranked = heapq.nsmallest(q.k, [(-s, d) for d, s in scores.items()])
+    return [ScoredDoc(d, -neg) for neg, d in ranked]
 
 
 def resolve_terms(q: Query, lexicon: Lexicon) -> tuple[list[str], list[str]]:

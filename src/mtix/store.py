@@ -13,9 +13,16 @@ strings length-prefixed with a u32):
     W-section: u64 count; per-term (meta-term id gap, coefficient) lists,
                bit-packed, zero-padded to a byte
 
+H lists and W rows are bit-packed back to back by the codec's list kernels.
+Loading decodes each list from its own byte span, bounded by the next
+list's recorded bit offset, and rejects a list that does not end exactly
+there (the last list must end in its section's final byte). Malformed or
+truncated file content raises an MtixError subclass.
+
 Saving identical inputs yields byte-identical files. Size statistics count
 the encoded content of the H/W sections (everything after each section's
-count word), so an empty index reports zero bytes.
+count word), so an empty index reports zero bytes; they are computed from
+closed-form code lengths, without encoding anything.
 """
 
 from __future__ import annotations
@@ -23,40 +30,29 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .codec import (
     CODEC_IDS,
     CODEC_NAMES,
-    BitReader,
-    BitWriter,
     CodecConfig,
-    read_pairs,
+    code_bits,
+    decode_lists,
+    encode_lists,
+    list_bit_lengths,
+    unzip_pairs,
     vbyte_decode,
     vbyte_encode,
-    write_pairs,
 )
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import CorruptionError, FormatError, TruncationError, ValidationError
 from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, TermDocMatrix, nnz
 
 MAGIC = b"MTIX"
 VERSION = 1
 _HEADER = struct.Struct("<4s4B3Q4Q")  # magic, version, 3 codec ids, counts, offsets
-
-
-def _encode_lists(
-    lists: Sequence[Sequence[tuple[int, int]]], gap_codec: str, val_codec: str
-) -> tuple[bytes, list[int]]:
-    """Bit-pack the given (key, value) lists back to back; returns the padded
-    blob and each list's starting bit offset."""
-    w = BitWriter()
-    offsets = []
-    for pairs in lists:
-        offsets.append(w.bit_length)
-        write_pairs(w, pairs, gap_codec, val_codec)
-    return w.getvalue(), offsets
 
 
 def _encode_offsets(offsets: Sequence[int]) -> bytes:
@@ -72,7 +68,10 @@ def _decode_offsets(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
     offsets = []
     prev = 0
     for _ in range(count):
-        delta, used = vbyte_decode(data, pos)
+        try:
+            delta, used = vbyte_decode(data, pos)
+        except (OverflowError, TruncationError) as exc:
+            raise CorruptionError(f"H offset table: {exc}") from None
         pos += used
         prev += delta
         offsets.append(prev)
@@ -88,16 +87,20 @@ def _encode_str_table(strings: Sequence[str]) -> bytes:
     return bytes(out)
 
 
-def _h_lists(metaterms: Sequence[MetaTerm]) -> list[list[tuple[int, int]]]:
-    return [list(zip(mt.cols, mt.base)) for mt in metaterms]
+def _h_lists(f: Factorization) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    return ((mt.cols, mt.base) for mt in f.metaterms)
+
+
+def _w_lists(f: Factorization) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    return map(unzip_pairs, f.memberships)
 
 
 def encoded_section_parts(
     f: Factorization, cfg: CodecConfig
 ) -> tuple[bytes, bytes, bytes, list[int]]:
     """(H offsets blob, H blob, W blob, W bit offsets) exactly as saved."""
-    h_blob, h_offsets = _encode_lists(_h_lists(f.metaterms), cfg.doc_gap, cfg.payload)
-    w_blob, w_offsets = _encode_lists(f.memberships, cfg.doc_gap, cfg.coeff)
+    h_blob, h_offsets = encode_lists(_h_lists(f), cfg.doc_gap, cfg.payload)
+    w_blob, w_offsets = encode_lists(_w_lists(f), cfg.doc_gap, cfg.coeff)
     return _encode_offsets(h_offsets), h_blob, w_blob, w_offsets
 
 
@@ -179,7 +182,10 @@ class _Cursor:
 
     def string(self) -> str:
         (length,) = struct.unpack("<I", self.take(4))
-        return self.take(length).decode("utf-8")
+        try:
+            return self.take(length).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptionError(f"string at byte {self.pos - length} is not UTF-8: {exc.reason}") from None
 
 
 def load_index(path: str | Path) -> LoadedIndex:
@@ -220,29 +226,25 @@ def load_index(path: str | Path) -> LoadedIndex:
     if cur.u64() != num_meta:
         raise CorruptionError("H-section count does not match header")
     h_offsets, blob_start = _decode_offsets(data, cur.pos, num_meta)
-    h_reader = BitReader(data[blob_start:off_w])
+    if blob_start > off_w:
+        raise CorruptionError("H offset table runs past the H section")
     metaterms = []
-    for mid in range(num_meta):
-        if h_reader.pos != h_offsets[mid]:
-            raise CorruptionError(f"meta-term {mid} not at its recorded offset")
-        pairs = read_pairs(h_reader, cfg.doc_gap, cfg.payload)
-        cols = tuple(d for d, _ in pairs)
-        if any(d >= num_docs for d in cols):
+    h_lists = decode_lists(data[blob_start:off_w], h_offsets, cfg.doc_gap, cfg.payload, "meta-term")
+    for mid, (cols, base) in enumerate(h_lists):
+        # keys are strictly ascending, so the last is the largest
+        if cols and cols[-1] >= num_docs:
             raise CorruptionError(f"meta-term {mid} references doc beyond num_docs")
-        metaterms.append(MetaTerm(mid, cols, tuple(u for _, u in pairs)))
+        metaterms.append(MetaTerm(mid, tuple(cols), tuple(base)))
 
     cur = _Cursor(data, off_w)
     if cur.u64() != num_terms:
         raise CorruptionError("W-section count does not match header")
-    w_reader = BitReader(data[cur.pos :])
     memberships = []
-    for t in range(num_terms):
-        if w_reader.pos != w_offsets[t]:
-            raise CorruptionError(f"W row {t} not at its recorded offset")
-        row = tuple(read_pairs(w_reader, cfg.doc_gap, cfg.coeff))
-        if any(m >= num_meta for m, _ in row):
+    w_lists = decode_lists(data[cur.pos :], w_offsets, cfg.doc_gap, cfg.coeff, "W row")
+    for t, (ids, coeffs) in enumerate(w_lists):
+        if ids and ids[-1] >= num_meta:
             raise CorruptionError(f"W row {t} references meta-term beyond count")
-        memberships.append(row)
+        memberships.append(tuple(zip(ids, coeffs)))
 
     f = Factorization(
         metaterms=tuple(metaterms),
@@ -282,14 +284,20 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     bytes_factored counts exactly the encoded content the index file carries
     for W and H (meta-term lists, their offset table, and the W rows);
     bytes_direct is the same encoding applied to V's rows. The ratio is
-    undefined (None) when there is nothing to encode directly.
+    undefined (None) when there is nothing to encode directly. Both come
+    from closed-form code lengths, so the lists are taken to be valid, as
+    ingest and factor build them; save_index is what checks them.
     """
-    direct_blob, _ = _encode_lists(
-        [row.postings for row in matrix.rows], cfg.doc_gap, cfg.payload
+    direct_bits = list_bit_lengths(
+        (unzip_pairs(row.postings) for row in matrix.rows), cfg.doc_gap, cfg.payload
     )
-    h_off_blob, h_blob, w_blob, _ = encoded_section_parts(f, cfg)
-    bytes_direct = len(direct_blob)
-    bytes_factored = len(h_off_blob) + len(h_blob) + len(w_blob)
+    h_bits = list_bit_lengths(_h_lists(f), cfg.doc_gap, cfg.payload)
+    w_bits = list_bit_lengths(_w_lists(f), cfg.doc_gap, cfg.coeff)
+    # The H offset table codes each list's offset as a vbyte delta from the
+    # previous one: 0 first, then every list length but the last.
+    h_off_bytes = code_bits(chain((0,), h_bits[:-1]), "vbyte") // 8 if h_bits else 0
+    bytes_direct = (sum(direct_bits) + 7) // 8
+    bytes_factored = h_off_bytes + (sum(h_bits) + 7) // 8 + (sum(w_bits) + 7) // 8
     return IndexStats(
         nnz_v=nnz(matrix),
         nnz_w=f.nnz_w,

@@ -20,7 +20,18 @@ from mtix import (
     vbyte_decode,
     vbyte_encode,
 )
-from mtix.codec import BitReader, BitWriter, get_value, put_value, read_pairs, write_pairs
+from mtix.codec import (
+    BitReader,
+    BitWriter,
+    code_bits,
+    decode_lists,
+    encode_lists,
+    get_value,
+    put_value,
+    read_pairs,
+    unzip_pairs,
+    write_pairs,
+)
 
 
 def load_vectors():
@@ -141,6 +152,21 @@ def test_gamma_decode_errors():
         gamma_decode("0" * 80 + "1" + "0" * 80)
 
 
+def test_delta_decode_errors():
+    with pytest.raises(TruncationError):
+        delta_decode("0010")  # gamma(4) promises 3 more bits
+    with pytest.raises(CorruptionError):
+        delta_decode("0" * 7 + "1" + "0" * 200)  # bit length >= 128
+
+
+@given(st.integers(0, (1 << 64) - 1))
+def test_code_bits_match_code_words(x):
+    assert code_bits([x], "vbyte") == 8 * len(vbyte_encode(x))
+    if x:
+        assert code_bits([x], "gamma") == len(gamma_encode(x))
+        assert code_bits([x], "delta") == len(delta_encode(x))
+
+
 def test_encode_posting_list_empty_is_single_gamma_one():
     cfg = CodecConfig("gamma", "gamma", "gamma")
     assert encode_posting_list(PostingList(0, ()), cfg) == b"\x80"  # "1" padded
@@ -210,6 +236,24 @@ def test_bit_flip_fuzz_never_returns_invalid_structure():
                 assert d > prev and p >= 1
                 prev = d
         blob[i // 8] ^= 1 << (7 - i % 8)
+
+
+@given(st.lists(posting_lists, min_size=1, max_size=6), configs)
+def test_decode_lists_round_trip(lists, cfg):
+    blob, offsets = encode_lists(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload)
+    decoded = decode_lists(blob, offsets, cfg.doc_gap, cfg.payload)
+    assert [tuple(zip(keys, values)) for keys, values in decoded] == lists
+
+
+def test_decode_lists_checks_each_list_ends_at_next_offset():
+    lists = [((0, 5), (3, 1)), ((2,), (7,)), ((1, 4, 9), (1, 1, 2))]
+    blob, offsets = encode_lists(lists, "gamma", "gamma")
+    assert [tuple(map(tuple, kv)) for kv in decode_lists(blob, offsets, "gamma", "gamma")] == lists
+    for bad in ([offsets[0], offsets[1] + 1, offsets[2]], [offsets[0], offsets[1] - 1, offsets[2]], [1, *offsets[1:]]):
+        with pytest.raises(CorruptionError):
+            list(decode_lists(blob, bad, "gamma", "gamma"))
+    with pytest.raises(CorruptionError):  # the last list must end in the final byte
+        list(decode_lists(blob + b"\x00", offsets, "gamma", "gamma"))
 
 
 def test_truncated_posting_list_stream():

@@ -3,12 +3,14 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtix import (
     CodecConfig,
     CorruptionError,
     FormatError,
     Lexicon,
+    MtixError,
     factor,
     FactorParams,
     load_index,
@@ -16,8 +18,11 @@ from mtix import (
     save_index,
     stats,
 )
+from mtix.codec import CODEC_NAMES, encode_lists, unzip_pairs
 from mtix.store import _HEADER, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix
+
+ALL_CFGS = [CodecConfig(g, p, c) for g in CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
 
 
 CFGS = [
@@ -197,3 +202,100 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 
     with pytest.raises(ValidationError):
         save_index(f, Lexicon(["a", "b"]), CodecConfig(), tmp_path / "x.idx")
+
+
+# sha256 of save_index output for one seeded planted matrix, one digest per
+# all-same-codec config: format v1 must not move by a single byte.
+PINNED_DIGESTS = {
+    "gamma": "b9da21f401e911ae8878e8c03592498455d52a349e5a7e968aca8fe6efa4189d",
+    "delta": "38635a1d7d8b1e4c4ea1918c835e75f0a752b3a9a8de351c68878eb2e855bea5",
+    "vbyte": "d78c446899a72822df96828b94adefbb3615e6ac98ef5fc3cc06b8325ce8659d",
+}
+
+
+@pytest.mark.parametrize("codec", sorted(PINNED_DIGESTS))
+def test_saved_bytes_match_pinned_digest(tmp_path, codec):
+    V, _ = planted_matrix(
+        num_groups=4,
+        rows_per_group=3,
+        cols_per_group=40,
+        noise_rows=30,
+        num_docs=3000,
+        noise_payload_range=(1, 1 << 20),
+        rng=random.Random(2026),
+    )
+    f = factor(V)
+    path = tmp_path / "pinned.idx"
+    save_index(f, V.lexicon, CodecConfig(codec, codec, codec), path, V.doc_names)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[codec]
+    assert load_index(path).factorization == f
+
+
+payloads = st.one_of(st.integers(1, 20), st.integers(1, (1 << 64) - 1))
+small_matrices = st.dictionaries(
+    st.integers(0, 9),
+    st.dictionaries(st.integers(0, 3000), payloads, min_size=1, max_size=8),
+    max_size=8,
+).map(matrix_from_cells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_matrices)
+def test_stats_closed_form_matches_encoded_lengths(V):
+    f = factor(V)
+    for cfg in ALL_CFGS:
+        st_ = stats(V, f, cfg)
+        h_offsets, h, w, _ = encoded_section_parts(f, cfg)
+        assert st_.bytes_factored == len(h_offsets) + len(h) + len(w)
+        direct, _ = encode_lists(map(unzip_pairs, (row.postings for row in V.rows)), cfg.doc_gap, cfg.payload)
+        assert st_.bytes_direct == len(direct)
+
+
+@pytest.mark.parametrize("cfg", [CodecConfig(), CodecConfig("vbyte", "delta", "vbyte")])
+def test_bit_flip_fuzz_load_raises_only_mtix_errors(tmp_path, cfg):
+    """Every flip of 1-3 bits in a small index either loads or raises an
+    MtixError, never another exception.
+
+    A flip can still load silently with different content; that needs a
+    per-section checksum, which the v1 format does not have.
+    """
+    rng = random.Random(77)
+    V = random_matrix(30, 60, 0.15, payload_range=(1, 300), rng=rng)
+    f = factor(V, FactorParams(min_cols=2))
+    path = tmp_path / "fuzz.idx"
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
+    data = path.read_bytes()
+    bad = tmp_path / "flipped.idx"
+    for _ in range(2000):
+        flipped = bytearray(data)
+        for i in rng.sample(range(len(data) * 8), rng.randint(1, 3)):
+            flipped[i // 8] ^= 1 << (7 - i % 8)
+        bad.write_bytes(bytes(flipped))
+        try:
+            load_index(bad)
+        except MtixError:
+            pass
+
+
+def test_non_utf8_string_is_corruption(tmp_path):
+    data = _saved(tmp_path)
+    first_name = _HEADER.size + 8 + 4  # doc table: u64 count, u32 length, first name
+    bad = tmp_path / "utf8.idx"
+    bad.write_bytes(data[:first_name] + b"\xff" + data[first_name + 1 :])
+    with pytest.raises(CorruptionError, match="UTF-8"):
+        load_index(bad)
+
+
+def test_overlong_h_offset_is_corruption(tmp_path):
+    V = matrix_from_cells({0: {0: 1}, 1: {1: 2}})
+    f = factor(V)
+    path = tmp_path / "h.idx"
+    save_index(f, V.lexicon, CodecConfig(), path, V.doc_names)
+    data = path.read_bytes()
+    *_, off_h, _ = _HEADER.unpack_from(data)
+    assert data[off_h + 8] == 0  # the first H offset, vbyte(0)
+    overlong = b"\xff" * 10 + b"\x01"
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(data[: off_h + 8] + overlong + data[off_h + 9 :])
+    with pytest.raises(CorruptionError, match="H offset table"):
+        load_index(bad)
