@@ -33,6 +33,7 @@ from .factorize import (
     Factorization,
     MetaTerm,
     brute_force_optimal,
+    expand_term,
     export_factors,
     factor,
     factor_whole_rows,
@@ -55,7 +56,7 @@ from .matrix import (
     nnz,
     primitive_form,
 )
-from .query import Query, ScoredDoc, expand_term, overlap_at_k, prune, top_k
+from .query import Query, ScoredDoc, overlap_at_k, prune, top_k
 from .store import IndexStats, LoadedIndex, load_index, save_index, stats
 
 __version__ = "0.1.0"

@@ -12,9 +12,9 @@ import sys
 from pathlib import Path
 
 from .codec import CODEC_NAMES, CodecConfig
-from .errors import InvariantError, MtixError, ParseError, ValidationError
+from .errors import InvariantError, MtixError, ValidationError, utf8_error
 from .factorize import FactorParams, export_factors, factor, total_size
-from .matrix import TermDocMatrix, export_triples, ingest_triples, ingest_tsv, nnz
+from .matrix import TermDocMatrix, export_triples, ingest_triples, ingest_tsv, nnz, read_triples
 from .query import Query, overlap_at_k, prune, resolve_terms, top_k
 from .store import IndexStats, load_index, save_index, stats
 
@@ -55,6 +55,15 @@ def _params(args: argparse.Namespace) -> FactorParams:
 
 def _load_matrix(path: str, triples: bool) -> TermDocMatrix:
     return ingest_triples(path) if triples else ingest_tsv(path)
+
+
+def _read_queries(path: str) -> list[list[str]]:
+    """One whitespace-separated query per line of a UTF-8 file."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise utf8_error(Path(path).read_bytes()) from None
+    return [line.split() for line in text.splitlines()]
 
 
 def _print_stats(st: IndexStats, tsv: bool) -> None:
@@ -105,7 +114,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     idx = load_index(args.index)
-    queries = [line.split() for line in Path(args.queries).read_text(encoding="utf-8").splitlines()]
+    queries = _read_queries(args.queries)
     for qi, terms in enumerate(queries):
         q = Query(tuple(terms), args.k)
         if args.verbose:
@@ -144,7 +153,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValidationError(f"bad theta list {args.thetas!r}") from None
     if not thetas or any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValidationError("theta list must be non-empty and strictly ascending")
-    queries = [line.split() for line in Path(args.queries).read_text(encoding="utf-8").splitlines()]
+    queries = _read_queries(args.queries)
 
     cfg = _cfg(args)
     params = _params(args)
@@ -181,34 +190,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_int_triples(path: str) -> dict[int, dict[int, int]]:
-    """Lenient triple reader for externally produced factors: values may be
-    any integer (including zero or negative); duplicate cells are rejected."""
-    rows: dict[int, dict[int, int]] = {}
-    with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ParseError("expected 'row col value'", line_no)
-            try:
-                i, j, v = (int(x) for x in parts)
-            except ValueError:
-                raise ParseError("non-integer field", line_no) from None
-            if i < 0 or j < 0:
-                raise ValidationError(f"line {line_no}: negative id")
-            row = rows.setdefault(i, {})
-            if j in row:
-                raise ValidationError(f"line {line_no}: duplicate cell ({i}, {j})")
-            row[j] = v
-    return rows
-
-
 def cmd_diag_remainder(args: argparse.Namespace) -> int:
     matrix = ingest_triples(args.v)
-    w_rows = _read_int_triples(args.w)
-    h_rows = _read_int_triples(args.h)
+    w_rows = read_triples(args.w)
+    h_rows = read_triples(args.h)
 
     product: dict[tuple[int, int], int] = {}
     for t, w_row in w_rows.items():

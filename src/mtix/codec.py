@@ -326,13 +326,13 @@ def vbyte_decode(data: bytes, offset: int = 0) -> tuple[int, int]:
         if offset + consumed >= len(data):
             raise TruncationError("vbyte value truncated")
         if consumed >= MAX_VBYTE_LEN:
-            raise OverflowError("vbyte value longer than 10 bytes")
+            raise CorruptionError("vbyte value longer than 10 bytes")
         byte = data[offset + consumed]
         x |= (byte & 0x7F) << shift
         consumed += 1
         if not byte & 0x80:
             if x > MAX_VALUE:
-                raise OverflowError("vbyte value exceeds 64 bits")
+                raise CorruptionError("vbyte value exceeds 64 bits")
             return x, consumed
         shift += 7
 
@@ -379,12 +379,12 @@ def _get_vbyte(r: BitReader) -> int:
     shift = 0
     for consumed in range(MAX_VBYTE_LEN + 1):
         if consumed >= MAX_VBYTE_LEN:
-            raise OverflowError("vbyte value longer than 10 bytes")
+            raise CorruptionError("vbyte value longer than 10 bytes")
         byte = r.read_bits(8)
         x |= (byte & 0x7F) << shift
         if not byte & 0x80:
             if x > MAX_VALUE:
-                raise OverflowError("vbyte value exceeds 64 bits")
+                raise CorruptionError("vbyte value exceeds 64 bits")
             return x
         shift += 7
     raise AssertionError("unreachable")
@@ -598,36 +598,12 @@ def list_bit_lengths(
 
 
 # ---------------------------------------------------------------------------
-# Posting lists and the bitstream list API
+# Posting lists
 
 
 def unzip_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[Sequence[int], ...]:
     """(keys, values) of a (key, value) pair list."""
     return tuple(zip(*pairs)) or ((), ())
-
-
-def write_pairs(w: BitWriter, pairs: Sequence[tuple[int, int]], gap_codec: str, val_codec: str) -> None:
-    """Write a (key, value) list: gamma(count+1), key gaps, then values.
-
-    Keys must be strictly ascending and values >= 1. Used both for posting
-    lists (doc, payload) and for W rows (meta-term id, coefficient).
-    """
-    bits = _list_bits(*unzip_pairs(pairs), gap_codec, val_codec)
-    w.write_bits(int(bits, 2), len(bits))
-
-
-def read_pairs(r: BitReader, gap_codec: str, val_codec: str) -> list[tuple[int, int]]:
-    """Read one list at the reader's position and advance past it.
-
-    Each call converts the rest of the stream to a bit string; use
-    `decode_lists` for a whole section.
-    """
-    first = r.pos >> 3
-    base = first << 3
-    bits = _bit_string(r._data[first : (r.bit_length + 7) >> 3])
-    keys, values, pos = _decode_list(bits, r.pos - base, r.bit_length - base, gap_codec, val_codec)
-    r.pos = base + pos
-    return list(zip(keys, values))
 
 
 def encode_posting_list(pl: PostingList | Sequence[Posting], cfg: CodecConfig) -> bytes:

@@ -2,7 +2,8 @@
 
 Input-side failures (bad files, bad values) derive from MtixError and map to
 CLI exit code 2; InvariantError signals an internal consistency failure and
-maps to exit code 3.
+maps to exit code 3. Text input that is not UTF-8 becomes a ParseError
+(utf8_error), never a bare UnicodeDecodeError.
 """
 
 
@@ -38,3 +39,16 @@ class FormatError(MtixError):
 
 class InvariantError(MtixError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+def utf8_error(data: bytes) -> ParseError:
+    """The ParseError for input `data` that is not UTF-8: it names the line
+    of the first bad byte, lines ending at \\n, \\r\\n or \\r as in universal
+    newlines mode."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line_no = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line_no)
+    return ParseError("input is not valid UTF-8")

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .errors import InvariantError, ValidationError
-from .matrix import Lexicon, TermDocMatrix, matrix_from_cells, primitive_form
+from .matrix import Lexicon, PostingList, TermDocMatrix, primitive_form
 
 
 def gain(r: int, c: int) -> int:
@@ -46,10 +46,6 @@ class Bicluster:
     cols: tuple[int, ...]
     base: tuple[int, ...]
     coeffs: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows) + len(self.cols)
 
     def check_against(self, matrix: TermDocMatrix) -> None:
         """Cell-by-cell validation; raises InvariantError on any mismatch."""
@@ -343,31 +339,33 @@ def factor(matrix: TermDocMatrix, params: FactorParams = FactorParams()) -> Fact
     return f
 
 
-def reconstruct(
-    f: Factorization,
-    num_docs: int | None = None,
-    lexicon: Lexicon | None = None,
-    doc_names: list[str] | None = None,
-) -> TermDocMatrix:
-    """Expand W.H back into a matrix; the exactness contract is that this
-    equals the factored source cell for cell. Overlapping memberships for a
-    single cell raise InvariantError (the cover must be element-disjoint)."""
-    if num_docs is None:
-        num_docs = f.num_docs
-    cells: dict[int, dict[int, int]] = {}
-    for t, row in enumerate(f.memberships):
-        by_doc: dict[int, int] = {}
-        for m, k in row:
-            mt = f.metaterms[m]
-            for d, u in zip(mt.cols, mt.base):
-                if d in by_doc:
-                    raise InvariantError(f"overlapping memberships cover cell ({t}, {d})")
-                by_doc[d] = k * u
-        if by_doc:
-            cells[t] = by_doc
-    return matrix_from_cells(
-        cells, num_terms=f.num_terms, num_docs=num_docs, lexicon=lexicon, doc_names=doc_names
-    )
+def expand_term(f: Factorization, t: int) -> PostingList:
+    """Rebuild term t's original posting list from its meta-term memberships.
+
+    Overlapping memberships for a single cell raise InvariantError (the cover
+    must be element-disjoint).
+    """
+    if not 0 <= t < f.num_terms:
+        raise KeyError(t)
+    pairs: list[tuple[int, int]] = []
+    for m, k in f.memberships[t]:
+        mt = f.metaterms[m]
+        pairs.extend((d, k * u) for d, u in zip(mt.cols, mt.base))
+    pairs.sort()
+    for (d1, _), (d2, _) in zip(pairs, pairs[1:]):
+        if d1 == d2:
+            raise InvariantError(f"term {t}: memberships overlap on doc {d1}")
+    return PostingList.from_pairs(t, pairs)
+
+
+def reconstruct(f: Factorization) -> TermDocMatrix:
+    """Expand W.H back into a matrix, one expand_term per term; the exactness
+    contract is that this equals the factored source cell for cell."""
+    rows = [expand_term(f, t) for t in range(f.num_terms)]
+    for row in rows:
+        if row.postings and row.postings[-1].doc >= f.num_docs:
+            raise ValidationError(f"doc {row.postings[-1].doc} outside num_docs={f.num_docs}")
+    return TermDocMatrix(rows, f.num_docs, Lexicon(str(t) for t in range(f.num_terms)))
 
 
 MAX_ORACLE_NNZ = 12

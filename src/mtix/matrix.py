@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, utf8_error
 
 
 class Posting(NamedTuple):
@@ -116,20 +117,6 @@ class TermDocMatrix:
     def num_terms(self) -> int:
         return len(self.rows)
 
-    def validate(self) -> None:
-        if len(self.doc_names) != self.num_docs:
-            raise ValidationError("doc_names length does not match num_docs")
-        if len(self.lexicon) != len(self.rows):
-            raise ValidationError("lexicon size does not match row count")
-        for t, row in enumerate(self.rows):
-            if row.term != t:
-                raise ValidationError(f"row {t} carries term id {row.term}")
-            for d, p in row:
-                if not 0 <= d < self.num_docs:
-                    raise ValidationError(f"term {t}: doc {d} out of range")
-                if p < 1:
-                    raise ValidationError(f"term {t}: payload {p} < 1")
-
     def same_cells(self, other: "TermDocMatrix") -> bool:
         """Cell-for-cell equality, ignoring lexicon and doc-name strings."""
         return self.num_docs == other.num_docs and [r.postings for r in self.rows] == [
@@ -210,55 +197,71 @@ def ingest_tsv(path: str | Path, tokenizer: TokenizerConfig = TokenizerConfig())
 
     Payload(t, d) is the frequency of t in d; TermIds are assigned in
     first-seen order and DocIds in line order. An empty file yields an empty
-    matrix; a line without a tab raises ParseError with its line number.
+    matrix; a line without a tab, or a byte that is not UTF-8, raises
+    ParseError with its line number.
     """
     lexicon = Lexicon()
     doc_names: list[str] = []
     cells: dict[int, dict[int, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if "\t" not in line:
-                raise ParseError("expected 'docname<TAB>body'", line_no)
-            name, body = line.split("\t", 1)
-            doc = len(doc_names)
-            doc_names.append(name)
-            for token in tokenizer.tokenize(body):
-                tid = lexicon.intern(token)
-                by_doc = cells.setdefault(tid, {})
-                by_doc[doc] = by_doc.get(doc, 0) + 1
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if "\t" not in line:
+                    raise ParseError("expected 'docname<TAB>body'", line_no)
+                name, body = line.split("\t", 1)
+                doc = len(doc_names)
+                doc_names.append(name)
+                for token in tokenizer.tokenize(body):
+                    tid = lexicon.intern(token)
+                    by_doc = cells.setdefault(tid, {})
+                    by_doc[doc] = by_doc.get(doc, 0) + 1
+    except UnicodeDecodeError:
+        raise utf8_error(Path(path).read_bytes()) from None
     return matrix_from_cells(
         cells, num_terms=len(lexicon), num_docs=len(doc_names), lexicon=lexicon, doc_names=doc_names
     )
 
 
-def ingest_triples(path: str | Path) -> TermDocMatrix:
-    """Read "term doc payload" lines (space-separated decimal integers) into V.
+def read_triples(path: str | Path) -> dict[int, dict[int, int]]:
+    """Read "row col value" lines (space-separated decimal integers) into
+    {row: {col: value}}; values may be any integer.
 
-    The matrix has exactly the listed non-zeros; a zero or negative payload
-    and a duplicated (term, doc) cell are validation errors.
+    Blank lines are skipped. A line without three integer fields raises
+    ParseError with its line number; a negative row or column id and a
+    duplicated (row, col) cell are validation errors. The file is read as
+    bytes, split into lines as universal newlines do, so a non-ASCII byte is
+    a non-integer field.
     """
     cells: dict[int, dict[int, int]] = {}
-    with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        lines = chain.from_iterable(map(bytes.splitlines, fh))
+        for line_no, line in enumerate(lines, start=1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 3:
-                raise ParseError("expected 'term doc payload'", line_no)
+                raise ParseError("expected 'row col value'", line_no)
             try:
-                t, d, p = (int(x) for x in parts)
+                i, j, v = map(int, parts)
             except ValueError:
                 raise ParseError("non-integer field", line_no) from None
-            if t < 0 or d < 0:
-                raise ValidationError(f"line {line_no}: negative id in ({t}, {d})")
-            if p < 1:
-                raise ValidationError(f"line {line_no}: payload {p} must be >= 1")
-            by_doc = cells.setdefault(t, {})
-            if d in by_doc:
-                raise ValidationError(f"line {line_no}: duplicate cell ({t}, {d})")
-            by_doc[d] = p
-    return matrix_from_cells(cells)
+            if i < 0 or j < 0:
+                raise ValidationError(f"line {line_no}: negative id in ({i}, {j})")
+            row = cells.setdefault(i, {})
+            if j in row:
+                raise ValidationError(f"line {line_no}: duplicate cell ({i}, {j})")
+            row[j] = v
+    return cells
+
+
+def ingest_triples(path: str | Path) -> TermDocMatrix:
+    """Read "term doc payload" triples (see read_triples) into V.
+
+    The matrix has exactly the listed non-zeros; a zero or negative payload
+    and a duplicated (term, doc) cell are validation errors.
+    """
+    return matrix_from_cells(read_triples(path))
 
 
 def export_triples(matrix: TermDocMatrix, out: str | Path | IO[str]) -> None:

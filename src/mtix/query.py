@@ -14,8 +14,8 @@ import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import InvariantError, ValidationError
-from .factorize import Factorization
+from .errors import ValidationError
+from .factorize import Factorization, expand_term
 from .matrix import Lexicon, PostingList, TermDocMatrix
 
 
@@ -32,21 +32,6 @@ class Query:
 class ScoredDoc(NamedTuple):
     doc: int
     score: int
-
-
-def expand_term(f: Factorization, t: int) -> PostingList:
-    """Rebuild term t's original posting list from its meta-term memberships."""
-    if not 0 <= t < f.num_terms:
-        raise KeyError(t)
-    pairs: list[tuple[int, int]] = []
-    for m, k in f.memberships[t]:
-        mt = f.metaterms[m]
-        pairs.extend((d, k * u) for d, u in zip(mt.cols, mt.base))
-    pairs.sort()
-    for (d1, _), (d2, _) in zip(pairs, pairs[1:]):
-        if d1 == d2:
-            raise InvariantError(f"term {t}: memberships overlap on doc {d1}")
-    return PostingList.from_pairs(t, pairs)
 
 
 def top_k(f: Factorization, q: Query, lexicon: Lexicon) -> list[ScoredDoc]:

@@ -46,7 +46,7 @@ from .codec import (
     vbyte_decode,
     vbyte_encode,
 )
-from .errors import CorruptionError, FormatError, TruncationError, ValidationError
+from .errors import CorruptionError, FormatError, ValidationError
 from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, TermDocMatrix, nnz
 
@@ -70,7 +70,7 @@ def _decode_offsets(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
     for _ in range(count):
         try:
             delta, used = vbyte_decode(data, pos)
-        except (OverflowError, TruncationError) as exc:
+        except CorruptionError as exc:
             raise CorruptionError(f"H offset table: {exc}") from None
         pos += used
         prev += delta

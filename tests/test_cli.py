@@ -250,6 +250,34 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["query", str(bad), str(qfile)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, line_no",
+    [("build", 3), ("build-triples", 2), ("diag-remainder", 2), ("query", 2)],
+)
+def test_undecodable_input_exits_2_with_line(command, line_no, tiny_corpus, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    triples = tmp_path / "ok.t"
+    triples.write_text("0 0 1\n1 1 2\n")
+    index = tmp_path / "ok.idx"
+    if command == "build":
+        bad.write_bytes(b"d1\ta b\r\nd2\tb\r\nd3\tcaf\xe9\n")  # Latin-1, not UTF-8
+        argv = ["build", str(bad), str(index)]
+    elif command == "build-triples":
+        bad.write_bytes(b"0 0 1\n1 1 \xe9\n")
+        argv = ["build", str(bad), str(index), "--triples"]
+    elif command == "diag-remainder":
+        bad.write_bytes(b"0 0 1\n1 0 \xb2\n")
+        argv = ["diag-remainder", str(triples), str(bad), str(triples)]
+    else:
+        assert main(["build", str(tiny_corpus), str(index)]) == 0
+        bad.write_bytes(b"a b\n\xff cat\n")
+        argv = ["query", str(index), str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"line {line_no}" in err and "Traceback" not in err
+
+
 def test_invariant_violation_exits_3(tmp_path, capsys):
     # hand-build an index whose term 0 has overlapping memberships
     bad = Factorization(

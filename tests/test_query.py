@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +102,33 @@ def test_top_k_matches_raw_accumulator():
     f = factor(V, FactorParams(min_cols=2))
     for terms in random_queries(V.lexicon, 100, rng=rng):
         assert top_k(f, Query(tuple(terms), 10), V.lexicon) == brute_force_top_k(V, terms, 10)
+
+
+def test_factor_and_top_k_call_their_stages_by_module_name(monkeypatch):
+    # factor() and top_k() look these names up in their modules on each call;
+    # wrapping them there is how a caller traces the stages.
+    import mtix.factorize
+    import mtix.query
+
+    calls = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(mtix.factorize, "factor_whole_rows")
+    count(mtix.factorize, "refine_partial")
+    count(mtix.query, "expand_term")
+    V = random_matrix(20, 40, 0.2, rng=random.Random(47))
+    f = factor(V)
+    assert calls == {"factor_whole_rows": 1, "refine_partial": 1}
+    top_k(f, Query(("0", "no-such-term", "3", "7"), 5), V.lexicon)
+    assert calls["expand_term"] == 3
 
 
 def test_query_validates_k():
