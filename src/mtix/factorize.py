@@ -21,9 +21,13 @@ minimum for tiny instances so the greedy can be sandwich-tested.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import chain, compress, repeat
 from math import gcd
+from operator import ge, itemgetter
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -191,36 +195,42 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     return _assemble(biclusters, matrix.num_terms, matrix.num_docs)
 
 
-def _candidate_from_cols(
+def _later_partners(
+    terms_of_doc: dict[int, list[int]], row1: dict[int, int], t1: int, min_cols: int
+) -> list[int]:
+    """The residual rows t2 > t1 sharing at least min_cols docs with row1,
+    ascending. A doc's term list is ascending, so t1's later partners in it
+    are the suffix past t1."""
+    counts = Counter(
+        chain.from_iterable((later := terms_of_doc[d])[bisect_right(later, t1) :] for d in row1)
+    )
+    return sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
+
+
+def _candidate_rows(
     residual: dict[int, dict[int, int]],
     terms_of_doc: dict[int, list[int]],
-    anchor: int,
     docs: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Extend (anchor, docs) to the maximal residual row set proportional to
-    the anchor's restriction; returns (rows, cols, primitive base, coeffs)."""
-    anchor_cells = residual[anchor]
-    g = 0
-    for d in docs:
-        g = gcd(g, anchor_cells[d])
-    base = tuple(anchor_cells[d] // g for d in docs)
+    base: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The residual rows equal to k * base over docs for some k >= 1, in
+    ascending TermId order, with their k.
 
-    probe = min(docs, key=lambda d: len(terms_of_doc[d]))
+    Only terms present in every one of docs can match, so the term lists of
+    docs are intersected first (smallest list first) and the exact ratio
+    check runs on the survivors alone.
+    """
+    lists = sorted(map(terms_of_doc.__getitem__, docs), key=len)
+    payloads = itemgetter(*docs)  # len(docs) >= min_cols >= 2: returns a tuple
     rows = []
     coeffs = []
-    d0, u0 = docs[0], base[0]
-    for t in terms_of_doc[probe]:
-        cells = residual[t]
-        v0 = cells.get(d0)
-        if v0 is None:
-            continue
-        k, rem = divmod(v0, u0)
-        if rem or k < 1:
-            continue
-        if all(cells.get(d) == k * u for d, u in zip(docs, base)):
+    for t in sorted(set(lists[0]).intersection(*lists[1:])):
+        cells = payloads(residual[t])
+        k, rem = divmod(cells[0], base[0])
+        if not rem and k >= 1 and cells == tuple([k * u for u in base]):
             rows.append(t)
             coeffs.append(k)
-    return tuple(rows), docs, base, tuple(coeffs)
+    return tuple(rows), tuple(coeffs)
 
 
 def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams) -> Factorization:
@@ -252,40 +262,37 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
             terms_of_doc.setdefault(d, []).append(t)
 
     # Candidate generation, one pass over residual row pairs.
+    min_cols = params.min_cols
     heap: list[tuple] = []
     seen: set[tuple] = set()
     for t1 in sorted(residual):
         row1 = residual[t1]
-        if len(row1) < params.min_cols:
+        if len(row1) < min_cols:
             continue
-        shared_count: dict[int, int] = {}
-        for d in row1:
-            for t2 in terms_of_doc[d]:
-                if t2 > t1:
-                    shared_count[t2] = shared_count.get(t2, 0) + 1
         made = 0
-        for t2 in sorted(shared_count):
+        for t2 in _later_partners(terms_of_doc, row1, t1, min_cols):
             if made >= params.max_candidates_per_term:
                 break
-            if shared_count[t2] < params.min_cols:
-                continue
             row2 = residual[t2]
             by_ratio: dict[tuple[int, int], list[int]] = {}
-            for d in sorted(d for d in row1 if d in row2):
+            for d in sorted(row1.keys() & row2.keys()):
                 a, b = row1[d], row2[d]
                 g = gcd(a, b)
                 by_ratio.setdefault((a // g, b // g), []).append(d)
-            for ratio in sorted(by_ratio, key=lambda rt: by_ratio[rt][0]):
-                docs = by_ratio[ratio]
-                if len(docs) < params.min_cols:
+            # Docs were added in ascending order: the classes come by first doc.
+            for docs in by_ratio.values():
+                if len(docs) < min_cols:
                     continue
-                rows, cols, base, coeffs = _candidate_from_cols(
-                    residual, terms_of_doc, t1, tuple(docs)
-                )
+                cols = tuple(docs)
+                anchor = [row1[d] for d in cols]
+                g = gcd(*anchor)
+                base = tuple([u // g for u in anchor])
+                # (cols, base) fixes the extended rows, so a repeat is dropped unextended.
                 sig = (cols, base)
                 if sig in seen:
                     continue
                 seen.add(sig)
+                rows, coeffs = _candidate_rows(residual, terms_of_doc, cols, base)
                 g_val = gain(len(rows), len(cols))
                 if len(rows) < 2 or g_val <= 0:
                     continue

@@ -1,4 +1,5 @@
-"""Synthetic matrices: random sparse instances and planted bicluster plants.
+"""Synthetic corpora: random sparse instances, planted bicluster plants and
+Zipfian text.
 
 Every generator takes an explicit random.Random so runs are reproducible, and
 reports its own tallies (cells emitted, planted structure) so tests can check
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, log
 
 from .matrix import Lexicon, TermDocMatrix, matrix_from_cells
@@ -151,6 +153,34 @@ def planted_matrix(
     matrix = matrix_from_cells(cells, num_terms=total_terms, num_docs=num_docs)
     report = PlantReport(tuple(groups), planted_nnz, noise_nnz)
     return matrix, report
+
+
+def zipf_corpus(
+    num_docs: int,
+    vocab_size: int,
+    doc_len: tuple[int, int] = (20, 200),
+    rng: random.Random | None = None,
+) -> list[tuple[str, str]]:
+    """(doc name, body) pairs of Zipfian text, ready for "name<TAB>body" lines.
+
+    The vocabulary is vocab_size distinct lowercase words; each doc draws a
+    uniform length in doc_len and then that many tokens with weight 1/rank.
+    """
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be >= 1")
+    rng = rng or random.Random(0)
+    words: list[str] = []
+    seen: set[str] = set()
+    while len(words) < vocab_size:
+        word = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(rng.randint(2, 9)))
+        if word not in seen:
+            seen.add(word)
+            words.append(word)
+    cum = list(accumulate(1.0 / rank for rank in range(1, vocab_size + 1)))
+    return [
+        (f"doc{d:05d}", " ".join(rng.choices(words, cum_weights=cum, k=rng.randint(*doc_len))))
+        for d in range(num_docs)
+    ]
 
 
 def random_queries(

@@ -6,11 +6,14 @@ criterion carries its runtime bound.
 """
 
 import hashlib
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import mtix
 from mtix import (
     CodecConfig,
     FactorParams,
@@ -260,12 +263,15 @@ def test_criterion_7_build_determinism(tmp_path):
             out = tmp_path / name
             assert main(["build", str(corpus), str(out), "--triples"]) == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-        # and once more in a fresh interpreter
+        # and once more in a fresh interpreter, importing this same mtix
         out = tmp_path / "c.idx"
+        src = str(Path(mtix.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "mtix.cli", "build", str(corpus), str(out), "--triples"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import random
 
 import pytest
@@ -9,16 +11,19 @@ from mtix import (
     InvariantError,
     MetaTerm,
     ValidationError,
+    export_factors,
     factor,
     factor_whole_rows,
     gain,
+    ingest_tsv,
     matrix_from_cells,
     nnz,
     reconstruct,
     refine_partial,
     total_size,
 )
-from mtix.synth import planted_matrix, random_matrix
+from mtix.synth import planted_matrix, random_matrix, zipf_corpus
+from stage2_reference import refine_partial as reference_refine_partial
 
 
 def test_gain_examples():
@@ -303,3 +308,69 @@ def test_factor_exactness_property(V, min_cols, stage2):
     assert total_size(f) <= non_empty + nnz(V)
     for b in f.provenance():
         b.check_against(V)
+
+
+def _golden_corpus(name, tmp_path):
+    if name == "zipf":
+        path = tmp_path / "zipf.tsv"
+        docs = zipf_corpus(300, 2000, rng=random.Random(7))
+        path.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
+        return ingest_tsv(path)
+    if name == "planted":
+        V, _ = planted_matrix(
+            num_groups=6, cols_per_group=40, noise_rows=80, num_docs=80,
+            noise_payload_range=(1, 2), rng=random.Random(5),
+        )
+        return V
+    return random_matrix(60, 40, 0.3, payload_range=(1, 3), rng=random.Random(9))
+
+
+GOLDEN_PARAMS = {"default": FactorParams(), "capped": FactorParams(min_cols=3, max_candidates_per_term=2)}
+
+
+@pytest.mark.parametrize(
+    "corpus, params, digest",
+    [
+        ("zipf", "default", "21734e8790cd5e864fe9ce1241a07e445514225d326d1104acc1db8b65fdf5b2"),
+        ("zipf", "capped", "981e2fc61bd7712a914afe5a25ea3f59749e275bd8d679513cd9f2c508c749e8"),
+        ("planted", "default", "dd93f2d7930100b3414f9766790d9d96077e2cee5918724b6886c7addddc9e96"),
+        ("planted", "capped", "1cda2ed2e778805777a6876403fc5604b2cb6aa937a9a98e1ed16a5e2afbc2b5"),
+        ("random", "default", "bfd5bde41266f095bc63a381792ad73e5f1aa77f17dd46f28426a626a6e2dfa9"),
+        ("random", "capped", "edf80fd09e61b396e5b145dcafaef3d6ae787531024c7bd4862d4bb0580e3fc1"),
+    ],
+)
+def test_factor_golden_digest(corpus, params, digest, tmp_path):
+    # Pinned factorizations: any change to stage 1 or stage 2 output,
+    # including candidate order under the per-term cap, shows up here.
+    h, w = io.StringIO(), io.StringIO()
+    export_factors(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params]), h, w)
+    assert hashlib.sha256((h.getvalue() + w.getvalue()).encode()).hexdigest() == digest
+
+
+@st.composite
+def correlated_matrices(draw):
+    # rows are integer multiples of a few shared bases over overlapping
+    # column windows, plus noise cells: many ratio classes per row pair
+    num_docs = draw(st.integers(6, 24))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, num_docs - 2))
+        width = draw(st.integers(2, min(10, num_docs - start)))
+        bases.append({start + i: draw(st.integers(1, 4)) for i in range(width)})
+    cells = {}
+    for t in range(draw(st.integers(2, 12))):
+        base = bases[draw(st.integers(0, len(bases) - 1))]
+        k = draw(st.integers(1, 5))
+        row = {d: k * u for d, u in base.items()}
+        for _ in range(draw(st.integers(0, 3))):
+            row[draw(st.integers(0, num_docs - 1))] = draw(st.integers(1, 9))
+        cells[t] = row
+    return matrix_from_cells(cells, num_docs=num_docs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(correlated_matrices(), st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, 64]))
+def test_refine_partial_matches_reference(V, min_cols, cap):
+    params = FactorParams(min_cols=min_cols, max_candidates_per_term=cap)
+    f1 = factor_whole_rows(V)
+    assert refine_partial(V, f1, params) == reference_refine_partial(V, f1, params)

@@ -16,6 +16,7 @@ from mtix import (
     nnz,
     primitive_form,
 )
+from mtix.synth import zipf_corpus
 
 
 def test_ingest_tsv_counts_frequencies(tmp_path):
@@ -68,6 +69,26 @@ def test_ingest_tsv_nnz_matches_one_pass_tally(tmp_path):
         term = m.lexicon.term_of(row.term)
         for d, p in row:
             assert per_doc[(term, m.doc_names[d])] == p
+
+
+def test_zipf_corpus_is_seeded(tmp_path):
+    docs = zipf_corpus(50, 200, doc_len=(5, 40), rng=random.Random(3))
+    assert docs == zipf_corpus(50, 200, doc_len=(5, 40), rng=random.Random(3))
+    assert docs != zipf_corpus(50, 200, doc_len=(5, 40), rng=random.Random(4))
+    assert [name for name, _ in docs] == [f"doc{d:05d}" for d in range(50)]
+    counts = Counter()
+    for _, body in docs:
+        tokens = body.split()
+        assert 5 <= len(tokens) <= 40
+        counts.update(tokens)
+    assert len(counts) <= 200
+    # weight 1/rank: the rank-1 word takes about 1/H(200) ~ 17% of tokens
+    assert counts.most_common(1)[0][1] > 0.1 * sum(counts.values())
+    corpus = tmp_path / "zipf.tsv"
+    corpus.write_text("".join(f"{name}\t{body}\n" for name, body in docs), encoding="utf-8")
+    assert nnz(ingest_tsv(corpus)) == sum(len(set(body.split())) for _, body in docs)
+    with pytest.raises(ValueError):
+        zipf_corpus(1, 0)
 
 
 def test_ingest_triples_basic(tmp_path):
