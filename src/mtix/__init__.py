@@ -48,7 +48,6 @@ from .matrix import (
     PostingList,
     PrimitiveRow,
     TermDocMatrix,
-    TokenizerConfig,
     export_triples,
     ingest_triples,
     ingest_tsv,
@@ -81,7 +80,6 @@ __all__ = [
     "Query",
     "ScoredDoc",
     "TermDocMatrix",
-    "TokenizerConfig",
     "TruncationError",
     "ValidationError",
     "brute_force_optimal",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .codec import CODEC_NAMES, CodecConfig
 from .errors import InvariantError, MtixError, ValidationError, utf8_error
-from .factorize import FactorParams, export_factors, factor, total_size
+from .factorize import FactorParams, Factorization, export_factors, factor, total_size
 from .matrix import TermDocMatrix, export_triples, ingest_triples, ingest_tsv, nnz, read_triples
 from .query import Query, overlap_at_k, prune, resolve_terms, top_k
 from .store import IndexStats, load_index, save_index, stats
@@ -74,11 +74,16 @@ def _print_stats(st: IndexStats, tsv: bool) -> None:
             print(f"{key:<16} {value}")
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def _factored_corpus(args: argparse.Namespace) -> tuple[TermDocMatrix, Factorization]:
+    """The corpus of build/stats, pruned if --theta is given, and its factors."""
     matrix = _load_matrix(args.corpus, args.triples)
     if args.theta is not None:
         matrix = prune(matrix, args.theta)
-    f = factor(matrix, _params(args))
+    return matrix, factor(matrix, _params(args))
+
+
+def cmd_build(args: argparse.Namespace) -> int:
+    matrix, f = _factored_corpus(args)
     written = save_index(f, matrix.lexicon, _cfg(args), args.index, matrix.doc_names)
     _print_stats(stats(matrix, f, _cfg(args)), args.tsv)
     if args.verbose:
@@ -102,10 +107,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    matrix = _load_matrix(args.corpus, args.triples)
-    if args.theta is not None:
-        matrix = prune(matrix, args.theta)
-    f = factor(matrix, _params(args))
+    matrix, f = _factored_corpus(args)
     _print_stats(stats(matrix, f, _cfg(args)), args.tsv)
     if args.verbose:
         print(f"{len(f.metaterms)} meta-terms over {matrix.num_terms} terms", file=sys.stderr)

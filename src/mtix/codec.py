@@ -123,13 +123,6 @@ class BitReader:
     def bit_length(self) -> int:
         return self._bitlen
 
-    def read_bit(self) -> int:
-        pos = self.pos
-        if pos >= self._bitlen:
-            raise TruncationError("bit stream ended mid-value")
-        self.pos = pos + 1
-        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
-
     def read_bits(self, nbits: int) -> int:
         pos = self.pos
         end = pos + nbits

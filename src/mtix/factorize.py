@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import IO, Sequence
 
 from .errors import InvariantError, ValidationError
-from .matrix import Lexicon, PostingList, TermDocMatrix, primitive_form
+from .matrix import Lexicon, PostingList, TermDocMatrix, primitive
 
 
 def gain(r: int, c: int) -> int:
@@ -173,22 +173,15 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     for t, row in enumerate(matrix.rows):
         if not row.postings:
             continue
-        prim = primitive_form(row)
-        groups.setdefault(prim.base, []).append((t, prim.scale))
+        docs, payloads = zip(*row.postings)
+        scale, base = primitive(payloads)
+        groups.setdefault((docs, base), []).append((t, scale))
 
     biclusters = []
-    for key, members in groups.items():
-        cols = tuple(d for d, _ in key)
-        base = tuple(u for _, u in key)
+    for (cols, base), members in groups.items():
         if len(members) >= 2 and gain(len(members), len(cols)) > 0:
-            biclusters.append(
-                Bicluster(
-                    rows=tuple(t for t, _ in members),
-                    cols=cols,
-                    base=base,
-                    coeffs=tuple(s for _, s in members),
-                )
-            )
+            rows, coeffs = zip(*members)
+            biclusters.append(Bicluster(rows, cols, base, coeffs))
         else:
             for t, s in members:
                 biclusters.append(Bicluster((t,), cols, base, (s,)))
@@ -276,17 +269,14 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
             row2 = residual[t2]
             by_ratio: dict[tuple[int, int], list[int]] = {}
             for d in sorted(row1.keys() & row2.keys()):
-                a, b = row1[d], row2[d]
-                g = gcd(a, b)
-                by_ratio.setdefault((a // g, b // g), []).append(d)
+                _, ratio = primitive((row1[d], row2[d]))
+                by_ratio.setdefault(ratio, []).append(d)
             # Docs were added in ascending order: the classes come by first doc.
             for docs in by_ratio.values():
                 if len(docs) < min_cols:
                     continue
                 cols = tuple(docs)
-                anchor = [row1[d] for d in cols]
-                g = gcd(*anchor)
-                base = tuple([u // g for u in anchor])
+                _, base = primitive([row1[d] for d in cols])
                 # (cols, base) fixes the extended rows, so a repeat is dropped unextended.
                 sig = (cols, base)
                 if sig in seen:
@@ -328,13 +318,9 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
 
     biclusters = multi + applied
     for t in sorted(residual):
-        cells = residual[t]
-        docs = tuple(sorted(cells))
-        payloads = [cells[d] for d in docs]
-        g = 0
-        for p in payloads:
-            g = gcd(g, p)
-        biclusters.append(Bicluster((t,), docs, tuple(p // g for p in payloads), (g,)))
+        docs, payloads = zip(*sorted(residual[t].items()))
+        scale, base = primitive(payloads)
+        biclusters.append(Bicluster((t,), docs, base, (scale,)))
     return _assemble(biclusters, f.num_terms, f.num_docs)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError, utf8_error
 
@@ -132,17 +132,21 @@ class PrimitiveRow:
     base: tuple[Posting, ...]
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Case-folding and token charset used by TSV ingestion."""
+_TOKEN = re.compile(r"[0-9A-Za-z]+")
 
-    lowercase: bool = True
-    token_pattern: str = r"[0-9A-Za-z]+"
 
-    def tokenize(self, text: str) -> list[str]:
-        if self.lowercase:
-            text = text.lower()
-        return re.findall(self.token_pattern, text)
+def primitive(payloads: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The primitive-form rule: (scale, base) with scale = gcd(*payloads) and
+    base = payloads // scale, so base has gcd 1 and payloads = scale * base.
+
+    Two positive vectors over the same columns are integer multiples of one
+    base exactly when their bases are equal. Both factorizer stages and
+    primitive_form go through this function.
+    """
+    g = gcd(*payloads)
+    if g == 1:
+        return 1, tuple(payloads)
+    return g, tuple([p // g for p in payloads])
 
 
 def primitive_form(row: PostingList) -> PrimitiveRow:
@@ -153,11 +157,9 @@ def primitive_form(row: PostingList) -> PrimitiveRow:
     """
     if not row.postings:
         raise ValidationError("primitive_form: row is empty")
-    g = 0
-    for _, p in row.postings:
-        g = gcd(g, p)
-    base = tuple(Posting(d, p // g) for d, p in row.postings)
-    return PrimitiveRow(g, base)
+    docs, payloads = zip(*row.postings)
+    scale, base = primitive(payloads)
+    return PrimitiveRow(scale, tuple(map(Posting, docs, base)))
 
 
 def nnz(matrix: TermDocMatrix) -> int:
@@ -192,13 +194,14 @@ def matrix_from_cells(
     return TermDocMatrix(rows, num_docs, lexicon, doc_names or [])
 
 
-def ingest_tsv(path: str | Path, tokenizer: TokenizerConfig = TokenizerConfig()) -> TermDocMatrix:
+def ingest_tsv(path: str | Path) -> TermDocMatrix:
     """Read a corpus of "docname<TAB>body" lines into V.
 
-    Payload(t, d) is the frequency of t in d; TermIds are assigned in
-    first-seen order and DocIds in line order. An empty file yields an empty
-    matrix; a line without a tab, or a byte that is not UTF-8, raises
-    ParseError with its line number.
+    A body's tokens are its [0-9A-Za-z]+ runs after lower-casing. Payload(t, d)
+    is the frequency of t in d; TermIds are assigned in first-seen order and
+    DocIds in line order. An empty file yields an empty matrix; a line
+    without a tab, or a byte that is not UTF-8, raises ParseError with its
+    line number.
     """
     lexicon = Lexicon()
     doc_names: list[str] = []
@@ -212,7 +215,7 @@ def ingest_tsv(path: str | Path, tokenizer: TokenizerConfig = TokenizerConfig())
                 name, body = line.split("\t", 1)
                 doc = len(doc_names)
                 doc_names.append(name)
-                for token in tokenizer.tokenize(body):
+                for token in _TOKEN.findall(body.lower()):
                     tid = lexicon.intern(token)
                     by_doc = cells.setdefault(tid, {})
                     by_doc[doc] = by_doc.get(doc, 0) + 1

@@ -61,7 +61,8 @@ class criterion:
         elapsed = time.monotonic() - self.t0
         in_time = self.time_limit is None or elapsed <= self.time_limit
         ok = exc_type is None and in_time
-        print(f"\nACCEPTANCE {self.num} {self.name}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s)")
+        budget = "" if self.time_limit is None else f" of {self.time_limit:g}s"
+        print(f"\nACCEPTANCE {self.num} {self.name}: {'PASS' if ok else 'FAIL'} ({elapsed:.1f}s{budget})")
         if exc_type is None and not in_time:
             raise AssertionError(
                 f"criterion {self.num} exceeded its {self.time_limit}s budget: {elapsed:.1f}s"

@@ -23,6 +23,7 @@ from mtix import (
     total_size,
 )
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
+from stage1_reference import factor_whole_rows as reference_factor_whole_rows
 from stage2_reference import refine_partial as reference_refine_partial
 
 
@@ -58,7 +59,8 @@ def test_factor_whole_rows_small_group_not_merged():
     # gain(2, 2) == 0, so a 2x2 multiple group passes through as singletons
     V = matrix_from_cells({0: {0: 1, 1: 2}, 1: {0: 2, 1: 4}})
     f = factor_whole_rows(V)
-    assert len(f.metaterms) == 2
+    assert f.metaterms == (MetaTerm(0, (0, 1), (1, 2)), MetaTerm(1, (0, 1), (1, 2)))
+    assert f.memberships == (((0, 1),), ((1, 2),))
 
 
 def test_factor_whole_rows_empty_matrix():
@@ -374,3 +376,25 @@ def test_refine_partial_matches_reference(V, min_cols, cap):
     params = FactorParams(min_cols=min_cols, max_candidates_per_term=cap)
     f1 = factor_whole_rows(V)
     assert refine_partial(V, f1, params) == reference_refine_partial(V, f1, params)
+
+
+@st.composite
+def small_planted_matrices(draw):
+    V, _ = planted_matrix(
+        num_groups=draw(st.integers(1, 4)),
+        rows_per_group=draw(st.integers(2, 4)),
+        cols_per_group=draw(st.integers(2, 4)),
+        noise_rows=draw(st.integers(0, 12)),
+        num_docs=draw(st.integers(8, 24)),
+        coeff_range=(1, 3),
+        base_range=(1, 3),
+        noise_len_range=(5, 8),
+        rng=random.Random(draw(st.integers(0, 2**32 - 1))),
+    )
+    return V
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_matrices(), correlated_matrices(), small_planted_matrices()))
+def test_factor_whole_rows_matches_reference(V):
+    assert factor_whole_rows(V) == reference_factor_whole_rows(V)
