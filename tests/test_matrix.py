@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from mtix import (
     ParseError,
+    Posting,
     PostingList,
     ValidationError,
     export_triples,
@@ -172,6 +173,35 @@ def test_posting_list_invariants():
         PostingList.from_pairs(0, [(2, 1), (2, 3)])
     with pytest.raises(ValidationError):
         PostingList.from_pairs(0, [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([(-1, 2)], "term 4: doc ids not strictly ascending at -1"),
+        ([(0, 1), (-3, 2)], "term 4: doc ids not strictly ascending at -3"),
+        ([(0, 1), (2, 1), (2, 3)], "term 4: doc ids not strictly ascending at 2"),
+        ([(0, 1), (5, 1), (3, 1)], "term 4: doc ids not strictly ascending at 3"),
+        ([(0, 0)], "term 4: payload 0 for doc 0 must be >= 1"),
+        ([(1, 2), (6, -5)], "term 4: payload -5 for doc 6 must be >= 1"),
+        # the first bad posting is named; within one posting the doc comes first
+        ([(0, 1), (1, 0), (1, 5)], "term 4: payload 0 for doc 1 must be >= 1"),
+        ([(0, 1), (3, 1), (2, 0), (4, 0)], "term 4: doc ids not strictly ascending at 2"),
+        ([(-1, 0)], "term 4: doc ids not strictly ascending at -1"),
+        ([(2, 0), (1, 3)], "term 4: payload 0 for doc 2 must be >= 1"),
+    ],
+)
+def test_from_pairs_error_messages(pairs, message):
+    with pytest.raises(ValidationError) as err:
+        PostingList.from_pairs(4, pairs)
+    assert str(err.value) == message
+
+
+def test_from_pairs_builds_postings_of_ints():
+    row = PostingList.from_pairs(2, iter([(0, 3), ("4", 1.0)]))
+    assert row.postings == ((0, 3), (4, 1))
+    assert all(type(p) is Posting and type(p.doc) is int and type(p.payload) is int for p in row)
+    assert PostingList.from_pairs(2, []).postings == ()
 
 
 rows_strategy = st.lists(

@@ -1,24 +1,39 @@
+import hashlib
 import random
+import tempfile
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import query_reference as reference
 from mtix import (
+    CodecConfig,
+    Factorization,
     FactorParams,
+    Lexicon,
+    MetaTerm,
+    Posting,
+    PostingList,
     Query,
     ScoredDoc,
     ValidationError,
     expand_term,
     factor,
+    ingest_tsv,
+    load_index,
     matrix_from_cells,
     nnz,
     overlap_at_k,
     prune,
+    save_index,
     top_k,
 )
 from conftest import brute_force_top_k
-from mtix.synth import random_matrix, random_queries
+from mtix.synth import planted_matrix, random_matrix, random_queries, zipf_corpus
+from test_factorize import correlated_matrices, small_matrices
 
 
 def test_expand_term_singleton_scalar_multiply():
@@ -218,3 +233,193 @@ def test_lossless_query_equivalence_property(mq, k):
     V, terms = mq
     f = factor(V, FactorParams(min_cols=2))
     assert top_k(f, Query(tuple(terms), k), V.lexicon) == brute_force_top_k(V, terms, k)
+
+
+def test_top_k_ties_at_kth_score_go_to_lowest_docs():
+    # five docs tie at the 2nd-best score; k=3 keeps the two lowest of them
+    V = matrix_from_cells({0: {8: 4, 2: 4, 6: 9, 5: 4, 1: 2, 3: 4, 7: 4}})
+    f = factor(V)
+    assert top_k(f, Query(("0",), 3), V.lexicon) == [ScoredDoc(6, 9), ScoredDoc(2, 4), ScoredDoc(3, 4)]
+
+
+def test_top_k_k_larger_than_scored_docs():
+    V = matrix_from_cells({0: {4: 1, 0: 3}, 1: {2: 3, 9: 5}}, num_docs=12)
+    f = factor(V)
+    got = top_k(f, Query(("0", "1"), 50), V.lexicon)
+    assert got == [ScoredDoc(9, 5), ScoredDoc(0, 3), ScoredDoc(2, 3), ScoredDoc(4, 1)]
+
+
+def test_top_k_repeated_term_counts_twice():
+    V = matrix_from_cells({0: {0: 2, 1: 5}, 1: {0: 4}})
+    f = factor(V)
+    assert top_k(f, Query(("0", "0"), 5), V.lexicon) == [ScoredDoc(1, 10), ScoredDoc(0, 4)]
+    assert top_k(f, Query(("0", "1", "0"), 5), V.lexicon) == [ScoredDoc(1, 10), ScoredDoc(0, 8)]
+
+
+def test_top_k_all_terms_unknown():
+    V = matrix_from_cells({0: {0: 2}})
+    f = factor(V)
+    assert top_k(f, Query(("x", "y", "x"), 3), V.lexicon) == []
+    assert top_k(f, Query((), 3), V.lexicon) == []
+
+
+def _golden_query_corpus(name, tmp_path):
+    if name == "zipf":
+        path = tmp_path / "zipf.tsv"
+        docs = zipf_corpus(300, 2000, rng=random.Random(7))
+        path.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
+        return ingest_tsv(path)
+    if name == "planted":
+        V, _ = planted_matrix(
+            num_groups=6, cols_per_group=40, noise_rows=80, num_docs=80,
+            noise_payload_range=(1, 2), rng=random.Random(5),
+        )
+        return V
+    return random_matrix(60, 40, 0.3, payload_range=(1, 3), rng=random.Random(9))
+
+
+@pytest.mark.parametrize(
+    "corpus, digest",
+    [
+        ("zipf", "13f11f87e680a308e8288702467b56ece877fa19bd15db25733bd82c3cb4ced0"),
+        ("planted", "ebfd1f1effd61b0063025af7c3e0e688f667053aa794f4d263975a12ff2ce5ca"),
+        ("random", "0fb750db5e2c1c2adb49a9614d59c7e569c2d6cc80d2e811e9e424adfce7febe"),
+    ],
+)
+def test_top_k_golden_digest(corpus, digest, tmp_path):
+    # Pinned rankings over seeded queries (ties, repeats, unknown terms and
+    # k from 1 to past the result size): any change in a score or in the
+    # order of tied docs shows up here.
+    V = _golden_query_corpus(corpus, tmp_path)
+    f = factor(V)
+    rng = random.Random(13)
+    queries = random_queries(V.lexicon, 300, terms_range=(1, 5), rng=rng)
+    results = []
+    for i, terms in enumerate(queries):
+        if i % 7 == 0:
+            terms = terms + terms[:1] + ["no-such-term"]
+        results.append(top_k(f, Query(tuple(terms), (1, 3, 10, 100)[i % 4]), V.lexicon))
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as err:  # compared by type and message below
+        return type(err), str(err)
+
+
+def _assert_same_outcome(got, want):
+    assert got == want
+    if isinstance(got, PostingList):
+        assert type(want) is PostingList and got.term == want.term
+        assert all(type(p) is Posting for p in got.postings)
+    elif isinstance(got, list):
+        assert all(type(sd) is ScoredDoc for sd in got)
+
+
+def _assert_query_path_matches_reference(f, queries):
+    for t in range(f.num_terms + 1):  # one past the end raises KeyError in both
+        _assert_same_outcome(_outcome(expand_term, f, t), _outcome(reference.expand_term, f, t))
+    lexicon = Lexicon(str(t) for t in range(f.num_terms))
+    for terms, k in queries:
+        q = Query(tuple(terms), k)
+        _assert_same_outcome(_outcome(top_k, f, q, lexicon), _outcome(reference.top_k, f, q, lexicon))
+
+
+def _query_lists(num_terms):
+    # term ids may repeat and may be out of vocabulary
+    return st.lists(
+        st.tuples(st.lists(st.integers(0, num_terms).map(str), max_size=5), st.integers(1, 6)),
+        min_size=1,
+        max_size=6,
+    )
+
+
+@st.composite
+def factorizations_and_queries(draw):
+    V = draw(st.one_of(small_matrices(), correlated_matrices()))
+    f = factor(V, FactorParams(min_cols=draw(st.integers(2, 4))))
+    if draw(st.booleans()):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.idx"
+            save_index(f, Lexicon(str(t) for t in range(f.num_terms)), CodecConfig(), path)
+            f = load_index(path).factorization
+    return f, draw(_query_lists(f.num_terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factorizations_and_queries())
+def test_query_path_matches_reference(fq):
+    f, queries = fq
+    _assert_query_path_matches_reference(f, queries)
+
+
+def _corrupt(draw, f):
+    """f with one defect the expansion must reject or sort out as before."""
+    metaterms, memberships = list(f.metaterms), list(f.memberships)
+    m = draw(st.integers(0, len(metaterms) - 1))
+    mt = metaterms[m]
+    i = draw(st.integers(0, len(mt.cols) - 1))
+    kind = draw(st.sampled_from(["overlap", "dup_col", "unsorted", "negative_doc", "zero_coeff", "zero_base"]))
+    if kind == "overlap":
+        t = draw(st.integers(0, f.num_terms - 1))
+        memberships[t] = memberships[t] + ((m, draw(st.integers(1, 3))),)
+    elif kind == "dup_col":
+        metaterms[m] = replace(mt, cols=mt.cols + (mt.cols[i],), base=mt.base + (draw(st.integers(1, 4)),))
+    elif kind == "unsorted":
+        order = draw(st.permutations(range(len(mt.cols))))
+        metaterms[m] = replace(mt, cols=tuple(mt.cols[j] for j in order), base=tuple(mt.base[j] for j in order))
+    elif kind == "negative_doc":
+        metaterms[m] = replace(mt, cols=mt.cols[:i] + (-1 - i,) + mt.cols[i + 1 :])
+    elif kind == "zero_base":
+        metaterms[m] = replace(mt, base=mt.base[:i] + (0,) + mt.base[i + 1 :])
+    else:
+        users = [t for t, row in enumerate(memberships) if row]
+        t = draw(st.sampled_from(users))
+        j = draw(st.integers(0, len(memberships[t]) - 1))
+        row = list(memberships[t])
+        row[j] = (row[j][0], 0)
+        memberships[t] = tuple(row)
+    return replace(f, metaterms=tuple(metaterms), memberships=tuple(memberships))
+
+
+@st.composite
+def malformed_factorizations_and_queries(draw):
+    if draw(st.booleans()):
+        V = draw(st.one_of(small_matrices(), correlated_matrices()))
+        f = factor(V, FactorParams(min_cols=draw(st.integers(2, 4))))
+        if not f.metaterms:
+            f = factor(matrix_from_cells({0: {0: 1, 2: 3}, 1: {0: 2, 2: 6}, 2: {1: 5}}))
+        for _ in range(draw(st.integers(1, 2))):
+            f = _corrupt(draw, f)
+    else:
+        # free-form: any columns (negative, repeated, unordered) and any
+        # non-negative base entries and coefficients
+        num_docs = draw(st.integers(1, 8))
+        metaterms = tuple(
+            MetaTerm(m, tuple(cols), tuple(draw(st.lists(st.integers(0, 4), min_size=len(cols), max_size=len(cols)))))
+            for m, cols in enumerate(draw(st.lists(st.lists(st.integers(-2, num_docs - 1), max_size=5), min_size=1, max_size=5)))
+        )
+        memberships = tuple(
+            tuple(draw(st.lists(st.tuples(st.integers(0, len(metaterms) - 1), st.integers(0, 3)), max_size=3)))
+            for _ in range(draw(st.integers(1, 5)))
+        )
+        f = Factorization(metaterms, memberships, len(memberships), num_docs)
+    return f, draw(_query_lists(f.num_terms))
+
+
+@settings(max_examples=400, deadline=None)
+@given(malformed_factorizations_and_queries())
+def test_malformed_query_path_matches_reference(fq):
+    f, queries = fq
+    _assert_query_path_matches_reference(f, queries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 8), st.integers(-1, 4)), max_size=8), st.booleans())
+def test_from_pairs_matches_reference(pairs, ordered):
+    if ordered:
+        pairs.sort()
+    _assert_same_outcome(_outcome(PostingList.from_pairs, 3, pairs), _outcome(reference.from_pairs, 3, pairs))
