@@ -25,9 +25,9 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from math import gcd
-from operator import ge, itemgetter
+from operator import ge, itemgetter, lt, mul
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -340,15 +340,29 @@ def expand_term(f: Factorization, t: int) -> PostingList:
     """
     if not 0 <= t < f.num_terms:
         raise KeyError(t)
-    pairs: list[tuple[int, int]] = []
-    for m, k in f.memberships[t]:
+    memberships = f.memberships[t]
+    if len(memberships) == 1:
+        ((m, k),) = memberships
         mt = f.metaterms[m]
-        pairs.extend((d, k * u) for d, u in zip(mt.cols, mt.base))
-    pairs.sort()
-    for (d1, _), (d2, _) in zip(pairs, pairs[1:]):
-        if d1 == d2:
-            raise InvariantError(f"term {t}: memberships overlap on doc {d1}")
-    return PostingList.from_pairs(t, pairs)
+        if all(map(lt, mt.cols, islice(mt.cols, 1, None))):
+            return PostingList._from_columns(t, mt.cols, _scaled(mt.base, k))
+    merged: dict[int, int] = {}
+    size = 0
+    for m, k in memberships:
+        mt = f.metaterms[m]
+        merged.update(zip(mt.cols, _scaled(mt.base, k)))
+        size += min(len(mt.cols), len(mt.base))  # what zip pairs up
+    if len(merged) < size:
+        docs = sorted(d for m, _ in memberships for d, _ in zip(f.metaterms[m].cols, f.metaterms[m].base))
+        lowest = next(d1 for d1, d2 in zip(docs, docs[1:]) if d1 == d2)
+        raise InvariantError(f"term {t}: memberships overlap on doc {lowest}")
+    docs = sorted(merged)
+    return PostingList._from_columns(t, docs, list(map(merged.__getitem__, docs)))
+
+
+def _scaled(base: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """k * base, entry by entry."""
+    return base if k == 1 else tuple(map(mul, base, repeat(k)))
 
 
 def reconstruct(f: Factorization) -> TermDocMatrix:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice, repeat
 from math import gcd
+from operator import lt
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -36,6 +37,43 @@ class PostingList:
 
     @classmethod
     def from_pairs(cls, term: int, pairs: Iterable[tuple[int, int]]) -> "PostingList":
+        """The validating constructor: each doc and payload goes through
+        int(), docs must be >= 0 and strictly ascending, payloads >= 1.
+
+        A ValidationError names the first bad posting in list order, and
+        within one posting a doc error before a payload error.
+        """
+        pairs = tuple(pairs)
+        try:
+            docs, payloads = zip(*pairs, strict=True)
+        except (TypeError, ValueError):
+            # no pairs, or an item that is not a pair
+            return cls._from_pairs_in_order(term, pairs)
+        return cls._from_columns(term, docs, payloads)
+
+    @classmethod
+    def _from_columns(cls, term: int, docs: Sequence[int], payloads: Sequence[int]) -> "PostingList":
+        """from_pairs(term, zip(docs, payloads)), checked a column at a time.
+
+        A failed check or conversion goes to the ordered path, which raises
+        the error from_pairs raises.
+        """
+        try:
+            int_docs, int_payloads = _ints(docs), _ints(payloads)
+        except (TypeError, ValueError):
+            int_docs = int_payloads = ()
+        if (
+            int_docs
+            and int_docs[0] >= 0
+            and all(map(lt, int_docs, islice(int_docs, 1, None)))
+            and min(int_payloads, default=1) >= 1
+        ):
+            return cls(term, tuple(map(tuple.__new__, repeat(Posting), zip(int_docs, int_payloads))))
+        return cls._from_pairs_in_order(term, zip(docs, payloads))
+
+    @classmethod
+    def _from_pairs_in_order(cls, term: int, pairs: Iterable[tuple[int, int]]) -> "PostingList":
+        """from_pairs one posting at a time: the path that raises its errors."""
         postings = tuple(Posting(int(d), int(p)) for d, p in pairs)
         prev = -1
         for d, p in postings:
@@ -54,6 +92,12 @@ class PostingList:
 
     def support(self) -> tuple[int, ...]:
         return tuple(p.doc for p in self.postings)
+
+
+def _ints(values: Sequence[int]) -> tuple[int, ...]:
+    """tuple(map(int, values)); int() returns an exact int as it is, so a
+    column of exact ints is only copied."""
+    return tuple(values) if set(map(type, values)) == {int} else tuple(map(int, values))
 
 
 class Lexicon:

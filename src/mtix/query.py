@@ -6,12 +6,19 @@ ranked results over the factored index are identical to the same computation
 over the raw matrix, with ties broken by ascending doc id so result lists are
 canonical. Queries are read-only over an immutable index; accumulator state
 is per query.
+
+top_k expands each resolved query term through expand_term (a term given
+twice counts twice) and adds its payloads into one doc -> score map. It
+ranks from a threshold: the k-th largest score bounds which docs can place,
+and only those are sorted.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress, repeat, starmap
+from operator import ge, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -41,14 +48,21 @@ def top_k(f: Factorization, q: Query, lexicon: Lexicon) -> list[ScoredDoc]:
     empty list.
     """
     scores: dict[int, int] = {}
+    get = scores.get
     for term in q.terms:
         tid = lexicon.id_of(term)
         if tid is None:
             continue
-        for d, p in expand_term(f, tid):
-            scores[d] = scores.get(d, 0) + p
-    ranked = heapq.nsmallest(q.k, [(-s, d) for d, s in scores.items()])
-    return [ScoredDoc(d, -neg) for neg, d in ranked]
+        for d, p in expand_term(f, tid).postings:
+            scores[d] = get(d, 0) + p
+    if not scores:
+        return []
+    # Only docs scoring at least the k-th best score can rank; sort those by
+    # doc id, then stably by score descending.
+    kth = heapq.nlargest(q.k, scores.values())[-1]
+    best = sorted(compress(scores.items(), map(ge, scores.values(), repeat(kth))))
+    best.sort(key=itemgetter(1), reverse=True)
+    return list(starmap(ScoredDoc, best[: q.k]))
 
 
 def resolve_terms(q: Query, lexicon: Lexicon) -> tuple[list[str], list[str]]:
