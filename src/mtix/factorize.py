@@ -357,7 +357,9 @@ def expand_term(f: Factorization, t: int) -> PostingList:
         lowest = next(d1 for d1, d2 in zip(docs, docs[1:]) if d1 == d2)
         raise InvariantError(f"term {t}: memberships overlap on doc {lowest}")
     docs = sorted(merged)
-    return PostingList._from_columns(t, docs, list(map(merged.__getitem__, docs)))
+    payloads = list(map(merged.__getitem__, docs))
+    del merged  # not held while the postings are built: it sets the peak on long lists
+    return PostingList._from_columns(t, docs, payloads)
 
 
 def _scaled(base: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -94,10 +94,10 @@ class PostingList:
         return tuple(p.doc for p in self.postings)
 
 
-def _ints(values: Sequence[int]) -> tuple[int, ...]:
-    """tuple(map(int, values)); int() returns an exact int as it is, so a
-    column of exact ints is only copied."""
-    return tuple(values) if set(map(type, values)) == {int} else tuple(map(int, values))
+def _ints(values: Sequence[int]) -> Sequence[int]:
+    """The values through int(); int() returns an exact int as it is, so a
+    column of exact ints comes back unchanged, without a copy."""
+    return values if set(map(type, values)) == {int} else tuple(map(int, values))
 
 
 class Lexicon:

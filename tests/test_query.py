@@ -395,11 +395,12 @@ def malformed_factorizations_and_queries(draw):
         for _ in range(draw(st.integers(1, 2))):
             f = _corrupt(draw, f)
     else:
-        # free-form: any columns (negative, repeated, unordered) and any
-        # non-negative base entries and coefficients
+        # free-form: any columns (negative, repeated, unordered), any
+        # non-negative base entries and coefficients, and a base one entry
+        # shorter or longer than its columns (zip pairs up the shorter)
         num_docs = draw(st.integers(1, 8))
         metaterms = tuple(
-            MetaTerm(m, tuple(cols), tuple(draw(st.lists(st.integers(0, 4), min_size=len(cols), max_size=len(cols)))))
+            MetaTerm(m, tuple(cols), tuple(draw(st.lists(st.integers(0, 4), min_size=max(len(cols) - 1, 0), max_size=len(cols) + 1))))
             for m, cols in enumerate(draw(st.lists(st.lists(st.integers(-2, num_docs - 1), max_size=5), min_size=1, max_size=5)))
         )
         memberships = tuple(
