@@ -362,7 +362,8 @@ def _corrupt(draw, f):
     m = draw(st.integers(0, len(metaterms) - 1))
     mt = metaterms[m]
     i = draw(st.integers(0, len(mt.cols) - 1))
-    kind = draw(st.sampled_from(["overlap", "dup_col", "unsorted", "negative_doc", "zero_coeff", "zero_base"]))
+    kinds = ["overlap", "dup_col", "unsorted", "negative_doc", "zero_coeff", "zero_base"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "overlap":
         t = draw(st.integers(0, f.num_terms - 1))
         memberships[t] = memberships[t] + ((m, draw(st.integers(1, 3))),)
@@ -370,7 +371,8 @@ def _corrupt(draw, f):
         metaterms[m] = replace(mt, cols=mt.cols + (mt.cols[i],), base=mt.base + (draw(st.integers(1, 4)),))
     elif kind == "unsorted":
         order = draw(st.permutations(range(len(mt.cols))))
-        metaterms[m] = replace(mt, cols=tuple(mt.cols[j] for j in order), base=tuple(mt.base[j] for j in order))
+        cols, base = tuple(mt.cols[j] for j in order), tuple(mt.base[j] for j in order)
+        metaterms[m] = replace(mt, cols=cols, base=base)
     elif kind == "negative_doc":
         metaterms[m] = replace(mt, cols=mt.cols[:i] + (-1 - i,) + mt.cols[i + 1 :])
     elif kind == "zero_base":
@@ -399,15 +401,16 @@ def malformed_factorizations_and_queries(draw):
         # non-negative base entries and coefficients, and a base one entry
         # shorter or longer than its columns (zip pairs up the shorter)
         num_docs = draw(st.integers(1, 8))
-        metaterms = tuple(
-            MetaTerm(m, tuple(cols), tuple(draw(st.lists(st.integers(0, 4), min_size=max(len(cols) - 1, 0), max_size=len(cols) + 1))))
-            for m, cols in enumerate(draw(st.lists(st.lists(st.integers(-2, num_docs - 1), max_size=5), min_size=1, max_size=5)))
-        )
+        metaterms = []
+        for m in range(draw(st.integers(1, 5))):
+            cols = draw(st.lists(st.integers(-2, num_docs - 1), max_size=5))
+            base = draw(st.lists(st.integers(0, 4), min_size=max(len(cols) - 1, 0), max_size=len(cols) + 1))
+            metaterms.append(MetaTerm(m, tuple(cols), tuple(base)))
+        membership = st.tuples(st.integers(0, len(metaterms) - 1), st.integers(0, 3))
         memberships = tuple(
-            tuple(draw(st.lists(st.tuples(st.integers(0, len(metaterms) - 1), st.integers(0, 3)), max_size=3)))
-            for _ in range(draw(st.integers(1, 5)))
+            tuple(draw(st.lists(membership, max_size=3))) for _ in range(draw(st.integers(1, 5)))
         )
-        f = Factorization(metaterms, memberships, len(memberships), num_docs)
+        f = Factorization(tuple(metaterms), memberships, len(memberships), num_docs)
     return f, draw(_query_lists(f.num_terms))
 
 
