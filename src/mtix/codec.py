@@ -1,7 +1,8 @@
 """Lossless integer codecs and the d-gap posting-list transform.
 
 Bit conventions (fixed here so independent implementations can match
-bit-exactly; see data/codec_vectors.tsv for frozen reference encodings):
+bit-exactly; see src/mtix/data/codec_vectors.tsv for frozen reference
+encodings):
 
 * Every code word is emitted MSB-first, and bits are packed into bytes in
   big-endian bit order: the first bit written lands in bit 7 of byte 0.
@@ -34,11 +35,10 @@ the per-bit work. There are three list kernels:
   each value's bit length, with nothing encoded.
 
 The string-level scalar codecs (gamma_/delta_encode/decode) are one-value
-calls of the same code-word rules. The bitstream scalar API (BitWriter,
-BitReader, put_value/get_value) codes single values; no list goes through it.
+calls of the same code-word rules.
 
 Values are limited to 64 bits. Decoding raises only MtixError subclasses.
-All functions are pure; writers and readers hold only local state.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -72,91 +72,6 @@ class CodecConfig:
         for name in (self.doc_gap, self.payload, self.coeff):
             if name not in CODEC_NAMES:
                 raise ValidationError(f"unknown codec {name!r}; expected one of {CODEC_NAMES}")
-
-
-class BitWriter:
-    """Append-only bit sequence; first bit written is bit 7 of byte 0."""
-
-    __slots__ = ("_out", "_acc", "_nacc")
-
-    def __init__(self) -> None:
-        self._out = bytearray()
-        self._acc = 0
-        self._nacc = 0
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._out) * 8 + self._nacc
-
-    def write_bits(self, value: int, nbits: int) -> None:
-        if value >> nbits:
-            raise ValidationError(f"value {value} does not fit in {nbits} bits")
-        acc = (self._acc << nbits) | value
-        n = self._nacc + nbits
-        out = self._out
-        while n >= 8:
-            n -= 8
-            out.append((acc >> n) & 0xFF)
-        self._acc = acc & ((1 << n) - 1)
-        self._nacc = n
-
-    def getvalue(self) -> bytes:
-        """Contents so far, zero-padded to a whole byte."""
-        if self._nacc:
-            return bytes(self._out) + bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return bytes(self._out)
-
-
-class BitReader:
-    """Cursor-based reader over a byte string; never reads past bit_length."""
-
-    __slots__ = ("_data", "_bitlen", "pos")
-
-    def __init__(self, data: bytes, bit_length: int | None = None):
-        self._data = data
-        self._bitlen = len(data) * 8 if bit_length is None else bit_length
-        if self._bitlen > len(data) * 8:
-            raise ValidationError("bit_length exceeds buffer size")
-        self.pos = 0
-
-    @property
-    def bit_length(self) -> int:
-        return self._bitlen
-
-    def read_bits(self, nbits: int) -> int:
-        pos = self.pos
-        end = pos + nbits
-        if end > self._bitlen:
-            raise TruncationError("bit stream ended mid-value")
-        if nbits == 0:
-            return 0
-        first = pos >> 3
-        last = (end - 1) >> 3
-        chunk = int.from_bytes(self._data[first : last + 1], "big")
-        shift = (last + 1) * 8 - end
-        self.pos = end
-        return (chunk >> shift) & ((1 << nbits) - 1)
-
-    def read_unary(self) -> int:
-        """Count zero bits up to (and consume) the terminating one bit."""
-        data = self._data
-        bitlen = self._bitlen
-        pos = self.pos
-        zeros = 0
-        while True:
-            if pos >= bitlen:
-                raise TruncationError("bit stream ended mid-value")
-            rem = data[pos >> 3] & (0xFF >> (pos & 7))
-            if rem == 0:
-                step = 8 - (pos & 7)
-                zeros += step
-                pos += step
-                continue
-            lead = (8 - (pos & 7)) - rem.bit_length()
-            if pos + lead >= bitlen:
-                raise TruncationError("bit stream ended mid-value")
-            self.pos = pos + lead + 1
-            return zeros + lead
 
 
 # ---------------------------------------------------------------------------
@@ -353,97 +268,14 @@ def delta_decode(bits: str, start: int = 0) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Scalar codecs, bitstream level
-
-
-def _put_vbyte(w: BitWriter, x: int) -> None:
-    if not 0 <= x <= MAX_VALUE:
-        raise ValidationError(f"vbyte: {x} outside [0, 2^64)")
-    while True:
-        group = x & 0x7F
-        x >>= 7
-        w.write_bits(group | 0x80 if x else group, 8)
-        if not x:
-            return
-
-
-def _get_vbyte(r: BitReader) -> int:
-    x = 0
-    shift = 0
-    for consumed in range(MAX_VBYTE_LEN + 1):
-        if consumed >= MAX_VBYTE_LEN:
-            raise CorruptionError("vbyte value longer than 10 bytes")
-        byte = r.read_bits(8)
-        x |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            if x > MAX_VALUE:
-                raise CorruptionError("vbyte value exceeds 64 bits")
-            return x
-        shift += 7
-    raise AssertionError("unreachable")
-
-
-def _put_gamma(w: BitWriter, x: int) -> None:
-    if not 1 <= x <= MAX_VALUE:
-        raise ValidationError(f"gamma: {x} outside [1, 2^64)")
-    # Leading zeros of the 2n-1 wide field are exactly the unary prefix.
-    w.write_bits(x, 2 * x.bit_length() - 1)
-
-
-def _get_gamma(r: BitReader) -> int:
-    n = r.read_unary()
-    if n > 63:
-        raise CorruptionError("gamma code exceeds 64-bit range")
-    if n == 0:
-        return 1
-    return (1 << n) | r.read_bits(n)
-
-
-def _put_delta(w: BitWriter, x: int) -> None:
-    if not 1 <= x <= MAX_VALUE:
-        raise ValidationError(f"delta: {x} outside [1, 2^64)")
-    n = x.bit_length() - 1
-    _put_gamma(w, n + 1)
-    if n:
-        w.write_bits(x & ((1 << n) - 1), n)
-
-
-def _get_delta(r: BitReader) -> int:
-    n = _get_gamma(r) - 1
-    if n > 63:
-        raise CorruptionError("delta code exceeds 64-bit range")
-    if n == 0:
-        return 1
-    return (1 << n) | r.read_bits(n)
-
-
-_WRITERS: dict[str, Callable[[BitWriter, int], None]] = {
-    "vbyte": _put_vbyte,
-    "gamma": _put_gamma,
-    "delta": _put_delta,
-}
-_READERS: dict[str, Callable[[BitReader], int]] = {
-    "vbyte": _get_vbyte,
-    "gamma": _get_gamma,
-    "delta": _get_delta,
-}
-
-
-def put_value(w: BitWriter, x: int, codec: str) -> None:
-    _WRITERS[codec](w, x)
-
-
-def get_value(r: BitReader, codec: str) -> int:
-    return _READERS[codec](r)
-
-
-# ---------------------------------------------------------------------------
 # List kernels. A list is (keys, values): keys strictly ascending and >= 0,
 # values >= 1. Posting lists are (docs, payloads); W rows are (meta-term ids,
 # coefficients).
 
 # Bits of encoded output held back before they are flushed to bytes.
 _FLUSH_BITS = 1 << 16
+
+_LIST_VALUE_RANGE = "list value outside [1, 2^64)"
 
 
 def _gaps(keys: Sequence[int]) -> Iterator[int]:
@@ -464,7 +296,7 @@ def _list_bits(keys: Sequence[int], values: Sequence[int], gap_codec: str, val_c
     if min(values) < 1:
         raise ValidationError(f"value {min(values)} must be >= 1")
     if top_gap > MAX_VALUE or top_value > MAX_VALUE:
-        raise ValidationError("list value outside [1, 2^64)")
+        raise ValidationError(_LIST_VALUE_RANGE)
     words = _words((len(keys) + 1,), "gamma", len(keys) + 1)
     words += _words(gaps, gap_codec, top_gap)
     words += _words(values, val_codec, top_value)
@@ -572,7 +404,10 @@ def decode_lists(
 
 def code_bits(values: Iterable[int], codec: str) -> int:
     """Total bits of coding each of `values` under `codec`, in closed form."""
-    return sum(map(_CODE_LEN[codec].__getitem__, map(int.bit_length, values)))
+    try:
+        return sum(map(_CODE_LEN[codec].__getitem__, map(int.bit_length, values)))
+    except IndexError:  # a bit length past the tables: wider than 64 bits
+        raise ValidationError("value wider than 64 bits") from None
 
 
 def list_bit_lengths(
@@ -582,12 +417,15 @@ def list_bit_lengths(
     gap_len = _CODE_LEN[gap_codec].__getitem__
     val_len = _CODE_LEN[val_codec].__getitem__
     bit_length = int.bit_length
-    return [
-        _GAMMA_LEN[(len(keys) + 1).bit_length()]
-        + sum(map(gap_len, map(bit_length, _gaps(keys))))
-        + sum(map(val_len, map(bit_length, values)))
-        for keys, values in lists
-    ]
+    try:
+        return [
+            _GAMMA_LEN[(len(keys) + 1).bit_length()]
+            + sum(map(gap_len, map(bit_length, _gaps(keys))))
+            + sum(map(val_len, map(bit_length, values)))
+            for keys, values in lists
+        ]
+    except IndexError:  # a bit length past the tables: wider than 64 bits
+        raise ValidationError(_LIST_VALUE_RANGE) from None
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +445,7 @@ def encode_posting_list(pl: PostingList | Sequence[Posting], cfg: CodecConfig) -
 
 
 def decode_posting_list(data: bytes, cfg: CodecConfig, term: int = 0) -> PostingList:
-    """Exact inverse of encode_posting_list (trailing pad bits are ignored)."""
-    docs, payloads, _ = _decode_list(_bit_string(data), 0, 8 * len(data), cfg.doc_gap, cfg.payload)
+    """Exact inverse of encode_posting_list. `data` must hold one list that
+    ends in its final byte; the pad bits after it are not checked."""
+    ((docs, payloads),) = decode_lists(data, [0], cfg.doc_gap, cfg.payload, "posting list")
     return PostingList.from_pairs(term, zip(docs, payloads))

@@ -11,6 +11,8 @@ import random
 import subprocess
 import sys
 import time
+from itertools import accumulate, chain
+from operator import sub
 from pathlib import Path
 
 import mtix
@@ -38,7 +40,7 @@ from mtix import (
     brute_force_optimal,
 )
 from mtix.cli import main
-from mtix.codec import BitReader, BitWriter, _get_delta, _get_gamma, _get_vbyte, _put_delta, _put_gamma, _put_vbyte
+from mtix.codec import CODEC_NAMES, decode_lists, encode_lists
 from mtix.synth import planted_matrix, random_matrix, random_queries, whole_row_multiple_instance
 from conftest import brute_force_top_k
 
@@ -129,6 +131,34 @@ def test_criterion_3_oracle_sandwich():
             assert brute_force_optimal(V) == expected == total_size(factor(V))
 
 
+def _bits(data: bytes) -> str:
+    return "".join(format(b, "08b") for b in data)
+
+
+def _as_lists(values, size):
+    """`values` in order as lists of `size` postings: each posting's key gap
+    is one value and its payload the next."""
+    lists = []
+    for i in range(0, len(values), 2 * size):
+        gaps, payloads = values[i : i + 2 * size : 2], values[i + 1 : i + 2 * size : 2]
+        lists.append(([k - 1 for k in accumulate(gaps)], list(payloads)))
+    return lists
+
+
+def _assert_round_trip(lists, gap_codec, val_codec):
+    blob, offsets = encode_lists(lists, gap_codec, val_codec)
+    assert list(decode_lists(blob, offsets, gap_codec, val_codec)) == lists
+
+
+def _assert_gamma_length_law(values):
+    # One list ((0,), (x,)) per value, then one more to mark the end of the
+    # last: each list's length, from encode_lists' offsets, is the 4-bit head
+    # gamma(2) + gamma(1) plus gamma(x)'s length, 2*floor(log2 x) + 1.
+    _, offsets = encode_lists((((0,), (x,)) for x in chain(values, (1,))), "gamma", "gamma")
+    lengths = list(map(sub, offsets[1:], offsets))
+    assert lengths == [4 + 2 * (x.bit_length() - 1) + 1 for x in values]
+
+
 def test_criterion_4_codec_conformance():
     with criterion(4, "codec conformance", time_limit=30.0):
         for value, codec, encoded in load_vectors():
@@ -141,46 +171,35 @@ def test_criterion_4_codec_conformance():
             else:
                 assert delta_encode(value) == encoded
                 assert delta_decode(encoded) == (value, len(encoded))
+            if value == 0:
+                continue  # list values are >= 1; vbyte 0 is the string codec's alone
+            # the one-posting list ((0,), (value,)): head gamma(2) + gamma(1),
+            # then the frozen word, then zero bits to the byte
+            blob, offsets = encode_lists([((0,), (value,))], "gamma", codec)
+            bits = "0101" + (_bits(bytes.fromhex(encoded)) if codec == "vbyte" else encoded)
+            assert (_bits(blob), offsets) == (bits + "0" * (-len(bits) % 8), [0])
+            assert list(decode_lists(blob, offsets, "gamma", codec)) == [([0], [value])]
 
+        # 1..2^20 in each codec, each value coded once, as a gap or a payload;
+        # the first list's words (1..4094) come from the kernel's small-value
+        # table, the others are formatted
         top = 1 << 20
-        w = BitWriter()
-        for x in range(top + 1):
-            _put_vbyte(w, x)
-        r = BitReader(w.getvalue(), w.bit_length)
-        for x in range(top + 1):
-            assert _get_vbyte(r) == x
+        ranges = _as_lists(range(1, top + 1), 2047)
+        for codec in CODEC_NAMES:
+            _assert_round_trip(ranges, codec, codec)
+        assert vbyte_decode(vbyte_encode(0)) == (0, 1)
 
-        w = BitWriter()
-        for x in range(1, top + 1):
-            _put_gamma(w, x)
-        r = BitReader(w.getvalue(), w.bit_length)
-        for x in range(1, top + 1):
-            before = r.pos
-            assert _get_gamma(r) == x
-            # gamma length law: 2*floor(log2 x) + 1
-            assert r.pos - before == 2 * (x.bit_length() - 1) + 1
+        _assert_gamma_length_law(range(1, top + 1))
 
-        w = BitWriter()
-        for x in range(1, top + 1):
-            _put_delta(w, x)
-        r = BitReader(w.getvalue(), w.bit_length)
-        for x in range(1, top + 1):
-            assert _get_delta(r) == x
-
+        # seeded 64-bit samples in lists of 8 postings under three mixed
+        # (gap, payload) codec pairs: each codec codes every sample once,
+        # next to words of the other codecs
         rng = random.Random(404)
         samples = [rng.randrange(1, 1 << 64) for _ in range(100_000)]
-        w = BitWriter()
-        for x in samples:
-            _put_gamma(w, x)
-            _put_delta(w, x)
-            _put_vbyte(w, x)
-        r = BitReader(w.getvalue(), w.bit_length)
-        for x in samples:
-            before = r.pos
-            assert _get_gamma(r) == x
-            assert r.pos - before == 2 * (x.bit_length() - 1) + 1
-            assert _get_delta(r) == x
-            assert _get_vbyte(r) == x
+        lists = _as_lists(samples, 8)
+        for gap_codec, val_codec in (("gamma", "delta"), ("delta", "vbyte"), ("vbyte", "gamma")):
+            _assert_round_trip(lists, gap_codec, val_codec)
+        _assert_gamma_length_law(samples)
 
 
 def test_criterion_5_pruning_behavior():

@@ -299,3 +299,19 @@ def test_stats_command_matches_build_output(tiny_corpus, tmp_path, capsys):
     build_out = capsys.readouterr().out
     assert main(["stats", str(tiny_corpus), "--tsv"]) == 0
     assert capsys.readouterr().out == build_out
+
+
+def test_payload_past_64_bits_exits_2(tmp_path, capsys):
+    triples = tmp_path / "wide.t"
+    triples.write_text(f"0 0 {1 << 70}\n0 1 3\n1 0 5\n")
+    queries = tmp_path / "q.txt"
+    queries.write_text("0\n")
+    for argv in (
+        ["build", str(triples), str(tmp_path / "w.idx"), "--triples"],
+        ["stats", str(triples), "--triples"],
+        ["bench", str(triples), "--triples", "--queries", str(queries), "--thetas", "1"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "list value outside [1, 2^64)" in err and "Traceback" not in err

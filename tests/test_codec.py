@@ -1,9 +1,11 @@
 import importlib.resources
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+import codec_reference as reference
 
 from mtix import (
     CodecConfig,
@@ -22,14 +24,13 @@ from mtix import (
     vbyte_encode,
 )
 from mtix.codec import (
-    BitReader,
-    BitWriter,
+    CODEC_NAMES,
+    MAX_VALUE,
+    _TABLE_SIZE,
     code_bits,
     decode_lists,
     encode_lists,
-    get_value,
     list_bit_lengths,
-    put_value,
     unzip_pairs,
 )
 
@@ -93,17 +94,18 @@ def test_conformance_vectors(value, codec, encoded):
 
 @pytest.mark.parametrize("value,codec,encoded", VECTORS)
 def test_stream_codecs_match_string_codecs(value, codec, encoded):
-    # the bitstream writers must agree bit-for-bit with the string-level codes
-    w = BitWriter()
-    put_value(w, value, codec)
+    # the reference bitstream codecs must agree bit-for-bit with the frozen
+    # vectors, so the differential test below compares against honest codes
+    w = reference.BitWriter()
+    reference.put_value(w, value, codec)
     if codec == "vbyte":
         assert w.getvalue().hex() == encoded
         assert w.bit_length == 4 * len(encoded)
     else:
         bits = "".join(format(b, "08b") for b in w.getvalue())[: w.bit_length]
         assert bits == encoded
-    r = BitReader(w.getvalue(), w.bit_length)
-    assert get_value(r, codec) == value
+    r = reference.BitReader(w.getvalue(), w.bit_length)
+    assert reference.get_value(r, codec) == value
     assert r.pos == w.bit_length
 
 
@@ -165,6 +167,17 @@ def test_code_bits_match_code_words(x):
     if x:
         assert code_bits([x], "gamma") == len(gamma_encode(x))
         assert code_bits([x], "delta") == len(delta_encode(x))
+
+
+def test_sizing_rejects_values_past_64_bits():
+    for codec in CODEC_NAMES:
+        assert code_bits([MAX_VALUE], codec) > 0
+        with pytest.raises(ValidationError):
+            code_bits([MAX_VALUE + 1], codec)
+        with pytest.raises(ValidationError):
+            list_bit_lengths([((0, 1), (1, MAX_VALUE + 1))], "gamma", codec)
+        with pytest.raises(ValidationError):
+            list_bit_lengths([((0, MAX_VALUE + 1), (1, 1))], codec, "gamma")
 
 
 def test_encode_posting_list_empty_is_single_gamma_one():
@@ -263,20 +276,67 @@ def test_truncated_posting_list_stream():
         decode_posting_list(blob[:1], cfg)
 
 
-def test_zero_gap_is_corruption():
-    from mtix.codec import _put_gamma, _put_vbyte
-
-    w = BitWriter()
-    _put_gamma(w, 3)  # count = 2
-    _put_vbyte(w, 1)  # doc 0
-    _put_vbyte(w, 0)  # zero gap: impossible in a valid stream
-    _put_vbyte(w, 5)
-    _put_vbyte(w, 5)
+def test_posting_list_with_trailing_bytes_is_corruption():
+    cfg = CodecConfig("gamma", "vbyte", "gamma")
+    blob = encode_posting_list(PostingList.from_pairs(0, [(0, 2), (9, 13)]), cfg)
+    # the list must end in the blob's final byte, as every list in an index must
     with pytest.raises(CorruptionError):
-        list(decode_lists(w.getvalue(), [0], "vbyte", "vbyte"))
+        decode_posting_list(blob + b"\x00\x00\xff", cfg)
+    with pytest.raises(CorruptionError):
+        decode_posting_list(blob + b"\x00", cfg)
+
+
+def _bytes_of(bits: str) -> bytes:
+    bits += "0" * (-len(bits) % 8)
+    return int(bits, 2).to_bytes(len(bits) // 8, "big")
+
+
+def test_zero_gap_is_corruption():
+    vbyte = [format(b, "08b") for b in b"".join(map(vbyte_encode, [1, 0, 5, 5]))]
+    # count 2, doc 0, then a zero gap: impossible in a valid stream
+    blob = _bytes_of(gamma_encode(3) + "".join(vbyte))
+    with pytest.raises(CorruptionError):
+        list(decode_lists(blob, [0], "vbyte", "vbyte"))
 
 
 def test_bitwriter_value_width_guard():
-    w = BitWriter()
+    w = reference.BitWriter()
     with pytest.raises(ValidationError):
         w.write_bits(4, 2)
+
+
+def _list_from_gaps(pairs):
+    """The (keys, values) list whose key gaps and values are `pairs`."""
+    pairs = list(pairs)
+    return list(accumulate([g for g, _ in pairs], initial=-1))[1:], [v for _, v in pairs]
+
+
+def _list_values(top):
+    edges = [x for x in (1, 2, _TABLE_SIZE - 1, _TABLE_SIZE, _TABLE_SIZE + 1, MAX_VALUE - 1, MAX_VALUE) if x <= top]
+    return st.one_of(st.sampled_from(edges), st.integers(1, top))
+
+
+# A list takes its code words from the small-value table when all its gaps
+# (or values) are below _TABLE_SIZE, so each side of a list draws below it or
+# anywhere up to 64 bits.
+_list_sides = st.sampled_from([_TABLE_SIZE - 1, MAX_VALUE])
+kernel_lists = st.tuples(_list_sides, _list_sides).flatmap(
+    lambda tops: st.lists(st.tuples(_list_values(tops[0]), _list_values(tops[1])), max_size=8)
+).map(_list_from_gaps)
+
+# Every small-value table word, and the smallest and largest value of every
+# bit length, as gaps and as values.
+_TABLE_LIST = _list_from_gaps(zip(range(1, _TABLE_SIZE), range(_TABLE_SIZE - 1, 0, -1)))
+_WIDTHS = [x for b in range(64) for x in (1 << b, (2 << b) - 1)]
+_WIDTHS_LIST = _list_from_gaps(zip(_WIDTHS, reversed(_WIDTHS)))
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", list(product(CODEC_NAMES, repeat=2)))
+@given(st.lists(kernel_lists, max_size=5))
+@example([_TABLE_LIST, _WIDTHS_LIST])
+def test_list_kernels_match_reference(gap_codec, val_codec, lists):
+    blob, offsets = encode_lists(lists, gap_codec, val_codec)
+    assert (blob, offsets) == reference.write_lists(lists, gap_codec, val_codec)
+    decoded = list(decode_lists(blob, offsets, gap_codec, val_codec))
+    assert reference.read_lists(blob, len(lists), gap_codec, val_codec) == (decoded, offsets)
+    assert decoded == lists

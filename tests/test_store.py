@@ -11,6 +11,7 @@ from mtix import (
     FormatError,
     Lexicon,
     MtixError,
+    ValidationError,
     factor,
     FactorParams,
     load_index,
@@ -177,6 +178,12 @@ def test_stats_planted_compresses():
     st1 = stats(V, factor_whole_rows(V), CodecConfig())
     noise_rows = 100
     assert st1.nnz_w + st1.nnz_h == 550 + noise_rows + report.noise_nnz
+
+
+def test_stats_rejects_payload_past_64_bits():
+    V = matrix_from_cells({0: {0: 1 << 70, 1: 3}, 1: {0: 5}})
+    with pytest.raises(ValidationError, match=r"list value outside \[1, 2\^64\)"):
+        stats(V, factor(V), CodecConfig())
 
 
 def test_stats_empty_matrix_flagged():
