@@ -212,7 +212,7 @@ def cmd_diag_remainder(args: argparse.Namespace) -> int:
             if value:
                 product[(t, d)] = value
 
-    v_cells = {(row.term, d): p for row in matrix.rows for d, p in row.postings}
+    v_cells = {(row.term, d): p for row in matrix.rows for d, p in zip(row.docs, row.payloads)}
     nnz_r = 0
     for cell in v_cells.keys() | product.keys():
         if v_cells.get(cell, 0) - product.get(cell, 0) != 0:

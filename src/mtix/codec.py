@@ -397,8 +397,10 @@ def decode_lists(
         bits = _bit_string(blob[first : (end + 7) >> 3])
         keys, values, pos = _decode_list(bits, start - base, end - base, gap_codec, val_codec)
         left = end - base - pos
-        if left and (i < last or left >= 8):
+        if left and i < last:
             raise CorruptionError(f"{what} {i} does not end at the next {what}'s offset")
+        if left >= 8:
+            raise CorruptionError(f"{what} {i} does not end at the end of the section")
         yield keys, values
 
 
@@ -439,8 +441,8 @@ def unzip_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[Sequence[int], ...]:
 
 def encode_posting_list(pl: PostingList | Sequence[Posting], cfg: CodecConfig) -> bytes:
     """Encode one posting list to bytes (zero-padded to a whole byte)."""
-    postings = pl.postings if isinstance(pl, PostingList) else pl
-    blob, _ = encode_lists([unzip_pairs(postings)], cfg.doc_gap, cfg.payload)
+    columns = (pl.docs, pl.payloads) if isinstance(pl, PostingList) else unzip_pairs(pl)
+    blob, _ = encode_lists([columns], cfg.doc_gap, cfg.payload)
     return blob
 
 
@@ -448,4 +450,4 @@ def decode_posting_list(data: bytes, cfg: CodecConfig, term: int = 0) -> Posting
     """Exact inverse of encode_posting_list. `data` must hold one list that
     ends in its final byte; the pad bits after it are not checked."""
     ((docs, payloads),) = decode_lists(data, [0], cfg.doc_gap, cfg.payload, "posting list")
-    return PostingList.from_pairs(term, zip(docs, payloads))
+    return PostingList._from_columns(term, docs, payloads)

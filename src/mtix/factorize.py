@@ -63,7 +63,8 @@ class Bicluster:
         for t, k in zip(self.rows, self.coeffs):
             if k < 1:
                 raise InvariantError(f"coefficient {k} for term {t} must be >= 1")
-            cells = dict(matrix.rows[t].postings)
+            row = matrix.rows[t]
+            cells = dict(zip(row.docs, row.payloads))
             for d, u in zip(self.cols, self.base):
                 if cells.get(d) != k * u:
                     raise InvariantError(
@@ -171,11 +172,10 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for t, row in enumerate(matrix.rows):
-        if not row.postings:
+        if not row:
             continue
-        docs, payloads = zip(*row.postings)
-        scale, base = primitive(payloads)
-        groups.setdefault((docs, base), []).append((t, scale))
+        scale, base = primitive(row.payloads)
+        groups.setdefault((row.docs, base), []).append((t, scale))
 
     biclusters = []
     for (cols, base), members in groups.items():
@@ -358,7 +358,7 @@ def expand_term(f: Factorization, t: int) -> PostingList:
         raise InvariantError(f"term {t}: memberships overlap on doc {lowest}")
     docs = sorted(merged)
     payloads = list(map(merged.__getitem__, docs))
-    del merged  # not held while the postings are built: it sets the peak on long lists
+    del merged  # not held while the columns are built: it sets the peak on long lists
     return PostingList._from_columns(t, docs, payloads)
 
 
@@ -372,8 +372,8 @@ def reconstruct(f: Factorization) -> TermDocMatrix:
     contract is that this equals the factored source cell for cell."""
     rows = [expand_term(f, t) for t in range(f.num_terms)]
     for row in rows:
-        if row.postings and row.postings[-1].doc >= f.num_docs:
-            raise ValidationError(f"doc {row.postings[-1].doc} outside num_docs={f.num_docs}")
+        if row and row.docs[-1] >= f.num_docs:
+            raise ValidationError(f"doc {row.docs[-1]} outside num_docs={f.num_docs}")
     return TermDocMatrix(rows, f.num_docs, Lexicon(str(t) for t in range(f.num_terms)))
 
 
@@ -389,7 +389,7 @@ def brute_force_optimal(matrix: TermDocMatrix) -> int:
     every partition of the cells into valid biclusters. Exponential: refuses
     instances with more than MAX_ORACLE_NNZ non-zeros.
     """
-    cells = [(row.term, d, p) for row in matrix.rows for d, p in row.postings]
+    cells = [(row.term, d, p) for row in matrix.rows for d, p in zip(row.docs, row.payloads)]
     n = len(cells)
     if n > MAX_ORACLE_NNZ:
         raise ValidationError(f"brute_force_optimal refuses nnz {n} > {MAX_ORACLE_NNZ}")

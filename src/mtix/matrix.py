@@ -27,13 +27,17 @@ class Posting(NamedTuple):
 
 @dataclass(frozen=True)
 class PostingList:
-    """One row of V: the (doc, payload) pairs of a single term.
+    """One row of V: the doc ids and payloads of a single term, as two
+    columns of equal length.
 
-    Doc ids are strictly ascending and payloads are >= 1.
+    Doc ids are strictly ascending and payloads are >= 1. The columns are
+    what the index codes, expands and scores; `postings` and iteration give
+    the same row as Posting pairs, built on demand.
     """
 
     term: int
-    postings: tuple[Posting, ...]
+    docs: tuple[int, ...]
+    payloads: tuple[int, ...]
 
     @classmethod
     def from_pairs(cls, term: int, pairs: Iterable[tuple[int, int]]) -> "PostingList":
@@ -55,8 +59,8 @@ class PostingList:
     def _from_columns(cls, term: int, docs: Sequence[int], payloads: Sequence[int]) -> "PostingList":
         """from_pairs(term, zip(docs, payloads)), checked a column at a time.
 
-        A failed check or conversion goes to the ordered path, which raises
-        the error from_pairs raises.
+        A failed check or conversion, or columns of unequal length, go to
+        the ordered path, which raises the error from_pairs raises.
         """
         try:
             int_docs, int_payloads = _ints(docs), _ints(payloads)
@@ -64,17 +68,18 @@ class PostingList:
             int_docs = int_payloads = ()
         if (
             int_docs
+            and len(int_docs) == len(int_payloads)
             and int_docs[0] >= 0
             and all(map(lt, int_docs, islice(int_docs, 1, None)))
-            and min(int_payloads, default=1) >= 1
+            and min(int_payloads) >= 1
         ):
-            return cls(term, tuple(map(tuple.__new__, repeat(Posting), zip(int_docs, int_payloads))))
+            return cls(term, int_docs, int_payloads)
         return cls._from_pairs_in_order(term, zip(docs, payloads))
 
     @classmethod
     def _from_pairs_in_order(cls, term: int, pairs: Iterable[tuple[int, int]]) -> "PostingList":
         """from_pairs one posting at a time: the path that raises its errors."""
-        postings = tuple(Posting(int(d), int(p)) for d, p in pairs)
+        postings = tuple((int(d), int(p)) for d, p in pairs)
         prev = -1
         for d, p in postings:
             if d <= prev:
@@ -82,22 +87,28 @@ class PostingList:
             if p < 1:
                 raise ValidationError(f"term {term}: payload {p} for doc {d} must be >= 1")
             prev = d
-        return cls(term, postings)
+        docs, payloads = zip(*postings) if postings else ((), ())
+        return cls(term, docs, payloads)
+
+    @property
+    def postings(self) -> tuple[Posting, ...]:
+        """The row as Posting pairs, built from the columns on each call."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.postings)
+        return len(self.docs)
 
     def __iter__(self) -> Iterator[Posting]:
-        return iter(self.postings)
+        return map(tuple.__new__, repeat(Posting), zip(self.docs, self.payloads))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(p.doc for p in self.postings)
+        return self.docs
 
 
-def _ints(values: Sequence[int]) -> Sequence[int]:
-    """The values through int(); int() returns an exact int as it is, so a
-    column of exact ints comes back unchanged, without a copy."""
-    return values if set(map(type, values)) == {int} else tuple(map(int, values))
+def _ints(values: Sequence[int]) -> tuple[int, ...]:
+    """The values through int(), as a tuple; int() returns an exact int as
+    it is, so a tuple of exact ints comes back unchanged, without a copy."""
+    return tuple(values) if set(map(type, values)) == {int} else tuple(map(int, values))
 
 
 class Lexicon:
@@ -163,8 +174,8 @@ class TermDocMatrix:
 
     def same_cells(self, other: "TermDocMatrix") -> bool:
         """Cell-for-cell equality, ignoring lexicon and doc-name strings."""
-        return self.num_docs == other.num_docs and [r.postings for r in self.rows] == [
-            r.postings for r in other.rows
+        return self.num_docs == other.num_docs and [(r.docs, r.payloads) for r in self.rows] == [
+            (r.docs, r.payloads) for r in other.rows
         ]
 
 
@@ -199,11 +210,10 @@ def primitive_form(row: PostingList) -> PrimitiveRow:
     Two non-empty rows are scalar multiples of each other exactly when their
     primitive forms have identical (support, base) sequences.
     """
-    if not row.postings:
+    if not row:
         raise ValidationError("primitive_form: row is empty")
-    docs, payloads = zip(*row.postings)
-    scale, base = primitive(payloads)
-    return PrimitiveRow(scale, tuple(map(Posting, docs, base)))
+    scale, base = primitive(row.payloads)
+    return PrimitiveRow(scale, tuple(map(Posting, row.docs, base)))
 
 
 def nnz(matrix: TermDocMatrix) -> int:
@@ -230,12 +240,16 @@ def matrix_from_cells(
         num_docs = max_doc + 1
     elif max_doc >= num_docs:
         raise ValidationError(f"doc {max_doc} outside num_docs={num_docs}")
-    rows = [
-        PostingList.from_pairs(t, sorted(cells.get(t, {}).items())) for t in range(num_terms)
-    ]
+    rows = [_row_from_cells(t, cells.get(t, {})) for t in range(num_terms)]
     if lexicon is None:
         lexicon = Lexicon(str(t) for t in range(num_terms))
     return TermDocMatrix(rows, num_docs, lexicon, doc_names or [])
+
+
+def _row_from_cells(term: int, by_doc: dict[int, int]) -> PostingList:
+    """from_pairs(term, sorted(by_doc.items())), built from the columns."""
+    docs = sorted(by_doc)
+    return PostingList._from_columns(term, docs, list(map(by_doc.__getitem__, docs)))
 
 
 def ingest_tsv(path: str | Path) -> TermDocMatrix:
@@ -317,7 +331,7 @@ def export_triples(matrix: TermDocMatrix, out: str | Path | IO[str]) -> None:
 
     def _write(fh: IO[str]) -> None:
         for row in matrix.rows:
-            for d, p in row:
+            for d, p in zip(row.docs, row.payloads):
                 fh.write(f"{row.term} {d} {p}\n")
 
     if isinstance(out, (str, Path)):

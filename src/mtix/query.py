@@ -53,7 +53,8 @@ def top_k(f: Factorization, q: Query, lexicon: Lexicon) -> list[ScoredDoc]:
         tid = lexicon.id_of(term)
         if tid is None:
             continue
-        for d, p in expand_term(f, tid).postings:
+        pl = expand_term(f, tid)
+        for d, p in zip(pl.docs, pl.payloads):
             scores[d] = get(d, 0) + p
     if not scores:
         return []
@@ -81,10 +82,11 @@ def prune(matrix: TermDocMatrix, theta: int) -> TermDocMatrix:
     """
     if theta < 0:
         raise ValidationError("theta must be >= 0")
-    rows = [
-        PostingList(row.term, tuple(p for p in row.postings if p.payload >= theta))
-        for row in matrix.rows
-    ]
+    rows = []
+    for row in matrix.rows:
+        keep = list(map(ge, row.payloads, repeat(theta)))
+        docs, payloads = tuple(compress(row.docs, keep)), tuple(compress(row.payloads, keep))
+        rows.append(PostingList(row.term, docs, payloads))
     return TermDocMatrix(rows, matrix.num_docs, matrix.lexicon, list(matrix.doc_names))
 
 

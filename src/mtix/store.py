@@ -289,7 +289,7 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     ingest and factor build them; save_index is what checks them.
     """
     direct_bits = list_bit_lengths(
-        (unzip_pairs(row.postings) for row in matrix.rows), cfg.doc_gap, cfg.payload
+        ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload
     )
     h_bits = list_bit_lengths(_h_lists(f), cfg.doc_gap, cfg.payload)
     w_bits = list_bit_lengths(_w_lists(f), cfg.doc_gap, cfg.coeff)

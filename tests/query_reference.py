@@ -24,7 +24,7 @@ def from_pairs(term: int, pairs: Iterable[tuple[int, int]]) -> PostingList:
         if p < 1:
             raise ValidationError(f"term {term}: payload {p} for doc {d} must be >= 1")
         prev = d
-    return PostingList(term, postings)
+    return PostingList(term, tuple(d for d, _ in postings), tuple(p for _, p in postings))
 
 
 def expand_term(f: Factorization, t: int) -> PostingList:

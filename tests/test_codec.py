@@ -182,7 +182,7 @@ def test_sizing_rejects_values_past_64_bits():
 
 def test_encode_posting_list_empty_is_single_gamma_one():
     cfg = CodecConfig("gamma", "gamma", "gamma")
-    assert encode_posting_list(PostingList(0, ()), cfg) == b"\x80"  # "1" padded
+    assert encode_posting_list(PostingList(0, (), ()), cfg) == b"\x80"  # "1" padded
     assert decode_posting_list(b"\x80", cfg).postings == ()
 
 
@@ -284,6 +284,21 @@ def test_posting_list_with_trailing_bytes_is_corruption():
         decode_posting_list(blob + b"\x00\x00\xff", cfg)
     with pytest.raises(CorruptionError):
         decode_posting_list(blob + b"\x00", cfg)
+
+
+def test_list_end_corruption_messages():
+    # A middle list is bounded by the next list's offset; the last list has
+    # no next list and is bounded by the end of the section.
+    lists = [((0, 5), (3, 1)), ((2,), (7,)), ((1, 4, 9), (1, 1, 2))]
+    blob, offsets = encode_lists(lists, "gamma", "gamma")
+    with pytest.raises(CorruptionError, match=r"^W row 0 does not end at the next W row's offset$"):
+        list(decode_lists(blob, [offsets[0], offsets[1] + 1, offsets[2]], "gamma", "gamma", "W row"))
+    with pytest.raises(CorruptionError, match=r"^W row 2 does not end at the end of the section$"):
+        list(decode_lists(blob + b"\x00", offsets, "gamma", "gamma", "W row"))
+    cfg = CodecConfig("gamma", "vbyte", "gamma")
+    one = encode_posting_list(PostingList.from_pairs(0, [(0, 2), (9, 13)]), cfg)
+    with pytest.raises(CorruptionError, match=r"^posting list 0 does not end at the end of the section$"):
+        decode_posting_list(one + b"\x00\x00\xff", cfg)
 
 
 def _bytes_of(bits: str) -> bytes:

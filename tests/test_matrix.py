@@ -3,19 +3,29 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mtix import (
+    CodecConfig,
+    Factorization,
+    FactorParams,
+    MetaTerm,
     ParseError,
     Posting,
     PostingList,
     ValidationError,
+    decode_posting_list,
+    encode_posting_list,
+    expand_term,
     export_triples,
+    factor,
     ingest_triples,
     ingest_tsv,
     matrix_from_cells,
     nnz,
     primitive_form,
+    prune,
+    reconstruct,
 )
 from mtix.synth import zipf_corpus
 
@@ -165,7 +175,7 @@ def test_primitive_form_examples():
 
 def test_primitive_form_empty_row_rejected():
     with pytest.raises(ValidationError):
-        primitive_form(PostingList(0, ()))
+        primitive_form(PostingList(0, (), ()))
 
 
 def test_posting_list_invariants():
@@ -240,3 +250,74 @@ def test_lexicon_first_seen_order(tmp_path):
     assert m.lexicon.terms == ("zeta", "alpha", "mid")
     assert m.lexicon.id_of("alpha") == 1
     assert m.lexicon.id_of("nope") is None
+
+
+class _Int(int):
+    """An int subclass: from_pairs must store it as an exact int."""
+
+
+def _assert_columnar(pl):
+    assert type(pl.docs) is tuple and type(pl.payloads) is tuple
+    assert all(type(v) is int for v in pl.docs + pl.payloads)
+    assert pl.postings == tuple(zip(pl.docs, pl.payloads))
+    assert all(type(p) is Posting for p in pl.postings)
+    assert tuple(pl) == pl.postings and all(type(p) is Posting for p in pl)
+    assert len(pl) == len(pl.postings) and bool(pl) == bool(pl.postings)
+    assert pl.support() == tuple(p.doc for p in pl.postings)
+
+
+def _assert_same_cells_agrees(a, b):
+    by_postings = a.num_docs == b.num_docs and [r.postings for r in a.rows] == [r.postings for r in b.rows]
+    assert a.same_cells(b) == by_postings
+
+
+_cells = st.dictionaries(
+    st.integers(0, 6), st.dictionaries(st.integers(0, 9), st.integers(1, 7), max_size=8), max_size=6
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cells, st.sampled_from([int, _Int, str, float]), st.integers(0, 8))
+def test_every_constructor_builds_int_columns(cells, convert, theta):
+    # matrix_from_cells and from_pairs (the column path, with values that
+    # int() converts, and the one-posting-at-a-time path)
+    V = matrix_from_cells(cells, num_docs=10)
+    for row in V.rows:
+        _assert_columnar(row)
+        pairs = [(convert(d), convert(p)) for d, p in zip(row.docs, row.payloads)]
+        for pl in (PostingList.from_pairs(row.term, pairs), PostingList._from_pairs_in_order(row.term, pairs)):
+            _assert_columnar(pl)
+            assert pl == row
+    # expand_term, on single memberships and on merges of several
+    f = factor(V, FactorParams(min_cols=2))
+    for t in range(f.num_terms):
+        _assert_columnar(expand_term(f, t))
+    W = reconstruct(f)
+    _assert_same_cells_agrees(V, W)
+    # decode_posting_list
+    cfg = CodecConfig()
+    for row in V.rows:
+        decoded = decode_posting_list(encode_posting_list(row, cfg), cfg, row.term)
+        _assert_columnar(decoded)
+        assert decoded == row
+    # prune
+    P = prune(V, theta)
+    for row in P.rows:
+        _assert_columnar(row)
+    _assert_same_cells_agrees(V, P)
+    _assert_same_cells_agrees(P, V)
+
+
+def test_expand_term_paths_build_int_columns():
+    # term 0: one membership, coefficient 1 and 3; term 1: a merge of two
+    f = Factorization(
+        metaterms=(MetaTerm(0, (0, 4), (1, 2)), MetaTerm(1, (2, 7), (5, 1))),
+        memberships=(((0, 1),), ((0, 3), (1, 2)), ((1, 3),)),
+        num_terms=3,
+        num_docs=8,
+    )
+    want = {0: ((0, 1), (4, 2)), 1: ((0, 3), (2, 10), (4, 6), (7, 2)), 2: ((2, 15), (7, 3))}
+    for t, postings in want.items():
+        pl = expand_term(f, t)
+        _assert_columnar(pl)
+        assert pl.postings == postings

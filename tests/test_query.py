@@ -2,8 +2,10 @@ import hashlib
 import random
 import tempfile
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,9 @@ from mtix import (
     nnz,
     overlap_at_k,
     prune,
+    reconstruct,
     save_index,
+    stats,
     top_k,
 )
 from conftest import brute_force_top_k
@@ -427,3 +431,45 @@ def test_from_pairs_matches_reference(pairs, ordered):
     if ordered:
         pairs.sort()
     _assert_same_outcome(_outcome(PostingList.from_pairs, 3, pairs), _outcome(reference.from_pairs, 3, pairs))
+
+
+def _no_posting_view(*_):
+    raise AssertionError("built the Posting view of a posting list")
+
+
+def _without_posting_views():
+    """Make PostingList.postings and iteration over a PostingList raise, so
+    a path that builds one Posting per posting fails."""
+    stack = ExitStack()
+    stack.enter_context(mock.patch.object(PostingList, "postings", property(_no_posting_view)))
+    stack.enter_context(mock.patch.object(PostingList, "__iter__", _no_posting_view))
+    return stack
+
+
+@settings(max_examples=100, deadline=None)
+@given(factorizations_and_queries())
+def test_query_path_builds_no_posting_view(fq):
+    f, queries = fq
+    lexicon = Lexicon(str(t) for t in range(f.num_terms))
+    terms = range(f.num_terms + 1)
+    queries = [Query(tuple(q), k) for q, k in queries]
+    want = [_outcome(reference.expand_term, f, t) for t in terms]
+    want += [_outcome(reference.top_k, f, q, lexicon) for q in queries]
+    with _without_posting_views():
+        got = [_outcome(expand_term, f, t) for t in terms]
+        got += [_outcome(top_k, f, q, lexicon) for q in queries]
+    for g, w in zip(got, want, strict=True):
+        _assert_same_outcome(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_matrices(), correlated_matrices()), st.integers(2, 4))
+def test_build_path_builds_no_posting_view(V, min_cols):
+    cfg = CodecConfig()
+    with _without_posting_views(), tempfile.TemporaryDirectory() as tmp:
+        f = factor(V, FactorParams(min_cols=min_cols))
+        path = Path(tmp) / "f.idx"
+        save_index(f, V.lexicon, cfg, path, V.doc_names)
+        index_stats = stats(V, f, cfg)
+        assert reconstruct(load_index(path).factorization).same_cells(V)
+    assert index_stats.nnz_v == nnz(V) and index_stats.bytes_direct > 0
