@@ -362,9 +362,16 @@ def expand_term(f: Factorization, t: int) -> PostingList:
     return PostingList._from_columns(t, docs, payloads)
 
 
-def _scaled(base: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """k * base, entry by entry."""
-    return base if k == 1 else tuple(map(mul, base, repeat(k)))
+def _scaled(base: tuple[int, ...], k: int) -> Sequence[int]:
+    """k * base, entry by entry: base itself when k is 1, else a list.
+
+    A list, not tuple(map(...)): CPython builds a tuple from an iterator at
+    a guessed length and then resizes it, which moves it between its
+    per-size tuple free lists. Those keep up to 2,000 tuples per size until
+    a full GC pass clears them, so a query loop that rarely runs one would
+    hold several MB in them.
+    """
+    return base if k == 1 else list(map(mul, base, repeat(k)))
 
 
 def reconstruct(f: Factorization) -> TermDocMatrix:
