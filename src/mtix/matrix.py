@@ -240,16 +240,12 @@ def matrix_from_cells(
         num_docs = max_doc + 1
     elif max_doc >= num_docs:
         raise ValidationError(f"doc {max_doc} outside num_docs={num_docs}")
-    rows = [_row_from_cells(t, cells.get(t, {})) for t in range(num_terms)]
+    rows = [
+        PostingList.from_pairs(t, sorted(cells.get(t, {}).items())) for t in range(num_terms)
+    ]
     if lexicon is None:
         lexicon = Lexicon(str(t) for t in range(num_terms))
     return TermDocMatrix(rows, num_docs, lexicon, doc_names or [])
-
-
-def _row_from_cells(term: int, by_doc: dict[int, int]) -> PostingList:
-    """from_pairs(term, sorted(by_doc.items())), built from the columns."""
-    docs = sorted(by_doc)
-    return PostingList._from_columns(term, docs, list(map(by_doc.__getitem__, docs)))
 
 
 def ingest_tsv(path: str | Path) -> TermDocMatrix:

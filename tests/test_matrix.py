@@ -309,7 +309,7 @@ def test_every_constructor_builds_int_columns(cells, convert, theta):
 
 
 def test_expand_term_paths_build_int_columns():
-    # term 0: one membership, coefficient 1 and 3; term 1: a merge of two
+    # terms 0 and 2: one membership, coefficient 1 and 3; term 1: a merge of two
     f = Factorization(
         metaterms=(MetaTerm(0, (0, 4), (1, 2)), MetaTerm(1, (2, 7), (5, 1))),
         memberships=(((0, 1),), ((0, 3), (1, 2)), ((1, 3),)),
