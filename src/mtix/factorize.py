@@ -24,10 +24,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain, compress, islice, repeat
 from math import gcd
-from operator import ge, itemgetter, lt, mul
+from operator import and_, ge, itemgetter, lshift, lt, mul
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -200,27 +201,44 @@ def _later_partners(
     return sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
 
 
+class _DocBits(dict):
+    """Doc id -> int bitset over residual term ids (bit t set iff term t has
+    a residual cell in that doc), each built the first time it is looked up.
+    """
+
+    def __init__(self, terms_of_doc: dict[int, list[int]]):
+        super().__init__()
+        self.terms_of_doc = terms_of_doc
+
+    def __missing__(self, d: int) -> int:
+        bits = self[d] = sum(map(lshift, repeat(1), self.terms_of_doc[d]))
+        return bits
+
+
 def _candidate_rows(
     residual: dict[int, dict[int, int]],
-    terms_of_doc: dict[int, list[int]],
+    doc_bits: _DocBits,
     docs: tuple[int, ...],
     base: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The residual rows equal to k * base over docs for some k >= 1, in
     ascending TermId order, with their k.
 
-    Only terms present in every one of docs can match, so the term lists of
-    docs are intersected first (smallest list first) and the exact ratio
-    check runs on the survivors alone.
+    Only terms present in every one of docs can match: their bits survive
+    the AND of the docs' bitsets, and the primitive-form rule runs on those
+    rows alone (base is primitive, so a row is k * base exactly when its
+    primitive form is (k, base)).
     """
-    lists = sorted(map(terms_of_doc.__getitem__, docs), key=len)
+    common = reduce(and_, map(doc_bits.__getitem__, docs))
     payloads = itemgetter(*docs)  # len(docs) >= min_cols >= 2: returns a tuple
     rows = []
     coeffs = []
-    for t in sorted(set(lists[0]).intersection(*lists[1:])):
-        cells = payloads(residual[t])
-        k, rem = divmod(cells[0], base[0])
-        if not rem and k >= 1 and cells == tuple([k * u for u in base]):
+    while common:
+        low = common & -common
+        common ^= low
+        t = low.bit_length() - 1
+        k, row_base = primitive(payloads(residual[t]))
+        if row_base == base:
             rows.append(t)
             coeffs.append(k)
     return tuple(rows), tuple(coeffs)
@@ -256,6 +274,10 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
 
     # Candidate generation, one pass over residual row pairs.
     min_cols = params.min_cols
+    doc_bits = _DocBits(terms_of_doc)
+    # One tuple per distinct base (most are all ones), shared by the heap
+    # and seen, which hold one per candidate.
+    bases: dict[tuple[int, ...], tuple[int, ...]] = {}
     heap: list[tuple] = []
     seen: set[tuple] = set()
     for t1 in sorted(residual):
@@ -277,17 +299,22 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
                     continue
                 cols = tuple(docs)
                 _, base = primitive([row1[d] for d in cols])
+                base = bases.setdefault(base, base)
                 # (cols, base) fixes the extended rows, so a repeat is dropped unextended.
                 sig = (cols, base)
                 if sig in seen:
                     continue
                 seen.add(sig)
-                rows, coeffs = _candidate_rows(residual, terms_of_doc, cols, base)
+                rows, coeffs = _candidate_rows(residual, doc_bits, cols, base)
                 g_val = gain(len(rows), len(cols))
                 if len(rows) < 2 or g_val <= 0:
                     continue
                 heappush(heap, (-g_val, rows[0], cols[0], rows, cols, base, coeffs))
                 made += 1
+
+    # Generation ends at stage 2's memory peak: free its indexes before
+    # application allocates.
+    del doc_bits, bases, seen, terms_of_doc
 
     # Greedy application with revalidation against consumed cells.
     applied: list[Bicluster] = []

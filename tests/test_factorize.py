@@ -370,12 +370,62 @@ def correlated_matrices(draw):
     return matrix_from_cells(cells, num_docs=num_docs)
 
 
+@st.composite
+def sparse_id_matrices(draw):
+    # correlated rows spread over term ids into the thousands: runs of empty
+    # rows and whole-row groups that stage 1 merges lie between them, so the
+    # residual ids are sparse and cross machine-word boundaries (63/64)
+    num_docs = draw(st.integers(6, 24))
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, num_docs - 4))
+        width = draw(st.integers(4, min(10, num_docs - start)))
+        bases.append({start + i: draw(st.integers(1, 4)) for i in range(width)})
+    cells = {}
+    t = 0
+    for _ in range(draw(st.integers(2, 12))):
+        t += draw(st.one_of(st.integers(0, 3), st.integers(60, 68), st.integers(500, 1500)))
+        if draw(st.booleans()):
+            # r >= 2 multiples over c >= 3 whole columns: gain(r, c) > 0
+            cols = draw(st.lists(st.integers(0, num_docs - 1), min_size=3, max_size=6, unique=True))
+            group_base = [draw(st.integers(1, 3)) for _ in cols]
+            for _ in range(draw(st.integers(2, 3))):
+                k = draw(st.integers(1, 4))
+                cells[t] = {d: k * u for d, u in zip(cols, group_base)}
+                t += 1
+        base = bases[draw(st.integers(0, len(bases) - 1))]
+        k = draw(st.integers(1, 5))
+        row = {d: k * u for d, u in base.items()}
+        for _ in range(draw(st.integers(0, 3))):
+            row[draw(st.integers(0, num_docs - 1))] = draw(st.integers(1, 9))
+        cells[t] = row
+        t += 1
+    return matrix_from_cells(cells, num_docs=num_docs)
+
+
 @settings(max_examples=300, deadline=None)
-@given(correlated_matrices(), st.sampled_from([2, 3, 4]), st.sampled_from([1, 2, 64]))
+@given(
+    st.one_of(correlated_matrices(), sparse_id_matrices()),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from([1, 2, 64]),
+)
 def test_refine_partial_matches_reference(V, min_cols, cap):
     params = FactorParams(min_cols=min_cols, max_candidates_per_term=cap)
     f1 = factor_whole_rows(V)
     assert refine_partial(V, f1, params) == reference_refine_partial(V, f1, params)
+
+
+def test_refine_partial_matches_reference_mid_size(tmp_path):
+    # Zipf text with default parameters: about 3,500 terms, thousands of
+    # candidates, residual ids up to the last term
+    path = tmp_path / "zipf.tsv"
+    docs = zipf_corpus(400, 4000, rng=random.Random(11))
+    path.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
+    V = ingest_tsv(path)
+    f1 = factor_whole_rows(V)
+    f2 = refine_partial(V, f1, FactorParams())
+    assert f2 == reference_refine_partial(V, f1, FactorParams())
+    assert total_size(f2) < total_size(f1)  # stage 2 applied biclusters
 
 
 @st.composite
