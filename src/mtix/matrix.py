@@ -221,6 +221,12 @@ def nnz(matrix: TermDocMatrix) -> int:
     return sum(len(r) for r in matrix.rows)
 
 
+# Term and doc ids index dense in-memory tables (one row per term id, one
+# name per doc id), so the largest id, not the number of cells, sets their
+# size. Past this limit a one-line triples file could ask for billions.
+_ID_LIMIT = 1 << 20
+
+
 def matrix_from_cells(
     cells: dict[int, dict[int, int]],
     num_terms: int | None = None,
@@ -229,7 +235,11 @@ def matrix_from_cells(
     doc_names: list[str] | None = None,
 ) -> TermDocMatrix:
     """Build a matrix from {term: {doc: payload}}; terms/docs without cells get
-    empty rows / unused columns up to the given counts."""
+    empty rows / unused columns up to the given counts.
+
+    Term and doc ids must be below 2^20 (1,048,576), given counts at most
+    that; past it a ValidationError is raised before any per-id allocation.
+    """
     max_term = max(cells, default=-1)
     if num_terms is None:
         num_terms = max_term + 1
@@ -240,6 +250,9 @@ def matrix_from_cells(
         num_docs = max_doc + 1
     elif max_doc >= num_docs:
         raise ValidationError(f"doc {max_doc} outside num_docs={num_docs}")
+    for what, count in (("term", num_terms), ("doc", num_docs)):
+        if count > _ID_LIMIT:
+            raise ValidationError(f"{what} id {count - 1} past the limit: {what} ids must be below {_ID_LIMIT}")
     rows = [
         PostingList.from_pairs(t, sorted(cells.get(t, {}).items())) for t in range(num_terms)
     ]

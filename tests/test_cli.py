@@ -315,3 +315,14 @@ def test_payload_past_64_bits_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "list value outside [1, 2^64)" in err and "Traceback" not in err
+
+
+def test_id_past_the_limit_exits_2(tmp_path, capsys):
+    # One line must not make ingest allocate a row or a doc name per id.
+    for line, what in (("0 10000000000 1", "doc"), ("10000000000 0 1", "term")):
+        triples = tmp_path / "huge.t"
+        triples.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["build", str(triples), str(tmp_path / "h.idx"), "--triples"]) == 2
+        err = capsys.readouterr().err
+        assert f"{what} id 10000000000 past the limit" in err and "Traceback" not in err

@@ -124,6 +124,20 @@ def test_ingest_triples_duplicate_cell_rejected(tmp_path):
         ingest_triples(path)
 
 
+def test_ids_past_the_limit_rejected_before_allocation():
+    # Ids set the size of the row and doc-name tables, so a huge one must be
+    # refused up front, not allocated (these would ask for 10^10 entries).
+    with pytest.raises(ValidationError, match="doc id 10000000000 past the limit"):
+        matrix_from_cells({0: {10**10: 1}})
+    with pytest.raises(ValidationError, match="term id 10000000000 past the limit"):
+        matrix_from_cells({10**10: {0: 1}})
+    with pytest.raises(ValidationError, match="doc id 1048576 past the limit"):
+        matrix_from_cells({0: {1 << 20: 1}})
+    with pytest.raises(ValidationError, match="term id 1048576 past the limit"):
+        matrix_from_cells({0: {0: 1}}, num_terms=(1 << 20) + 1)
+    assert matrix_from_cells({0: {(1 << 20) - 1: 1}}).num_docs == 1 << 20
+
+
 def test_ingest_triples_nnz_equals_line_count(tmp_path):
     rng = random.Random(5)
     cells = set()
