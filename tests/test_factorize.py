@@ -372,35 +372,25 @@ def correlated_matrices(draw):
 
 @st.composite
 def sparse_id_matrices(draw):
-    # correlated rows spread over term ids into the thousands: runs of empty
-    # rows and whole-row groups that stage 1 merges lie between them, so the
-    # residual ids are sparse and cross machine-word boundaries (63/64)
-    num_docs = draw(st.integers(6, 24))
-    bases = []
-    for _ in range(draw(st.integers(1, 3))):
-        start = draw(st.integers(0, num_docs - 4))
-        width = draw(st.integers(4, min(10, num_docs - start)))
-        bases.append({start + i: draw(st.integers(1, 4)) for i in range(width)})
+    # correlated_matrices' rows spread over term ids into the thousands: runs
+    # of empty rows and whole-row groups that stage 1 merges lie between
+    # them, so the residual ids are sparse and cross machine-word boundaries
+    V = draw(correlated_matrices())
     cells = {}
     t = 0
-    for _ in range(draw(st.integers(2, 12))):
+    for row in V.rows:
         t += draw(st.one_of(st.integers(0, 3), st.integers(60, 68), st.integers(500, 1500)))
         if draw(st.booleans()):
             # r >= 2 multiples over c >= 3 whole columns: gain(r, c) > 0
-            cols = draw(st.lists(st.integers(0, num_docs - 1), min_size=3, max_size=6, unique=True))
+            cols = draw(st.lists(st.integers(0, V.num_docs - 1), min_size=3, max_size=6, unique=True))
             group_base = [draw(st.integers(1, 3)) for _ in cols]
             for _ in range(draw(st.integers(2, 3))):
                 k = draw(st.integers(1, 4))
                 cells[t] = {d: k * u for d, u in zip(cols, group_base)}
                 t += 1
-        base = bases[draw(st.integers(0, len(bases) - 1))]
-        k = draw(st.integers(1, 5))
-        row = {d: k * u for d, u in base.items()}
-        for _ in range(draw(st.integers(0, 3))):
-            row[draw(st.integers(0, num_docs - 1))] = draw(st.integers(1, 9))
-        cells[t] = row
+        cells[t] = dict(zip(row.docs, row.payloads))
         t += 1
-    return matrix_from_cells(cells, num_docs=num_docs)
+    return matrix_from_cells(cells, num_docs=V.num_docs)
 
 
 @settings(max_examples=300, deadline=None)
