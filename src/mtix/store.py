@@ -1,23 +1,27 @@
 """Binary index persistence and size statistics.
 
-File layout (all multi-byte header integers little-endian fixed-width,
-strings length-prefixed with a u32):
+File layout, format version 2 (header integers little-endian, fixed width):
 
     magic "MTIX" | u8 version | u8 x3 codec ids (doc-gap, payload, coeff)
+    u32 CRC32 (zlib) of every other byte of the file
     u64 num_terms | u64 num_docs | u64 num_metaterms
     u64 section offsets x4 (doc-table, lexicon, H-section, W-section)
-    doc-table: u64 count; count x (u32 len + UTF-8 doc name)
-    lexicon:   u64 count; count x (u32 len + UTF-8 term + u64 W-row bit offset)
-    H-section: u64 count; count x vbyte(bit-offset delta); encoded meta-term
-               posting lists, bit-packed, zero-padded to a byte
-    W-section: u64 count; per-term (meta-term id gap, coefficient) lists,
-               bit-packed, zero-padded to a byte
 
-H lists and W rows are bit-packed back to back by the codec's list kernels.
-Loading decodes each list from its own byte span, bounded by the next
-list's recorded bit offset, and rejects a list that does not end exactly
-there (the last list must end in its section's final byte). Malformed or
-truncated file content raises an MtixError subclass.
+Every table is `u64 count | one vbyte per entry | payload`:
+
+    doc-table: byte lengths; the UTF-8 doc names back to back
+    lexicon:   the same for the terms, then the W rows' bit offsets as
+               vbyte deltas (no payload)
+    H-section: the meta-term lists' bit offsets as vbyte deltas; the lists
+    W-section: u64 count; the per-term (meta-term id gap, coefficient) lists
+
+H lists and W rows are bit-packed back to back by the codec's list kernels
+and zero-padded to a byte. Loading checks the CRC right after magic and
+version, then the structure: each table must end exactly at the next
+section's offset, and each list, decoded from its own byte span, must end
+exactly at the next list's recorded bit offset (the last one in its
+section's final byte). Malformed or corrupted file content raises an
+MtixError subclass. Version 1 files are not read.
 
 Saving identical inputs yields byte-identical files. Size statistics count
 the encoded content of the H/W sections (everything after each section's
@@ -28,11 +32,12 @@ closed-form code lengths, without encoding anything.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .codec import (
     CODEC_IDS,
@@ -46,45 +51,74 @@ from .codec import (
     vbyte_decode,
     vbyte_encode,
 )
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import CorruptionError, FormatError, TruncationError, ValidationError
 from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, TermDocMatrix, nnz
 
 MAGIC = b"MTIX"
-VERSION = 1
-_HEADER = struct.Struct("<4s4B3Q4Q")  # magic, version, 3 codec ids, counts, offsets
+VERSION = 2
+_HEADER = struct.Struct("<4s4BI3Q4Q")  # magic, version, 3 codec ids, CRC32, counts, offsets
+_CRC_AT = 8  # byte offset of the CRC32 in the header
+_U64 = struct.Struct("<Q")
 
 
-def _encode_offsets(offsets: Sequence[int]) -> bytes:
-    out = bytearray()
-    prev = 0
-    for off in offsets:
-        out += vbyte_encode(off - prev)
-        prev = off
-    return bytes(out)
+def _checksum(image: bytes | bytearray | memoryview) -> int:
+    """CRC32 of every byte of a file image but the CRC's own four."""
+    view = memoryview(image)
+    return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _decode_offsets(data: bytes, pos: int, count: int) -> tuple[list[int], int]:
-    offsets = []
-    prev = 0
-    for _ in range(count):
+def _deltas(offsets: Sequence[int]) -> list[int]:
+    return [b - a for a, b in zip(chain((0,), offsets), offsets)]
+
+
+def _vbytes(values: Iterable[int]) -> bytes:
+    """A table's entries: one vbyte per value."""
+    return b"".join(map(vbyte_encode, values))
+
+
+def _str_table(strings: Iterable[str], what: str) -> bytes:
+    try:
+        raw = [s.encode("utf-8") for s in strings]
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{what} string {exc.object!r} is not encodable as UTF-8: {exc.reason}") from None
+    return _U64.pack(len(raw)) + _vbytes(map(len, raw)) + b"".join(raw)
+
+
+def _read_vbytes(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[int], int]:
+    """Read a table's count word and its `count` vbytes from data[pos:end];
+    returns the values and the position after them."""
+    if pos + 8 > end:
+        raise CorruptionError(f"{what} runs past its section")
+    if _U64.unpack_from(data, pos)[0] != count:
+        raise CorruptionError(f"{what} count does not match header")
+    pos += 8
+    section = data[:end]
+    values = []
+    try:
+        for _ in range(count):
+            value, used = vbyte_decode(section, pos)
+            values.append(value)
+            pos += used
+    except TruncationError:
+        raise CorruptionError(f"{what} runs past its section") from None
+    except CorruptionError as exc:
+        raise CorruptionError(f"{what}: {exc}") from None
+    return values, pos
+
+
+def _read_strs(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[str], int]:
+    lengths, pos = _read_vbytes(data, pos, end, count, what)
+    if pos + sum(lengths) > end:
+        raise CorruptionError(f"{what} lengths run past its section")
+    strings = []
+    for n in lengths:
         try:
-            delta, used = vbyte_decode(data, pos)
-        except CorruptionError as exc:
-            raise CorruptionError(f"H offset table: {exc}") from None
-        pos += used
-        prev += delta
-        offsets.append(prev)
-    return offsets, pos
-
-
-def _encode_str_table(strings: Sequence[str]) -> bytes:
-    out = bytearray(struct.pack("<Q", len(strings)))
-    for s in strings:
-        raw = s.encode("utf-8")
-        out += struct.pack("<I", len(raw))
-        out += raw
-    return bytes(out)
+            strings.append(str(data[pos : pos + n], "utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorruptionError(f"string at byte {pos} is not UTF-8: {exc.reason}") from None
+        pos += n
+    return strings, pos
 
 
 def _h_lists(f: Factorization) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
@@ -101,7 +135,7 @@ def encoded_section_parts(
     """(H offsets blob, H blob, W blob, W bit offsets) exactly as saved."""
     h_blob, h_offsets = encode_lists(_h_lists(f), cfg.doc_gap, cfg.payload)
     w_blob, w_offsets = encode_lists(_w_lists(f), cfg.doc_gap, cfg.coeff)
-    return _encode_offsets(h_offsets), h_blob, w_blob, w_offsets
+    return _vbytes(_deltas(h_offsets)), h_blob, w_blob, w_offsets
 
 
 def save_index(
@@ -119,37 +153,21 @@ def save_index(
     if len(doc_names) != f.num_docs:
         raise ValidationError(f"{len(doc_names)} doc names for {f.num_docs} docs")
 
+    doc_table = _str_table(doc_names, "doc-table")
+    terms = _str_table(lexicon, "lexicon")
     h_off_blob, h_blob, w_blob, w_offsets = encoded_section_parts(f, cfg)
-
-    doc_table = _encode_str_table(doc_names)
-    lex = bytearray(struct.pack("<Q", f.num_terms))
-    for t in range(f.num_terms):
-        raw = lexicon.term_of(t).encode("utf-8")
-        lex += struct.pack("<I", len(raw))
-        lex += raw
-        lex += struct.pack("<Q", w_offsets[t])
-    h_section = struct.pack("<Q", len(f.metaterms)) + h_off_blob + h_blob
-    w_section = struct.pack("<Q", f.num_terms) + w_blob
-
-    off_doc = _HEADER.size
-    off_lex = off_doc + len(doc_table)
-    off_h = off_lex + len(lex)
-    off_w = off_h + len(h_section)
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        CODEC_IDS[cfg.doc_gap],
-        CODEC_IDS[cfg.payload],
-        CODEC_IDS[cfg.coeff],
-        f.num_terms,
-        f.num_docs,
-        len(f.metaterms),
-        off_doc,
-        off_lex,
-        off_h,
-        off_w,
+    sections = (
+        doc_table,
+        terms + _U64.pack(f.num_terms) + _vbytes(_deltas(w_offsets)),
+        _U64.pack(len(f.metaterms)) + h_off_blob + h_blob,
+        _U64.pack(f.num_terms) + w_blob,
     )
-    blob = header + doc_table + bytes(lex) + h_section + w_section
+    codec_ids = (CODEC_IDS[c] for c in (cfg.doc_gap, cfg.payload, cfg.coeff))
+    offsets = accumulate(map(len, sections[:-1]), initial=_HEADER.size)
+    counts = (f.num_terms, f.num_docs, len(f.metaterms))
+    header = _HEADER.pack(MAGIC, VERSION, *codec_ids, 0, *counts, *offsets)  # CRC32 0 until filled in
+    blob = bytearray().join((header, *sections))
+    struct.pack_into("<I", blob, _CRC_AT, _checksum(blob))
     with open(path, "wb") as fh:
         fh.write(blob)
     return len(blob)
@@ -163,41 +181,18 @@ class LoadedIndex:
     cfg: CodecConfig
 
 
-class _Cursor:
-    """Bounds-checked byte reader over the index file image."""
-
-    def __init__(self, data: bytes, pos: int):
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptionError("index file truncated")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        (length,) = struct.unpack("<I", self.take(4))
-        try:
-            return self.take(length).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptionError(f"string at byte {self.pos - length} is not UTF-8: {exc.reason}") from None
-
-
 def load_index(path: str | Path) -> LoadedIndex:
     """Exact inverse of save_index."""
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())
     if len(data) < _HEADER.size:
         raise FormatError("file too small to hold an index header")
-    magic, version, id_gap, id_pay, id_coeff, num_terms, num_docs, num_meta, off_doc, off_lex, off_h, off_w = _HEADER.unpack_from(data)
+    magic, version, id_gap, id_pay, id_coeff, crc, num_terms, num_docs, num_meta, off_doc, off_lex, off_h, off_w = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
+    if crc != _checksum(data):
+        raise CorruptionError("checksum mismatch: the index file is corrupt")
     for cid in (id_gap, id_pay, id_coeff):
         if cid >= len(CODEC_NAMES):
             raise FormatError(f"unknown codec id {cid}")
@@ -205,42 +200,30 @@ def load_index(path: str | Path) -> LoadedIndex:
     if not _HEADER.size == off_doc <= off_lex <= off_h <= off_w <= len(data):
         raise CorruptionError("section offsets out of bounds")
 
-    cur = _Cursor(data, off_doc)
-    if cur.u64() != num_docs:
-        raise CorruptionError("doc-table count does not match header")
-    doc_names = [cur.string() for _ in range(num_docs)]
-
-    cur = _Cursor(data, off_lex)
-    if cur.u64() != num_terms:
-        raise CorruptionError("lexicon count does not match header")
-    terms = []
-    w_offsets = []
-    for _ in range(num_terms):
-        terms.append(cur.string())
-        w_offsets.append(cur.u64())
+    doc_names, pos = _read_strs(data, off_doc, off_lex, num_docs, "doc-table")
+    if pos != off_lex:
+        raise CorruptionError("doc-table does not end at the lexicon's offset")
+    terms, pos = _read_strs(data, off_lex, off_h, num_terms, "lexicon")
+    w_deltas, pos = _read_vbytes(data, pos, off_h, num_terms, "W offset table")
+    if pos != off_h:
+        raise CorruptionError("lexicon does not end at the H section's offset")
     lexicon = Lexicon(terms)
     if len(lexicon) != num_terms:
         raise CorruptionError("lexicon contains duplicate terms")
 
-    cur = _Cursor(data, off_h)
-    if cur.u64() != num_meta:
-        raise CorruptionError("H-section count does not match header")
-    h_offsets, blob_start = _decode_offsets(data, cur.pos, num_meta)
-    if blob_start > off_w:
-        raise CorruptionError("H offset table runs past the H section")
+    h_deltas, pos = _read_vbytes(data, off_h, off_w, num_meta, "H offset table")
     metaterms = []
-    h_lists = decode_lists(data[blob_start:off_w], h_offsets, cfg.doc_gap, cfg.payload, "meta-term")
+    h_lists = decode_lists(data[pos:off_w], list(accumulate(h_deltas)), cfg.doc_gap, cfg.payload, "meta-term")
     for mid, (cols, base) in enumerate(h_lists):
         # keys are strictly ascending, so the last is the largest
         if cols and cols[-1] >= num_docs:
             raise CorruptionError(f"meta-term {mid} references doc beyond num_docs")
         metaterms.append(MetaTerm(mid, tuple(cols), tuple(base)))
 
-    cur = _Cursor(data, off_w)
-    if cur.u64() != num_terms:
+    if off_w + 8 > len(data) or _U64.unpack_from(data, off_w)[0] != num_terms:
         raise CorruptionError("W-section count does not match header")
     memberships = []
-    w_lists = decode_lists(data[cur.pos :], w_offsets, cfg.doc_gap, cfg.coeff, "W row")
+    w_lists = decode_lists(data[off_w + 8 :], list(accumulate(w_deltas)), cfg.doc_gap, cfg.coeff, "W row")
     for t, (ids, coeffs) in enumerate(w_lists):
         if ids and ids[-1] >= num_meta:
             raise CorruptionError(f"W row {t} references meta-term beyond count")
@@ -281,12 +264,15 @@ class IndexStats:
 def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexStats:
     """Measure V encoded directly vs the factored W + H under `cfg`.
 
-    bytes_factored counts exactly the encoded content the index file carries
-    for W and H (meta-term lists, their offset table, and the W rows);
-    bytes_direct is the same encoding applied to V's rows. The ratio is
-    undefined (None) when there is nothing to encode directly. Both come
-    from closed-form code lengths, so the lists are taken to be valid, as
-    ingest and factor build them; save_index is what checks them.
+    bytes_direct is V's rows coded as posting lists. bytes_factored counts
+    exactly what the file spends on W and H: the meta-term lists, their
+    offset table and the W rows. The header, count words, doc names, term
+    strings and W-row offsets are left out of both: a directly coded index
+    needs the same names and one string and one list offset per term, so
+    they are framing, not a cost of factoring. The ratio is undefined
+    (None) when there is nothing to encode directly. Both come from
+    closed-form code lengths, so the lists are taken to be valid, as ingest
+    and factor build them; save_index is what checks them.
     """
     direct_bits = list_bit_lengths(
         ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload

@@ -20,7 +20,7 @@ from mtix import (
     stats,
 )
 from mtix.codec import CODEC_NAMES, encode_lists, unzip_pairs
-from mtix.store import _HEADER, encoded_section_parts
+from mtix.store import _CRC_AT, _HEADER, _checksum, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix
 
 ALL_CFGS = [CodecConfig(g, p, c) for g in CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
@@ -99,6 +99,20 @@ def _saved(tmp_path):
     return path.read_bytes()
 
 
+def _resign(data) -> bytes:
+    """`data` with its CRC32 rewritten, so that a deliberate corruption gets
+    past the checksum to the structural check it aims at."""
+    data = bytearray(data)
+    struct.pack_into("<I", data, _CRC_AT, _checksum(data))
+    return bytes(data)
+
+
+def _load_resigned(tmp_path, data):
+    bad = tmp_path / "resigned.idx"
+    bad.write_bytes(_resign(data))
+    return load_index(bad)
+
+
 def test_corrupt_magic(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
@@ -110,9 +124,10 @@ def test_corrupt_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
-    bad.write_bytes(data[:4] + bytes([99]) + data[5:])
-    with pytest.raises(FormatError):
-        load_index(bad)
+    for version in (1, 99):
+        bad.write_bytes(data[:4] + bytes([version]) + data[5:])
+        with pytest.raises(FormatError, match=f"^unsupported version {version}$"):
+            load_index(bad)
 
 
 def test_truncated_sections(tmp_path):
@@ -129,10 +144,8 @@ def test_corrupt_offset_detected(tmp_path):
     # point the W section into the middle of the H section
     (off_w,) = struct.unpack_from("<Q", data, _HEADER.size - 8)
     struct.pack_into("<Q", data, _HEADER.size - 8, off_w - 1)
-    bad = tmp_path / "off.idx"
-    bad.write_bytes(bytes(data))
     with pytest.raises(CorruptionError):
-        load_index(bad)
+        _load_resigned(tmp_path, data)
 
 
 def test_stats_bytes_match_file_sections(tmp_path):
@@ -212,11 +225,11 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 
 
 # sha256 of save_index output for one seeded planted matrix, one digest per
-# all-same-codec config: format v1 must not move by a single byte.
+# all-same-codec config: format v2 must not move by a single byte.
 PINNED_DIGESTS = {
-    "gamma": "b9da21f401e911ae8878e8c03592498455d52a349e5a7e968aca8fe6efa4189d",
-    "delta": "38635a1d7d8b1e4c4ea1918c835e75f0a752b3a9a8de351c68878eb2e855bea5",
-    "vbyte": "d78c446899a72822df96828b94adefbb3615e6ac98ef5fc3cc06b8325ce8659d",
+    "gamma": "f6d93efd0c14ca1d0035d9fd771e973bd9beb18b58e694064ef05fc4e48193d6",
+    "delta": "b7de505b81de28c937ce3b466f72de61a4f3797a1114c45071b52bc39b62d193",
+    "vbyte": "f298fff72fa24d12bf1f9cc79184b729af7121933074228be997f74c328c36bf",
 }
 
 
@@ -258,39 +271,127 @@ def test_stats_closed_form_matches_encoded_lengths(V):
         assert st_.bytes_direct == len(direct)
 
 
-@pytest.mark.parametrize("cfg", [CodecConfig(), CodecConfig("vbyte", "delta", "vbyte")])
-def test_bit_flip_fuzz_load_raises_only_mtix_errors(tmp_path, cfg):
-    """Every flip of 1-3 bits in a small index either loads or raises an
-    MtixError, never another exception.
+FUZZ_CFGS = [CodecConfig(), CodecConfig("vbyte", "delta", "vbyte")]
 
-    A flip can still load silently with different content; that needs a
-    per-section checksum, which the v1 format does not have.
-    """
+
+def _fuzz_flips(tmp_path, cfg, count):
+    """Save the fuzz index; yield its saved content, then `count` copies of
+    its bytes with 1-3 random bits flipped."""
     rng = random.Random(77)
     V = random_matrix(30, 60, 0.15, payload_range=(1, 300), rng=rng)
     f = factor(V, FactorParams(min_cols=2))
     path = tmp_path / "fuzz.idx"
     save_index(f, V.lexicon, cfg, path, V.doc_names)
+    yield f, V.lexicon, V.doc_names, cfg
     data = path.read_bytes()
-    bad = tmp_path / "flipped.idx"
-    for _ in range(2000):
+    for _ in range(count):
         flipped = bytearray(data)
         for i in rng.sample(range(len(data) * 8), rng.randint(1, 3)):
             flipped[i // 8] ^= 1 << (7 - i % 8)
-        bad.write_bytes(bytes(flipped))
+        yield flipped
+
+
+@pytest.mark.parametrize("cfg", FUZZ_CFGS)
+def test_bit_flip_fuzz_load_raises_only_mtix_errors(tmp_path, cfg):
+    """Every flip of 1-3 bits in a small index, re-signed so that it gets
+    past the checksum to the decoders, either loads or raises an MtixError,
+    never another exception."""
+    flips = _fuzz_flips(tmp_path, cfg, 2000)
+    next(flips)
+    for flipped in flips:
         try:
-            load_index(bad)
+            _load_resigned(tmp_path, flipped)
         except MtixError:
             pass
 
 
+@pytest.mark.parametrize("cfg", FUZZ_CFGS)
+def test_bit_flip_never_loads_different_content(tmp_path, cfg):
+    """Every flip of 1-3 bits anywhere in the file either raises an
+    MtixError or loads exactly the saved content: no silent wrong load."""
+    flips = _fuzz_flips(tmp_path, cfg, 3000)
+    saved = next(flips)
+    bad = tmp_path / "flipped.idx"
+    for flipped in flips:
+        bad.write_bytes(flipped)
+        try:
+            idx = load_index(bad)
+        except MtixError:
+            continue
+        assert (idx.factorization, idx.lexicon, idx.doc_names, idx.cfg) == saved
+
+
 def test_non_utf8_string_is_corruption(tmp_path):
     data = _saved(tmp_path)
-    first_name = _HEADER.size + 8 + 4  # doc table: u64 count, u32 length, first name
-    bad = tmp_path / "utf8.idx"
-    bad.write_bytes(data[:first_name] + b"\xff" + data[first_name + 1 :])
-    with pytest.raises(CorruptionError, match="UTF-8"):
+    num_docs = _HEADER.unpack_from(data)[7]
+    # doc table: u64 count, one single-byte length per name, then the names
+    first_name = _HEADER.size + 8 + num_docs
+    with pytest.raises(CorruptionError, match="string at byte .* is not UTF-8"):
+        _load_resigned(tmp_path, data[:first_name] + b"\xff" + data[first_name + 1 :])
+
+
+def test_string_lengths_past_section_are_corruption(tmp_path):
+    data = bytearray(_saved(tmp_path))
+    num_docs = _HEADER.unpack_from(data)[7]
+    data[_HEADER.size + 8 + num_docs - 1] = 127  # the last doc name's length
+    with pytest.raises(CorruptionError, match="^doc-table lengths run past its section$"):
+        _load_resigned(tmp_path, data)
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (_HEADER.size - 24, "^doc-table does not end at the lexicon's offset$"),
+        (_HEADER.size - 16, "^lexicon does not end at the H section's offset$"),
+    ],
+    ids=["doc-table", "lexicon"],
+)
+def test_table_must_end_at_next_section(tmp_path, at, message):
+    data = bytearray(_saved(tmp_path))
+    (offset,) = struct.unpack_from("<Q", data, at)
+    struct.pack_into("<Q", data, at, offset + 1)
+    with pytest.raises(CorruptionError, match=message):
+        _load_resigned(tmp_path, data)
+
+
+def test_checksum_mismatch_is_corruption(tmp_path):
+    data = bytearray(_saved(tmp_path))
+    data[-1] ^= 1
+    bad = tmp_path / "bad.idx"
+    bad.write_bytes(data)
+    with pytest.raises(CorruptionError, match="^checksum mismatch"):
         load_index(bad)
+
+
+@pytest.mark.parametrize("where", ["lexicon", "doc-table"])
+def test_unencodable_string_is_validation_error(tmp_path, where):
+    f = factor(matrix_from_cells({0: {0: 1}}))
+    terms, docs = (["\ud800"], ["d0"]) if where == "lexicon" else (["a"], ["d\udcff"])
+    path = tmp_path / "x.idx"
+    with pytest.raises(ValidationError, match=f"^{where} string .* is not encodable as UTF-8"):
+        save_index(f, Lexicon(terms), CodecConfig(), path, docs)
+    assert not path.exists()
+
+
+strings = st.one_of(
+    st.sampled_from(["", "\n", "\x00", "ä", "日本", "\U0001f99c", "x" * 127, "x" * 128]),
+    st.text(max_size=4),
+    st.text(min_size=128, max_size=160),  # at least 128 bytes: a two-byte vbyte length
+    st.text(alphabet="é€\U0001f99c", min_size=40, max_size=60),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(strings, unique=True, max_size=6), st.lists(strings, max_size=6))
+def test_strings_round_trip(tmp_path_factory, terms, docs):
+    cells = {t: {t % len(docs): t + 1} for t in range(len(terms))} if docs else {}
+    V = matrix_from_cells(cells, num_terms=len(terms), num_docs=len(docs))
+    f = factor(V)
+    path = tmp_path_factory.getbasetemp() / "strings.idx"
+    save_index(f, Lexicon(terms), CodecConfig(), path, docs)
+    idx = load_index(path)
+    assert idx.factorization == f
+    assert list(idx.lexicon) == terms and idx.doc_names == docs
 
 
 def test_overlong_h_offset_is_corruption(tmp_path):
@@ -298,11 +399,12 @@ def test_overlong_h_offset_is_corruption(tmp_path):
     f = factor(V)
     path = tmp_path / "h.idx"
     save_index(f, V.lexicon, CodecConfig(), path, V.doc_names)
-    data = path.read_bytes()
-    *_, off_h, _ = _HEADER.unpack_from(data)
+    data = bytearray(path.read_bytes())
+    *_, off_h, off_w = _HEADER.unpack_from(data)
     assert data[off_h + 8] == 0  # the first H offset, vbyte(0)
-    overlong = b"\xff" * 10 + b"\x01"
-    bad = tmp_path / "bad.idx"
-    bad.write_bytes(data[: off_h + 8] + overlong + data[off_h + 9 :])
-    with pytest.raises(CorruptionError, match="H offset table"):
-        load_index(bad)
+    data[off_h + 8 : off_h + 9] = b"\xff" * 10 + b"\x01"
+    with pytest.raises(CorruptionError, match="^H offset table runs past its section$"):
+        _load_resigned(tmp_path, data)
+    struct.pack_into("<Q", data, _HEADER.size - 8, off_w + 10)  # the W section moved with it
+    with pytest.raises(CorruptionError, match="^H offset table: vbyte value longer than 10 bytes$"):
+        _load_resigned(tmp_path, data)
