@@ -274,16 +274,19 @@ def test_stats_closed_form_matches_encoded_lengths(V):
 FUZZ_CFGS = [CodecConfig(), CodecConfig("vbyte", "delta", "vbyte")]
 
 
-def _fuzz_flips(tmp_path, cfg, count):
-    """Save the fuzz index; yield its saved content, then `count` copies of
-    its bytes with 1-3 random bits flipped."""
+def _fuzz_index(tmp_path, cfg):
+    """Save the fuzz index; returns what was saved, the file's bytes and the
+    rng to flip them with."""
     rng = random.Random(77)
     V = random_matrix(30, 60, 0.15, payload_range=(1, 300), rng=rng)
     f = factor(V, FactorParams(min_cols=2))
     path = tmp_path / "fuzz.idx"
     save_index(f, V.lexicon, cfg, path, V.doc_names)
-    yield f, V.lexicon, V.doc_names, cfg
-    data = path.read_bytes()
+    return (f, V.lexicon, V.doc_names, cfg), path.read_bytes(), rng
+
+
+def _flipped(data, rng, count):
+    """`count` copies of `data`, each with 1-3 random bits flipped."""
     for _ in range(count):
         flipped = bytearray(data)
         for i in rng.sample(range(len(data) * 8), rng.randint(1, 3)):
@@ -296,9 +299,8 @@ def test_bit_flip_fuzz_load_raises_only_mtix_errors(tmp_path, cfg):
     """Every flip of 1-3 bits in a small index, re-signed so that it gets
     past the checksum to the decoders, either loads or raises an MtixError,
     never another exception."""
-    flips = _fuzz_flips(tmp_path, cfg, 2000)
-    next(flips)
-    for flipped in flips:
+    _, data, rng = _fuzz_index(tmp_path, cfg)
+    for flipped in _flipped(data, rng, 2000):
         try:
             _load_resigned(tmp_path, flipped)
         except MtixError:
@@ -309,10 +311,9 @@ def test_bit_flip_fuzz_load_raises_only_mtix_errors(tmp_path, cfg):
 def test_bit_flip_never_loads_different_content(tmp_path, cfg):
     """Every flip of 1-3 bits anywhere in the file either raises an
     MtixError or loads exactly the saved content: no silent wrong load."""
-    flips = _fuzz_flips(tmp_path, cfg, 3000)
-    saved = next(flips)
+    saved, data, rng = _fuzz_index(tmp_path, cfg)
     bad = tmp_path / "flipped.idx"
-    for flipped in flips:
+    for flipped in _flipped(data, rng, 3000):
         bad.write_bytes(flipped)
         try:
             idx = load_index(bad)
