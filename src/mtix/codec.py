@@ -27,10 +27,13 @@ the per-bit work. There are three list kernels:
   theirs from a table of the same words) and one join per list; a
   section's lists are packed back to back and flushed to bytes in bounded,
   byte-aligned chunks.
-* decode (`decode_lists`): each list is read from a '0'/'1' string of its
-  own byte span and must end exactly where the next list starts. One
-  regex findall per codec run splits the span into code words, and
-  int(word, 2) turns them into values.
+* decode (`decode_lists`): a section's lists are read in sequence, each
+  from the bit after the one before, out of '0'/'1' text made of one
+  bounded window of the section at a time. Under all-gamma coding one
+  regex findall splits a whole window into code words; under other codec
+  pairs one findall splits each run of words under one codec, over a span
+  sized from the run's count. A word cut off at a window's end is carried
+  over into the next window, and int(word, 2) turns words into values.
 * size (`list_bit_lengths`, `code_bits`): code lengths in closed form from
   each value's bit length, with nothing encoded.
 
@@ -48,7 +51,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import CorruptionError, TruncationError, ValidationError
 from .matrix import Posting, PostingList
@@ -82,6 +85,7 @@ _GAMMA_LEN = [0] + [2 * b - 1 for b in range(1, 65)]
 _DELTA_LEN = [0] + [2 * b.bit_length() - 1 + b - 1 for b in range(1, 65)]
 _VBYTE_LEN = [8] + [8 * -(-b // 7) for b in range(1, 65)]
 _CODE_LEN = {"gamma": _GAMMA_LEN, "delta": _DELTA_LEN, "vbyte": _VBYTE_LEN}
+_MAX_CODE_LEN = {codec: max(lengths) for codec, lengths in _CODE_LEN.items()}
 
 # gamma(x) is x itself, zero-filled to its code length.
 _GAMMA_FMT = [f"0{n}b" for n in _GAMMA_LEN]
@@ -188,25 +192,19 @@ def _words(values: Sequence[int], codec: str, top: int) -> list[str]:
     return _FORMAT[codec](values)
 
 
-def _parse_tokens(tokens: list[str], count: int, pos: int, end: int, codec: str) -> tuple[list[int], int]:
-    """Values of `tokens`, the first tokens of bits[pos:end], which must be
-    `count` code words; returns them and the position after them."""
-    junk = _JUNK[codec]
-    if len(tokens) == count and junk.isdisjoint(tokens):
-        return _PARSE[codec](tokens), pos + sum(map(len, tokens))
-    for token in tokens:
-        if token in junk:
-            break
-        pos += len(token)
-    if end - pos >= max(_CODE_LEN[codec]):
+def _no_word(codec: str, pos: int, avail: int) -> NoReturn:
+    """Raise for bit `pos`, which starts no `codec` code word and has
+    `avail` bits from it to the end of the stream."""
+    if avail >= _MAX_CODE_LEN[codec]:
         raise CorruptionError(f"no {codec} code word at bit {pos}")
     raise TruncationError("bit stream ended mid-value")
 
 
 def _decode_one(bits: str, start: int, codec: str) -> tuple[int, int]:
     match = _WORD_RE[codec].match(bits, start)
-    (x,), end = _parse_tokens([match.group()] if match else [], 1, start, len(bits), codec)
-    return x, end - start
+    if not match or match.group() in _JUNK[codec]:
+        _no_word(codec, start, len(bits) - start)
+    return _PARSE[codec]([match.group()])[0], match.end() - start
 
 
 # ---------------------------------------------------------------------------
@@ -338,70 +336,199 @@ def encode_lists(
     return bytes(out), offsets
 
 
-def _decode_list(
-    bits: str, pos: int, end: int, gap_codec: str, val_codec: str
-) -> tuple[list[int], list[int], int]:
-    """Decode one list from bits[pos:end]; returns (keys, values, new pos).
+# Sections are turned into '0'/'1' text and tokenised this many bytes at a
+# time, so a decoder holds a bounded window of a section, never all of it.
+_WINDOW_BYTES = 2048
 
-    Each run of code words under one codec (the gamma count header, the
-    gaps, the values) is split by one findall, adjacent runs under the same
-    codec by the same one.
+
+class _BitWindow:
+    """The bits of a blob as '0'/'1' text, one bounded window at a time.
+
+    bits[pos:] are the bits not yet read; bits[0] is bit `base` of the blob.
     """
-    gamma = _WORD_RE["gamma"]
-    if gap_codec == "gamma":
-        tokens = gamma.findall(bits, pos, end)
+
+    __slots__ = ("blob", "bits", "base", "pos", "next_byte", "bits_per_word")
+
+    def __init__(self, blob: bytes) -> None:
+        self.blob = blob
+        self.bits = ""
+        self.base = self.pos = self.next_byte = 0
+        # per codec, the bits per word of the last run read: sizes the next
+        self.bits_per_word = dict.fromkeys(CODEC_NAMES, 8)
+
+    def more(self) -> bool:
+        """Carry the unread bits over into the blob's next window; False
+        if the blob has no bytes left."""
+        start = self.next_byte
+        if start >= len(self.blob):
+            return False
+        self.next_byte = start + _WINDOW_BYTES
+        self.base += self.pos
+        self.bits = self.bits[self.pos :] + _bit_string(self.blob[start : self.next_byte])
+        self.pos = 0
+        return True
+
+    def bits_left(self) -> int:
+        return 8 * len(self.blob) - self.base - self.pos
+
+    def stuck(self, codec: str) -> NoReturn:
+        """Raise for the unread bits, which start no `codec` code word."""
+        _no_word(codec, self.base + self.pos, len(self.bits) - self.pos)
+
+
+# A gamma word has at most 63 leading zeros.
+_NO_GAMMA = "0" * 64
+
+
+def _gamma_window(src: _BitWindow) -> list[int]:
+    """The values of the whole gamma words in the next window, read."""
+    if not src.more():
+        src.stuck("gamma")
+    bits = src.bits
+    tokens = _WORD_RE["gamma"].findall(bits)
+    # The tokens tile the text. A junk token "0" starts 64 zeros or a word
+    # cut off at the end; without such zeros, the first one is among the
+    # last word's tokens, which are at most as many as its bits.
+    first = 0 if _NO_GAMMA in bits else max(0, len(tokens) - _MAX_CODE_LEN["gamma"])
+    try:
+        first = tokens.index("0", first)
+    except ValueError:
+        src.pos = len(bits)
     else:
-        match = gamma.match(bits, pos, end)
-        tokens = [match.group()] if match else []
-    (n,), pos = _parse_tokens(tokens[:1], 1, pos, end, "gamma")
-    count = n - 1
-    del tokens[:1]
-    if gap_codec != "gamma":
-        tokens = _WORD_RE[gap_codec].findall(bits, pos, end)
-    if gap_codec == val_codec:
-        gaps, pos = _parse_tokens(tokens[: 2 * count], 2 * count, pos, end, gap_codec)
-        values = gaps[count:]
-        del gaps[count:]
-    else:
-        gaps, pos = _parse_tokens(tokens[:count], count, pos, end, gap_codec)
-        tokens = _WORD_RE[val_codec].findall(bits, pos, end)
-        values, pos = _parse_tokens(tokens[:count], count, pos, end, val_codec)
-    if gap_codec == "vbyte" and 0 in gaps:
-        raise CorruptionError("decoded a zero gap")
-    if val_codec == "vbyte" and 0 in values:
-        raise CorruptionError("decoded a zero payload")
-    if gaps:
-        gaps[0] -= 1  # g0 = key0 + 1
-    return list(accumulate(gaps)), values, pos
+        src.pos = len(bits) - sum(map(len, tokens[first:]))
+        del tokens[first:]
+    if not tokens:
+        src.stuck("gamma")
+    return _gamma_parse(tokens)
+
+
+def _head(src: _BitWindow) -> int:
+    """The next list's count, read from its gamma(count + 1) header."""
+    if len(src.bits) - src.pos < _MAX_CODE_LEN["gamma"]:
+        src.more()
+    match = _WORD_RE["gamma"].match(src.bits, src.pos)
+    if not match or match.group() == "0":
+        src.stuck("gamma")
+    src.pos = match.end()
+    return int(match.group(), 2) - 1
+
+
+def _take(src: _BitWindow, codec: str, k: int) -> list[str]:
+    """The next `k` code words under `codec`, read.
+
+    Each pass tokenises a span sized from the words still wanted and keeps
+    its whole words; a span that comes up short is followed by a larger one
+    from the first bit not kept.
+    """
+    if not k:
+        return []
+    if k > src.bits_left():  # every code word is at least one bit
+        raise TruncationError("bit stream ended mid-value")
+    regex, junk, longest = _WORD_RE[codec], _JUNK[codec], _MAX_CODE_LEN[codec]
+    per_word = src.bits_per_word[codec]
+    start = src.base + src.pos
+    words: list[str] = []
+    while len(words) < k:
+        span = min((k - len(words)) * per_word + longest, 8 * _WINDOW_BYTES)
+        if len(src.bits) - src.pos < span:
+            src.more()
+        bits, pos = src.bits, src.pos
+        end = min(len(bits), pos + span)
+        tokens = regex.findall(bits, pos, end)[: k - len(words)]
+        # keep the whole words: those before a bit that starts no word, or
+        # before the first bit of a word cut off at `end`
+        for token in junk:
+            if token in tokens:
+                del tokens[tokens.index(token) :]
+        src.pos = pos = pos + sum(map(len, tokens))
+        words += tokens
+        if len(words) < k:
+            # no word starts at pos though a whole one would fit before
+            # `end`, or the blob ends: else `end` cut a word, so look further
+            if end - pos >= longest or end == len(bits) and src.next_byte >= len(src.blob):
+                src.stuck(codec)
+            per_word *= 2
+    src.bits_per_word[codec] = -(-(src.base + src.pos - start) // k)
+    return words
+
+
+def _check_end(bits_left: int, count: int, what: str) -> None:
+    """The lists must end in the blob's final byte."""
+    if bits_left >= 8:
+        raise CorruptionError(
+            f"{what} {count - 1} does not end at the end of the section"
+            if count
+            else f"{what} section holds {bits_left} bits but no {what}"
+        )
+
+
+def _gamma_lists(src: _BitWindow, count: int, what: str) -> Iterator[tuple[list[int], list[int]]]:
+    """decode_lists when every code word is gamma: the lists are sliced
+    from the values of whole windows."""
+    buf: list[int] = []  # values read ahead
+    i = 0
+    for index in range(count):
+        if i == len(buf):
+            buf, i = _gamma_window(src), 0
+        mid = i + buf[i]  # the header is count + 1
+        stop = 2 * mid - i - 1
+        while stop > len(buf):
+            if stop - len(buf) > src.bits_left():
+                raise TruncationError("bit stream ended mid-value")
+            del buf[:i]
+            mid, stop, i = mid - i, stop - i, 0
+            buf += _gamma_window(src)
+        gaps, values = buf[i + 1 : mid], buf[mid:stop]
+        i = stop
+        if index == count - 1:
+            unread = sum(_GAMMA_LEN[x.bit_length()] for x in buf[i:])
+            _check_end(src.bits_left() + unread, count, what)
+        if gaps:
+            gaps[0] -= 1  # g0 = key0 + 1
+        yield list(accumulate(gaps)), values
+
+
+def _mixed_lists(
+    src: _BitWindow, count: int, gap_codec: str, val_codec: str, what: str
+) -> Iterator[tuple[list[int], list[int]]]:
+    """decode_lists under any codec pair: each run of code words under one
+    codec (the gamma count header, the gaps, the values) is read as one
+    run, adjacent runs under the same codec as one."""
+    for index in range(count):
+        n = _head(src)
+        if gap_codec == val_codec:
+            gaps = _PARSE[gap_codec](_take(src, gap_codec, 2 * n))
+            values = gaps[n:]
+            del gaps[n:]
+        else:
+            gaps = _PARSE[gap_codec](_take(src, gap_codec, n))
+            values = _PARSE[val_codec](_take(src, val_codec, n))
+        if gap_codec == "vbyte" and 0 in gaps:
+            raise CorruptionError("decoded a zero gap")
+        if val_codec == "vbyte" and 0 in values:
+            raise CorruptionError("decoded a zero payload")
+        if index == count - 1:
+            _check_end(src.bits_left(), count, what)
+        if gaps:
+            gaps[0] -= 1  # g0 = key0 + 1
+        yield list(accumulate(gaps)), values
 
 
 def decode_lists(
-    blob: bytes, offsets: Sequence[int], gap_codec: str, val_codec: str, what: str = "list"
+    blob: bytes, count: int, gap_codec: str, val_codec: str, what: str = "list"
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """Decode the lists `encode_lists` packed into `blob` at bit `offsets`.
+    """Decode the `count` lists `encode_lists` packed into `blob`.
 
-    List i is read from the bytes that hold bits [offsets[i], offsets[i+1])
-    and must end exactly at offsets[i+1]; the last list must end in the
-    blob's final byte. offsets[0] must be 0. Yields (keys, values) per list.
+    The lists are read in sequence, each from the bit after the one before,
+    and the last must end in the blob's final byte. Yields (keys, values)
+    one list at a time, holding a bounded window of the blob's bits.
     """
-    nbits = 8 * len(blob)
-    if offsets and offsets[0] != 0:
-        raise CorruptionError(f"{what} 0 not at its recorded offset")
-    ends = chain(offsets[1:], (nbits,))
-    last = len(offsets) - 1
-    for i, (start, end) in enumerate(zip(offsets, ends)):
-        if not start <= end <= nbits:
-            raise CorruptionError(f"{what} {i + 1} offset out of order or past the section")
-        first = start >> 3
-        base = first << 3
-        bits = _bit_string(blob[first : (end + 7) >> 3])
-        keys, values, pos = _decode_list(bits, start - base, end - base, gap_codec, val_codec)
-        left = end - base - pos
-        if left and i < last:
-            raise CorruptionError(f"{what} {i} does not end at the next {what}'s offset")
-        if left >= 8:
-            raise CorruptionError(f"{what} {i} does not end at the end of the section")
-        yield keys, values
+    src = _BitWindow(blob)
+    if not count:
+        _check_end(src.bits_left(), count, what)
+    if gap_codec == val_codec == "gamma":
+        return _gamma_lists(src, count, what)
+    return _mixed_lists(src, count, gap_codec, val_codec, what)
 
 
 def code_bits(values: Iterable[int], codec: str) -> int:
@@ -449,5 +576,5 @@ def encode_posting_list(pl: PostingList | Sequence[Posting], cfg: CodecConfig) -
 def decode_posting_list(data: bytes, cfg: CodecConfig, term: int = 0) -> PostingList:
     """Exact inverse of encode_posting_list. `data` must hold one list that
     ends in its final byte; the pad bits after it are not checked."""
-    ((docs, payloads),) = decode_lists(data, [0], cfg.doc_gap, cfg.payload, "posting list")
+    ((docs, payloads),) = decode_lists(data, 1, cfg.doc_gap, cfg.payload, "posting list")
     return PostingList._from_columns(term, docs, payloads)

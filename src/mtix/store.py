@@ -1,27 +1,27 @@
 """Binary index persistence and size statistics.
 
-File layout, format version 2 (header integers little-endian, fixed width):
+File layout, format version 3 (header integers little-endian, fixed width):
 
     magic "MTIX" | u8 version | u8 x3 codec ids (doc-gap, payload, coeff)
     u32 CRC32 (zlib) of every other byte of the file
     u64 num_terms | u64 num_docs | u64 num_metaterms
     u64 section offsets x4 (doc-table, lexicon, H-section, W-section)
 
-Every table is `u64 count | one vbyte per entry | payload`:
+Each section is `u64 count | payload`:
 
-    doc-table: byte lengths; the UTF-8 doc names back to back
-    lexicon:   the same for the terms, then the W rows' bit offsets as
-               vbyte deltas (no payload)
-    H-section: the meta-term lists' bit offsets as vbyte deltas; the lists
-    W-section: u64 count; the per-term (meta-term id gap, coefficient) lists
+    doc-table: one vbyte byte length per doc; the UTF-8 names back to back
+    lexicon:   the same for the terms
+    H-section: the meta-term (doc gap, base value) lists
+    W-section: the per-term (meta-term id gap, coefficient) lists
 
 H lists and W rows are bit-packed back to back by the codec's list kernels
-and zero-padded to a byte. Loading checks the CRC right after magic and
-version, then the structure: each table must end exactly at the next
-section's offset, and each list, decoded from its own byte span, must end
-exactly at the next list's recorded bit offset (the last one in its
-section's final byte). Malformed or corrupted file content raises an
-MtixError subclass. Version 1 files are not read.
+and zero-padded to a byte. No list offset is stored: each list starts with
+its gamma-coded length, so a section decodes in sequence, one list after
+the other. Loading checks the CRC right after magic and version, then the
+structure: each string table must end exactly at the next section's
+offset, and each section's lists must end in its final byte. Malformed or
+corrupted file content raises an MtixError subclass. Files of versions 1
+and 2 are not read.
 
 Saving identical inputs yields byte-identical files. Size statistics count
 the encoded content of the H/W sections (everything after each section's
@@ -35,7 +35,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -43,20 +43,18 @@ from .codec import (
     CODEC_IDS,
     CODEC_NAMES,
     CodecConfig,
-    code_bits,
+    MAX_VBYTE_LEN,
     decode_lists,
     encode_lists,
     list_bit_lengths,
     unzip_pairs,
-    vbyte_decode,
-    vbyte_encode,
 )
-from .errors import CorruptionError, FormatError, TruncationError, ValidationError
+from .errors import CorruptionError, FormatError, ValidationError
 from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, TermDocMatrix, nnz
 
 MAGIC = b"MTIX"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4s4BI3Q4Q")  # magic, version, 3 codec ids, CRC32, counts, offsets
 _CRC_AT = 8  # byte offset of the CRC32 in the header
 _U64 = struct.Struct("<Q")
@@ -68,13 +66,15 @@ def _checksum(image: bytes | bytearray | memoryview) -> int:
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
 
 
-def _deltas(offsets: Sequence[int]) -> list[int]:
-    return [b - a for a, b in zip(chain((0,), offsets), offsets)]
-
-
 def _vbytes(values: Iterable[int]) -> bytes:
-    """A table's entries: one vbyte per value."""
-    return b"".join(map(vbyte_encode, values))
+    """A table's entries, one vbyte per value, written in one pass."""
+    out = bytearray()
+    for x in values:
+        while x > 0x7F:
+            out.append(x & 0x7F | 0x80)
+            x >>= 7
+        out.append(x)
+    return bytes(out)
 
 
 def _str_table(strings: Iterable[str], what: str) -> bytes:
@@ -86,25 +86,31 @@ def _str_table(strings: Iterable[str], what: str) -> bytes:
 
 
 def _read_vbytes(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[int], int]:
-    """Read a table's count word and its `count` vbytes from data[pos:end];
-    returns the values and the position after them."""
+    """Read a table's count word and its `count` vbytes from data[pos:end]
+    in one pass; returns the values and the position after them."""
     if pos + 8 > end:
         raise CorruptionError(f"{what} runs past its section")
     if _U64.unpack_from(data, pos)[0] != count:
         raise CorruptionError(f"{what} count does not match header")
     pos += 8
-    section = data[:end]
-    values = []
-    try:
-        for _ in range(count):
-            value, used = vbyte_decode(section, pos)
-            values.append(value)
-            pos += used
-    except TruncationError:
-        raise CorruptionError(f"{what} runs past its section") from None
-    except CorruptionError as exc:
-        raise CorruptionError(f"{what}: {exc}") from None
-    return values, pos
+    head = bytes(data[pos : min(pos + count, end)])
+    if len(head) == count and head.isascii():  # every value fits one byte
+        return list(head), pos + count
+    values: list[int] = []
+    x = shift = 0
+    for byte in data[pos:end]:
+        pos += 1
+        x |= (byte & 0x7F) << shift
+        if byte & 0x80:
+            shift += 7
+            if shift == 7 * MAX_VBYTE_LEN:
+                raise CorruptionError(f"{what}: vbyte value longer than {MAX_VBYTE_LEN} bytes")
+            continue
+        values.append(x)
+        if len(values) == count:
+            return values, pos
+        x = shift = 0
+    raise CorruptionError(f"{what} runs past its section")
 
 
 def _read_strs(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[str], int]:
@@ -132,10 +138,13 @@ def _w_lists(f: Factorization) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
 def encoded_section_parts(
     f: Factorization, cfg: CodecConfig
 ) -> tuple[bytes, bytes, bytes, list[int]]:
-    """(H offsets blob, H blob, W blob, W bit offsets) exactly as saved."""
-    h_blob, h_offsets = encode_lists(_h_lists(f), cfg.doc_gap, cfg.payload)
+    """(b"", H blob, W blob, W bit offsets): the H and W lists exactly as
+    saved, and where each W row starts. The first item was the H offset
+    table, which format 3 dropped; it stays, empty, so that the tuple keeps
+    the shape perfbench reads."""
+    h_blob, _ = encode_lists(_h_lists(f), cfg.doc_gap, cfg.payload)
     w_blob, w_offsets = encode_lists(_w_lists(f), cfg.doc_gap, cfg.coeff)
-    return _vbytes(_deltas(h_offsets)), h_blob, w_blob, w_offsets
+    return b"", h_blob, w_blob, w_offsets
 
 
 def save_index(
@@ -153,13 +162,11 @@ def save_index(
     if len(doc_names) != f.num_docs:
         raise ValidationError(f"{len(doc_names)} doc names for {f.num_docs} docs")
 
-    doc_table = _str_table(doc_names, "doc-table")
-    terms = _str_table(lexicon, "lexicon")
-    h_off_blob, h_blob, w_blob, w_offsets = encoded_section_parts(f, cfg)
+    _, h_blob, w_blob, _ = encoded_section_parts(f, cfg)
     sections = (
-        doc_table,
-        terms + _U64.pack(f.num_terms) + _vbytes(_deltas(w_offsets)),
-        _U64.pack(len(f.metaterms)) + h_off_blob + h_blob,
+        _str_table(doc_names, "doc-table"),
+        _str_table(lexicon, "lexicon"),
+        _U64.pack(len(f.metaterms)) + h_blob,
         _U64.pack(f.num_terms) + w_blob,
     )
     codec_ids = (CODEC_IDS[c] for c in (cfg.doc_gap, cfg.payload, cfg.coeff))
@@ -204,16 +211,16 @@ def load_index(path: str | Path) -> LoadedIndex:
     if pos != off_lex:
         raise CorruptionError("doc-table does not end at the lexicon's offset")
     terms, pos = _read_strs(data, off_lex, off_h, num_terms, "lexicon")
-    w_deltas, pos = _read_vbytes(data, pos, off_h, num_terms, "W offset table")
     if pos != off_h:
         raise CorruptionError("lexicon does not end at the H section's offset")
     lexicon = Lexicon(terms)
     if len(lexicon) != num_terms:
         raise CorruptionError("lexicon contains duplicate terms")
 
-    h_deltas, pos = _read_vbytes(data, off_h, off_w, num_meta, "H offset table")
+    if off_h + 8 > off_w or _U64.unpack_from(data, off_h)[0] != num_meta:
+        raise CorruptionError("H-section count does not match header")
     metaterms = []
-    h_lists = decode_lists(data[pos:off_w], list(accumulate(h_deltas)), cfg.doc_gap, cfg.payload, "meta-term")
+    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta, cfg.doc_gap, cfg.payload, "meta-term")
     for mid, (cols, base) in enumerate(h_lists):
         # keys are strictly ascending, so the last is the largest
         if cols and cols[-1] >= num_docs:
@@ -223,7 +230,7 @@ def load_index(path: str | Path) -> LoadedIndex:
     if off_w + 8 > len(data) or _U64.unpack_from(data, off_w)[0] != num_terms:
         raise CorruptionError("W-section count does not match header")
     memberships = []
-    w_lists = decode_lists(data[off_w + 8 :], list(accumulate(w_deltas)), cfg.doc_gap, cfg.coeff, "W row")
+    w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row")
     for t, (ids, coeffs) in enumerate(w_lists):
         if ids and ids[-1] >= num_meta:
             raise CorruptionError(f"W row {t} references meta-term beyond count")
@@ -265,10 +272,9 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     """Measure V encoded directly vs the factored W + H under `cfg`.
 
     bytes_direct is V's rows coded as posting lists. bytes_factored counts
-    exactly what the file spends on W and H: the meta-term lists, their
-    offset table and the W rows. The header, count words, doc names, term
-    strings and W-row offsets are left out of both: a directly coded index
-    needs the same names and one string and one list offset per term, so
+    exactly what the file spends on W and H: the meta-term lists and the W
+    rows. The header, count words, doc names and term strings are left out
+    of both: a directly coded index needs the same names and strings, so
     they are framing, not a cost of factoring. The ratio is undefined
     (None) when there is nothing to encode directly. Both come from
     closed-form code lengths, so the lists are taken to be valid, as ingest
@@ -279,11 +285,8 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     )
     h_bits = list_bit_lengths(_h_lists(f), cfg.doc_gap, cfg.payload)
     w_bits = list_bit_lengths(_w_lists(f), cfg.doc_gap, cfg.coeff)
-    # The H offset table codes each list's offset as a vbyte delta from the
-    # previous one: 0 first, then every list length but the last.
-    h_off_bytes = code_bits(chain((0,), h_bits[:-1]), "vbyte") // 8 if h_bits else 0
     bytes_direct = (sum(direct_bits) + 7) // 8
-    bytes_factored = h_off_bytes + (sum(h_bits) + 7) // 8 + (sum(w_bits) + 7) // 8
+    bytes_factored = (sum(h_bits) + 7) // 8 + (sum(w_bits) + 7) // 8
     return IndexStats(
         nnz_v=nnz(matrix),
         nnz_w=f.nnz_w,

@@ -1,9 +1,10 @@
 import importlib.resources
 import random
+import tracemalloc
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import codec_reference as reference
 
@@ -27,6 +28,7 @@ from mtix.codec import (
     CODEC_NAMES,
     MAX_VALUE,
     _TABLE_SIZE,
+    _WINDOW_BYTES,
     code_bits,
     decode_lists,
     encode_lists,
@@ -224,7 +226,7 @@ def test_concatenated_lists_are_prefix_free(lists, cfg):
     lengths = list_bit_lengths(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload)
     assert offsets == list(accumulate(lengths, initial=0))[:-1]
     assert len(blob) == -(-sum(lengths) // 8)
-    decoded = decode_lists(blob, offsets, cfg.doc_gap, cfg.payload)
+    decoded = decode_lists(blob, len(offsets), cfg.doc_gap, cfg.payload)
     assert [tuple(zip(keys, values)) for keys, values in decoded] == lists
 
 
@@ -254,19 +256,37 @@ def test_bit_flip_fuzz_never_returns_invalid_structure():
 @given(st.lists(posting_lists, min_size=1, max_size=6), configs)
 def test_decode_lists_round_trip(lists, cfg):
     blob, offsets = encode_lists(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload)
-    decoded = decode_lists(blob, offsets, cfg.doc_gap, cfg.payload)
+    decoded = decode_lists(blob, len(offsets), cfg.doc_gap, cfg.payload)
     assert [tuple(zip(keys, values)) for keys, values in decoded] == lists
 
 
-def test_decode_lists_checks_each_list_ends_at_next_offset():
-    lists = [((0, 5), (3, 1)), ((2,), (7,)), ((1, 4, 9), (1, 1, 2))]
-    blob, offsets = encode_lists(lists, "gamma", "gamma")
-    assert [tuple(map(tuple, kv)) for kv in decode_lists(blob, offsets, "gamma", "gamma")] == lists
-    for bad in ([offsets[0], offsets[1] + 1, offsets[2]], [offsets[0], offsets[1] - 1, offsets[2]], [1, *offsets[1:]]):
-        with pytest.raises(CorruptionError):
-            list(decode_lists(blob, bad, "gamma", "gamma"))
-    with pytest.raises(CorruptionError):  # the last list must end in the final byte
-        list(decode_lists(blob + b"\x00", offsets, "gamma", "gamma"))
+# A word no codec reads: 128 zeros start no gamma or delta word, and eleven
+# bytes that each flag a next byte start no vbyte word.
+_JUNK_BITS = {"gamma": "0" * 128, "delta": "0" * 128, "vbyte": "1" * 88}
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", list(product(CODEC_NAMES, repeat=2)))
+def test_decode_lists_corruption_raises_mtix_error(gap_codec, val_codec):
+    # three lists, then empty lists, so that junk in the second list is
+    # followed by far more words than any one code word has bits
+    lists = [([0, 5], [3, 1]), ([2], [7]), ([1, 4, 9], [1, 1, 2])] + [([], [])] * 300
+    count = len(lists)
+    blob, offsets = encode_lists(lists, gap_codec, val_codec)
+    bits = _bits_of(blob)
+    end = sum(list_bit_lengths(lists, gap_codec, val_codec))
+    assert list(decode_lists(blob, count, gap_codec, val_codec)) == lists
+    with pytest.raises(MtixError):  # cut off after the third list's header
+        list(decode_lists(_bytes_of(bits[: offsets[2] + len(gamma_encode(4))]), count, gap_codec, val_codec))
+    with pytest.raises(TruncationError, match="^bit stream ended mid-value$"):  # one list more than present
+        list(decode_lists(blob, count + 1, gap_codec, val_codec))
+    # junk where the second list's header or first value starts
+    value_at = offsets[1] + len(gamma_encode(2)) + code_bits([3], gap_codec)
+    for at, codec in ((offsets[1], "gamma"), (value_at, val_codec)):
+        junk = _bytes_of(bits[:at] + _JUNK_BITS[codec] + bits[at:end])
+        with pytest.raises(CorruptionError, match=f"^no {codec} code word at bit {at}$"):
+            list(decode_lists(junk, count, gap_codec, val_codec))
+    with pytest.raises(CorruptionError, match=f"^list {count - 1} does not end at the end of the section$"):
+        list(decode_lists(blob + b"\x00", count, gap_codec, val_codec))
 
 
 def test_truncated_posting_list_stream():
@@ -287,14 +307,14 @@ def test_posting_list_with_trailing_bytes_is_corruption():
 
 
 def test_list_end_corruption_messages():
-    # A middle list is bounded by the next list's offset; the last list has
-    # no next list and is bounded by the end of the section.
+    # The lists are read in sequence, so only the last one has an end to
+    # check: the end of the section, or its start when there are no lists.
     lists = [((0, 5), (3, 1)), ((2,), (7,)), ((1, 4, 9), (1, 1, 2))]
     blob, offsets = encode_lists(lists, "gamma", "gamma")
-    with pytest.raises(CorruptionError, match=r"^W row 0 does not end at the next W row's offset$"):
-        list(decode_lists(blob, [offsets[0], offsets[1] + 1, offsets[2]], "gamma", "gamma", "W row"))
     with pytest.raises(CorruptionError, match=r"^W row 2 does not end at the end of the section$"):
-        list(decode_lists(blob + b"\x00", offsets, "gamma", "gamma", "W row"))
+        list(decode_lists(blob + b"\x00", len(offsets), "gamma", "gamma", "W row"))
+    with pytest.raises(CorruptionError, match=r"^W row section holds 8 bits but no W row$"):
+        list(decode_lists(b"\x00", 0, "gamma", "gamma", "W row"))
     cfg = CodecConfig("gamma", "vbyte", "gamma")
     one = encode_posting_list(PostingList.from_pairs(0, [(0, 2), (9, 13)]), cfg)
     with pytest.raises(CorruptionError, match=r"^posting list 0 does not end at the end of the section$"):
@@ -306,12 +326,16 @@ def _bytes_of(bits: str) -> bytes:
     return int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 
+def _bits_of(data: bytes) -> str:
+    return "".join(format(b, "08b") for b in data)
+
+
 def test_zero_gap_is_corruption():
     vbyte = [format(b, "08b") for b in b"".join(map(vbyte_encode, [1, 0, 5, 5]))]
     # count 2, doc 0, then a zero gap: impossible in a valid stream
     blob = _bytes_of(gamma_encode(3) + "".join(vbyte))
     with pytest.raises(CorruptionError):
-        list(decode_lists(blob, [0], "vbyte", "vbyte"))
+        list(decode_lists(blob, 1, "vbyte", "vbyte"))
 
 
 def test_bitwriter_value_width_guard():
@@ -352,6 +376,90 @@ _WIDTHS_LIST = _list_from_gaps(zip(_WIDTHS, reversed(_WIDTHS)))
 def test_list_kernels_match_reference(gap_codec, val_codec, lists):
     blob, offsets = encode_lists(lists, gap_codec, val_codec)
     assert (blob, offsets) == reference.write_lists(lists, gap_codec, val_codec)
-    decoded = list(decode_lists(blob, offsets, gap_codec, val_codec))
+    decoded = list(decode_lists(blob, len(offsets), gap_codec, val_codec))
     assert reference.read_lists(blob, len(lists), gap_codec, val_codec) == (decoded, offsets)
     assert decoded == lists
+
+
+# Window edges fall every 8 * _WINDOW_BYTES bits from the start of a blob.
+_EDGE = 8 * _WINDOW_BYTES
+_PAIRS = list(product(CODEC_NAMES, repeat=2))
+
+
+def _fill(nbits, gap_codec, val_codec):
+    """Lists that code to exactly `nbits` bits: one-posting lists of 64-bit
+    words, then empty lists, which code to one bit each."""
+    one = ([MAX_VALUE - 1], [MAX_VALUE])
+    size = list_bit_lengths([one], gap_codec, val_codec)[0]
+    return [one] * (nbits // size) + [([], [])] * (nbits % size)
+
+
+def _assert_decodes(lists, gap_codec, val_codec):
+    blob, offsets = encode_lists(lists, gap_codec, val_codec)
+    assert list(decode_lists(blob, len(offsets), gap_codec, val_codec)) == lists
+    return offsets
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", _PAIRS)
+def test_decode_lists_across_window_edges(gap_codec, val_codec):
+    rng = random.Random(12)
+    long_list = _list_from_gaps((rng.randint(1, 1 << 20), rng.randint(1, 1 << 20)) for _ in range(3000))
+    assert list_bit_lengths([long_list], gap_codec, val_codec)[0] > 2 * _EDGE
+    # lists longer than a window, with empty lists around them
+    _assert_decodes([([], []), long_list, ([], []), long_list, ([], [])], gap_codec, val_codec)
+    # a list that ends exactly at the first window edge, then lists after it
+    filler = _fill(_EDGE, gap_codec, val_codec)
+    offsets = _assert_decodes(filler + [([], []), ([3], [5]), long_list], gap_codec, val_codec)
+    assert offsets[len(filler)] == _EDGE
+    # no lists at all
+    assert list(decode_lists(b"", 0, gap_codec, val_codec)) == []
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", _PAIRS)
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 120), st.integers(1, MAX_VALUE), st.integers(MAX_VALUE >> 1, MAX_VALUE))
+def test_decode_lists_word_straddles_window_edge(gap_codec, val_codec, before, gap, value):
+    # a list that starts `before` bits ahead of the edge and carries a
+    # 64-bit value: some word of it straddles the edge
+    filler = _fill(_EDGE - before, gap_codec, val_codec)
+    last = ([gap - 1, gap - 1 + MAX_VALUE], [value, value])
+    offsets = _assert_decodes(filler + [last, ([0], [1])], gap_codec, val_codec)
+    assert offsets[-2] <= _EDGE < offsets[-1]
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", [("gamma", "gamma"), ("delta", "delta")])
+def test_decode_lists_holds_a_bounded_window(gap_codec, val_codec):
+    # a section of 4 MB or more: one list whose length is a whole number of
+    # bytes, repeated, so nothing big has to be encoded; wide words keep the
+    # word count, and so the test's time, down
+    rng = random.Random(5)
+    one = _list_from_gaps((rng.randint(1, 1 << 60), rng.randint(1, 1 << 60)) for _ in range(200))
+    lists = [one] + _fill(-list_bit_lengths([one], gap_codec, val_codec)[0] % 8, gap_codec, val_codec)
+    chunk, _ = encode_lists(lists, gap_codec, val_codec)
+    copies = -(-(4 << 20) // len(chunk))
+    blob = chunk * copies
+    tracemalloc.start()
+    try:
+        decoded = 0
+        for keys, values in decode_lists(blob, len(lists) * copies, gap_codec, val_codec):
+            decoded += len(keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decoded == copies * sum(len(keys) for keys, _ in lists)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", [("gamma", "gamma"), ("delta", "delta")])
+def test_count_past_the_bits_left_fails_before_reading_on(gap_codec, val_codec):
+    # a list that claims 2^40 postings, followed by 2^19 one-bit words: the
+    # count alone shows that the blob cannot hold the list
+    blob = _bytes_of(gamma_encode((1 << 40) + 1) + "1" * (1 << 19))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match="^bit stream ended mid-value$"):
+            list(decode_lists(blob, 1, gap_codec, val_codec))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -124,7 +124,7 @@ def test_corrupt_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
-    for version in (1, 99):
+    for version in (1, 2, 99):
         bad.write_bytes(data[:4] + bytes([version]) + data[5:])
         with pytest.raises(FormatError, match=f"^unsupported version {version}$"):
             load_index(bad)
@@ -225,11 +225,11 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 
 
 # sha256 of save_index output for one seeded planted matrix, one digest per
-# all-same-codec config: format v2 must not move by a single byte.
+# all-same-codec config: format v3 must not move by a single byte.
 PINNED_DIGESTS = {
-    "gamma": "f6d93efd0c14ca1d0035d9fd771e973bd9beb18b58e694064ef05fc4e48193d6",
-    "delta": "b7de505b81de28c937ce3b466f72de61a4f3797a1114c45071b52bc39b62d193",
-    "vbyte": "f298fff72fa24d12bf1f9cc79184b729af7121933074228be997f74c328c36bf",
+    "gamma": "9b9f159a3e5b884d09cda11898f33d8fcaac3910ca695b066b7ee55551ff160b",
+    "delta": "0650cb7d4fc857ff5a31daeb49e79aed23ac5b0c0e93f1e82f8e6bbe2e10b1e9",
+    "vbyte": "f6e984fadd1c5975cc39b58be661c5e11f26bac8fce3f50080e7a5af7b6aa8b4",
 }
 
 
@@ -355,6 +355,16 @@ def test_table_must_end_at_next_section(tmp_path, at, message):
         _load_resigned(tmp_path, data)
 
 
+@pytest.mark.parametrize("section", ["H", "W"])
+def test_section_count_must_match_header(tmp_path, section):
+    data = bytearray(_saved(tmp_path))
+    *_, off_h, off_w = _HEADER.unpack_from(data)
+    at = off_h if section == "H" else off_w
+    struct.pack_into("<Q", data, at, struct.unpack_from("<Q", data, at)[0] + 1)
+    with pytest.raises(CorruptionError, match=f"^{section}-section count does not match header$"):
+        _load_resigned(tmp_path, data)
+
+
 def test_checksum_mismatch_is_corruption(tmp_path):
     data = bytearray(_saved(tmp_path))
     data[-1] ^= 1
@@ -395,17 +405,35 @@ def test_strings_round_trip(tmp_path_factory, terms, docs):
     assert list(idx.lexicon) == terms and idx.doc_names == docs
 
 
-def test_overlong_h_offset_is_corruption(tmp_path):
-    V = matrix_from_cells({0: {0: 1}, 1: {1: 2}})
-    f = factor(V)
-    path = tmp_path / "h.idx"
-    save_index(f, V.lexicon, CodecConfig(), path, V.doc_names)
+def test_overlong_string_length_is_corruption(tmp_path):
+    V = matrix_from_cells({0: {0: 1}})
+    path = tmp_path / "s.idx"
+    save_index(factor(V), V.lexicon, CodecConfig(), path, ["d"])
     data = bytearray(path.read_bytes())
+    at = _HEADER.size + 8  # the doc table's one length, then its one name
+    assert data[at : at + 2] == b"\x01d"
+    data[at : at + 2] = b"\x80\x80"  # both bytes flag a next byte
+    with pytest.raises(CorruptionError, match="^doc-table runs past its section$"):
+        _load_resigned(tmp_path, data)
+    data[at : at + 2] = b"\xff" * 10 + b"\x01d"  # an 11-byte vbyte length
+    for offset in range(_HEADER.size - 24, _HEADER.size, 8):  # the sections after it move
+        struct.pack_into("<Q", data, offset, struct.unpack_from("<Q", data, offset)[0] + 10)
+    with pytest.raises(CorruptionError, match="^doc-table: vbyte value longer than 10 bytes$"):
+        _load_resigned(tmp_path, data)
+
+
+def test_section_parts_keep_their_shape(tmp_path):
+    """encoded_section_parts stays a 4-tuple: the H offset table, which is
+    now empty, the H and W sections as saved, and each W row's bit offset."""
+    V = random_matrix(15, 30, 0.2, rng=random.Random(21))
+    f = factor(V)
+    cfg = CodecConfig("delta", "gamma", "vbyte")
+    path = tmp_path / "parts.idx"
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
+    data = path.read_bytes()
     *_, off_h, off_w = _HEADER.unpack_from(data)
-    assert data[off_h + 8] == 0  # the first H offset, vbyte(0)
-    data[off_h + 8 : off_h + 9] = b"\xff" * 10 + b"\x01"
-    with pytest.raises(CorruptionError, match="^H offset table runs past its section$"):
-        _load_resigned(tmp_path, data)
-    struct.pack_into("<Q", data, _HEADER.size - 8, off_w + 10)  # the W section moved with it
-    with pytest.raises(CorruptionError, match="^H offset table: vbyte value longer than 10 bytes$"):
-        _load_resigned(tmp_path, data)
+    parts = encoded_section_parts(f, cfg)
+    assert isinstance(parts, tuple) and len(parts) == 4
+    h_offsets, h, w, w_offsets = parts
+    assert (h_offsets, h, w) == (b"", data[off_h + 8 : off_w], data[off_w + 8 :])
+    assert w_offsets == encode_lists(map(unzip_pairs, f.memberships), cfg.doc_gap, cfg.coeff)[1]
