@@ -156,13 +156,23 @@ def _delta_parse(words: list[str]) -> list[int]:
     return list(map(sub, ints, map(_DELTA_ADD_BY_LEN.__getitem__, map(len, words))))
 
 
-def _vbyte_value(word: str) -> int:
-    # the 7-bit groups after each byte's flag bit, most significant (last) first
-    return int("".join([word[i : i + 7] for i in range(len(word) - 7, 0, -8)]), 2)
+# Each byte's 7-bit group as text; a word's last byte (flag bit 0) starts a
+# new token.
+_VBYTE_GROUP = [("" if b & 0x80 else " ") + format(b & 0x7F, "07b") for b in range(256)]
 
 
 def _vbyte_parse(words: list[str]) -> list[int]:
-    values = [int(word, 2) if len(word) == 8 else _vbyte_value(word) for word in words]
+    text = "".join(words)
+    if len(text) == 8 * len(words):  # one byte per word: the word is its value
+        values = list(map(int, words, repeat(2, len(words))))
+    else:
+        # The run's bytes reversed put the words in reverse order, each with
+        # its 7-bit groups most significant first, and each led by its last
+        # byte: one join and split give the value texts of the whole run.
+        raw = int(text, 2).to_bytes(len(text) >> 3, "big")[::-1]
+        tokens = "".join(map(_VBYTE_GROUP.__getitem__, raw)).split()
+        values = list(map(int, tokens, repeat(2, len(tokens))))
+        values.reverse()
     if values and max(values) > MAX_VALUE:
         raise CorruptionError("vbyte value exceeds 64 bits")
     return values

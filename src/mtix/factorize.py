@@ -146,8 +146,14 @@ def total_size(f: Factorization) -> int:
 
 
 def _assemble(biclusters: Sequence[Bicluster], num_terms: int, num_docs: int) -> Factorization:
-    """Canonical meta-term order: by (lowest member TermId, lowest DocId)."""
-    order = sorted(range(len(biclusters)), key=lambda i: (biclusters[i].rows[0], biclusters[i].cols[0]))
+    """Canonical meta-term order: the multi-row meta-terms first, then the
+    single-member ones, each part by (lowest member TermId, lowest DocId).
+    The single-member meta-terms thus come last, in term order, which is
+    where the index file stores them as direct posting lists."""
+    order = sorted(
+        range(len(biclusters)),
+        key=lambda i: (len(biclusters[i].rows) < 2, biclusters[i].rows[0], biclusters[i].cols[0]),
+    )
     metaterms = []
     memberships: list[list[tuple[int, int]]] = [[] for _ in range(num_terms)]
     for mid, i in enumerate(order):

@@ -338,6 +338,46 @@ def test_zero_gap_is_corruption():
         list(decode_lists(blob, 1, "vbyte", "vbyte"))
 
 
+def _vbyte_word(groups):
+    """The vbyte word of 7-bit `groups`, least significant first."""
+    return bytes([g | 0x80 for g in groups[:-1]] + [groups[-1]])
+
+
+# 1- to 10-byte words, canonical or with zero high groups, up to 70 bits;
+# never 0, which a list rejects as a gap or a value
+_vbyte_groups = st.lists(st.integers(0, 0x7F), min_size=1, max_size=10).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_vbyte_groups, min_size=2, max_size=30))
+@example([[0x7F] * 10, [1]])
+@example([[1, 0, 0, 0, 0, 0, 0, 0, 0, 1], [5] * 10])
+def test_vbyte_runs_match_reference(words):
+    """A vbyte/vbyte list of words of every length decodes as the reference
+    reads it one word at a time, or fails with the same message."""
+    words = words[: len(words) // 2 * 2]
+    w = reference.BitWriter()
+    reference.put_value(w, len(words) // 2 + 1, "gamma")
+    for byte in b"".join(map(_vbyte_word, words)):
+        w.write_bits(byte, 8)
+    blob = w.getvalue()
+    try:
+        expected = reference.read_lists(blob, 1, "vbyte", "vbyte")[0]
+    except CorruptionError as exc:
+        with pytest.raises(CorruptionError, match=f"^{exc}$"):
+            list(decode_lists(blob, 1, "vbyte", "vbyte"))
+    else:
+        assert list(decode_lists(blob, 1, "vbyte", "vbyte")) == expected
+
+
+def test_vbyte_value_past_64_bits_is_corruption():
+    # 2^64, the smallest 65-bit value, as a gap after a one-byte one
+    words = b"\x01" + _vbyte_word([0] * 9 + [2]) + b"\x01\x01"
+    blob = _bytes_of(gamma_encode(3) + "".join(format(b, "08b") for b in words))
+    with pytest.raises(CorruptionError, match="^vbyte value exceeds 64 bits$"):
+        list(decode_lists(blob, 1, "vbyte", "vbyte"))
+
+
 def test_bitwriter_value_width_guard():
     w = reference.BitWriter()
     with pytest.raises(ValidationError):

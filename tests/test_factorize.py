@@ -261,9 +261,12 @@ def test_metaterm_canonical_order():
     rng = random.Random(31)
     V = random_matrix(25, 30, 0.25, payload_range=(1, 5), rng=rng)
     f = factor(V, FactorParams(min_cols=2))
-    keys = [(b.rows[0], b.cols[0]) for b in f.provenance()]
+    # the multi-row meta-terms first, then the single-member ones, each
+    # part by (lowest member TermId, lowest DocId)
+    keys = [(len(b.rows) < 2, b.rows[0], b.cols[0]) for b in f.provenance()]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+    assert 0 < sum(single for single, _, _ in keys) < len(keys)
     for mid, mt in enumerate(f.metaterms):
         assert mt.id == mid
 
@@ -330,17 +333,18 @@ def _golden_corpus(name, tmp_path):
 GOLDEN_PARAMS = {"default": FactorParams(), "capped": FactorParams(min_cols=3, max_candidates_per_term=2)}
 
 
-@pytest.mark.parametrize(
-    "corpus, params, digest",
-    [
-        ("zipf", "default", "21734e8790cd5e864fe9ce1241a07e445514225d326d1104acc1db8b65fdf5b2"),
-        ("zipf", "capped", "981e2fc61bd7712a914afe5a25ea3f59749e275bd8d679513cd9f2c508c749e8"),
-        ("planted", "default", "dd93f2d7930100b3414f9766790d9d96077e2cee5918724b6886c7addddc9e96"),
-        ("planted", "capped", "1cda2ed2e778805777a6876403fc5604b2cb6aa937a9a98e1ed16a5e2afbc2b5"),
-        ("random", "default", "bfd5bde41266f095bc63a381792ad73e5f1aa77f17dd46f28426a626a6e2dfa9"),
-        ("random", "capped", "edf80fd09e61b396e5b145dcafaef3d6ae787531024c7bd4862d4bb0580e3fc1"),
-    ],
-)
+GOLDEN_DIGESTS = [
+    ("zipf", "default", "b8d7bec9ddc1ced61fd074a34b636bace6d862c9f53e92affee2c3a3c9cf9445"),
+    ("zipf", "capped", "9d928cff8966ee44301cd9b2ec538dd15af9bee1ffa1ff3572f3c9c29ec32da1"),
+    ("planted", "default", "db2aee5882e0d18d376435ed1aedc197b83feb9956f722c569d99f98fb810296"),
+    ("planted", "capped", "7cc4f9df10dc7dc8b0190deec9528a0df64bca2231f1c50e19bc1ab6691391b2"),
+    ("random", "default", "c9d13394978a0ebc2ff5168ac65abd1333f954b1730ccbacba10a343fcee94e4"),
+    ("random", "capped", "0c088e84cbfb34a6b95a9fc86496e94b9c63d50b7e1c530a623b7f21be949021"),
+]
+
+
+# Named by corpus and params alone, so that a regenerated digest keeps the test's name.
+@pytest.mark.parametrize("corpus, params, digest", GOLDEN_DIGESTS, ids=[f"{c}-{p}" for c, p, _ in GOLDEN_DIGESTS])
 def test_factor_golden_digest(corpus, params, digest, tmp_path):
     # Pinned factorizations: any change to stage 1 or stage 2 output,
     # including candidate order under the per-term cap, shows up here.

@@ -1,9 +1,13 @@
 import hashlib
+import importlib.util
 import random
 import struct
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mtix import (
     CodecConfig,
@@ -11,15 +15,20 @@ from mtix import (
     FormatError,
     Lexicon,
     MtixError,
+    TruncationError,
     ValidationError,
     factor,
+    factor_whole_rows,
     FactorParams,
+    ingest_triples,
+    ingest_tsv,
     load_index,
     matrix_from_cells,
     save_index,
     stats,
 )
-from mtix.codec import CODEC_NAMES, encode_lists, unzip_pairs
+from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, gamma_encode, unzip_pairs
+from mtix.factorize import Factorization, MetaTerm
 from mtix.store import _CRC_AT, _HEADER, _checksum, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix
 
@@ -124,7 +133,7 @@ def test_corrupt_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
-    for version in (1, 2, 99):
+    for version in (1, 2, 3, 99):
         bad.write_bytes(data[:4] + bytes([version]) + data[5:])
         with pytest.raises(FormatError, match=f"^unsupported version {version}$"):
             load_index(bad)
@@ -225,11 +234,11 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 
 
 # sha256 of save_index output for one seeded planted matrix, one digest per
-# all-same-codec config: format v3 must not move by a single byte.
+# all-same-codec config: format v4 must not move by a single byte.
 PINNED_DIGESTS = {
-    "gamma": "9b9f159a3e5b884d09cda11898f33d8fcaac3910ca695b066b7ee55551ff160b",
-    "delta": "0650cb7d4fc857ff5a31daeb49e79aed23ac5b0c0e93f1e82f8e6bbe2e10b1e9",
-    "vbyte": "f6e984fadd1c5975cc39b58be661c5e11f26bac8fce3f50080e7a5af7b6aa8b4",
+    "gamma": "784de274c92de18667646b7156dfeaa44cb5cdd851ed43da75a316e98710a3d7",
+    "delta": "3c44e434d25cfac3c6ab04a11d2f46ce0e43605b53eb4fa82068e8cd490e2ce3",
+    "vbyte": "d91118b58700d89b4baa13faaf7715743e34623b3c9a355579d2cc441d763c5e",
 }
 
 
@@ -436,4 +445,156 @@ def test_section_parts_keep_their_shape(tmp_path):
     assert isinstance(parts, tuple) and len(parts) == 4
     h_offsets, h, w, w_offsets = parts
     assert (h_offsets, h, w) == (b"", data[off_h + 8 : off_w], data[off_w + 8 :])
-    assert w_offsets == encode_lists(map(unzip_pairs, f.memberships), cfg.doc_gap, cfg.coeff)[1]
+    # the W rows as saved hold the multi-row memberships alone
+    saved_rows = list(decode_lists(w, f.num_terms, cfg.doc_gap, cfg.coeff))
+    multi = {m for m, n in _members(f).items() if n >= 2}
+    assert saved_rows == [([m for m, _ in row if m in multi], [k for m, k in row if m in multi]) for row in f.memberships]
+    assert w_offsets == encode_lists(saved_rows, cfg.doc_gap, cfg.coeff)[1]
+
+
+def _members(f):
+    """Meta-term id -> number of member terms."""
+    return Counter(m for row in f.memberships for m, _ in row)
+
+
+# A genuine format v3 file (terms "0" "1" "2" over docs "0" "1").
+V3_FILE = bytes.fromhex(
+    "4d544958030101013d050c870300000000000000020000000000000003000000000000004400000000000000"
+    "50000000000000005e000000000000006a0000000000000002000000000000000101303103000000000000"
+    "0001010130313203000000000000007d3e928003000000000000005a4936"
+)
+
+
+def test_v3_file_is_rejected(tmp_path):
+    path = tmp_path / "v3.idx"
+    path.write_bytes(V3_FILE)
+    with pytest.raises(FormatError, match="^unsupported version 3$"):
+        load_index(path)
+
+
+def _f(metaterms, memberships, num_docs):
+    return Factorization(
+        tuple(MetaTerm(m, cols, base) for m, (cols, base) in enumerate(metaterms)),
+        tuple(tuple(row) for row in memberships),
+        len(memberships),
+        num_docs,
+    )
+
+
+# Hand-built factorizations and how many meta-terms each stores with an H
+# list: only the run of single-member meta-terms at the end, in term order,
+# each its term's last membership, with a primitive base, is coded as
+# direct lists.
+HAND_BUILT = {
+    "all singletons in term order": (_f([((0, 2), (1, 2)), ((1,), (1,))], [[(0, 3)], [(1, 1)]], 3), 0),
+    "two singletons on one term": (_f([((0, 1), (1, 2)), ((3,), (1,))], [[(0, 1), (1, 5)]], 4), 1),
+    "non-primitive base": (_f([((0, 2), (2, 4))], [[(0, 1)]], 3), 1),
+    "coefficient not the gcd": (_f([((1,), (3,))], [[(0, 2)]], 2), 1),
+    "singletons out of term order": (_f([((1,), (1,)), ((0,), (1,))], [[(1, 2)], [(0, 1)]], 2), 1),
+    "meta-term with no members": (_f([((0,), (1,)), ((1,), (3,)), ((1,), (1,))], [[(0, 2)], [(2, 5)]], 2), 2),
+    "memberless meta-term last": (_f([((0,), (1,)), ((1,), (3,))], [[(0, 2)], []], 2), 2),
+    "singleton with no columns": (_f([((), ())], [[(0, 1)]], 1), 1),
+    "payload past 64 bits": (_f([((0, 1), (2, 3))], [[(0, 1 << 63)]], 2), 1),
+    "singleton before a multi-row meta-term": (_f([((0,), (1,)), ((1, 2), (1, 1))], [[(0, 1), (1, 1)], [(1, 2)]], 3), 2),
+}
+
+
+@pytest.mark.parametrize("cfg", CFGS)
+@pytest.mark.parametrize("case", sorted(HAND_BUILT))
+def test_hand_built_factorizations_round_trip(tmp_path, case, cfg):
+    f, stored = HAND_BUILT[case]
+    path = tmp_path / "h.idx"
+    save_index(f, Lexicon(map(str, range(f.num_terms))), cfg, path)
+    assert load_index(path).factorization == f
+    data = path.read_bytes()
+    assert _HEADER.unpack_from(data)[8] == stored  # the header's meta-term count
+    *_, off_h, off_w = _HEADER.unpack_from(data)
+    _, h, w, _ = encoded_section_parts(f, cfg)
+    assert (h, w) == (data[off_h + 8 : off_w], data[off_w + 8 :])
+
+
+small_dense_matrices = st.dictionaries(
+    st.integers(0, 7),
+    st.dictionaries(st.integers(0, 6), st.integers(1, 3), min_size=1, max_size=7),
+    max_size=8,
+).map(matrix_from_cells)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_dense_matrices, st.booleans(), st.sampled_from(CFGS))
+def test_every_factor_output_round_trips(tmp_path_factory, V, stage2, cfg):
+    f = factor(V, FactorParams(min_cols=2, enable_stage2=stage2))
+    path = tmp_path_factory.getbasetemp() / "dense.idx"
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
+    assert load_index(path).factorization == f
+
+
+def _assert_direct_plus_one_bit_per_term(V, f):
+    assert all(n == 1 for n in _members(f).values())
+    for cfg in ALL_CFGS:
+        st_ = stats(V, f, cfg)
+        assert st_.bytes_factored == st_.bytes_direct + -(-V.num_terms // 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_no_multirow_metaterm_costs_direct_plus_one_bit_per_term(V):
+    """With no multi-row meta-term, H holds V's rows as they are and W one
+    empty row per term, under every codec configuration."""
+    f = factor(V, FactorParams(enable_stage2=False))
+    assume(all(n == 1 for n in _members(f).values()))
+    _assert_direct_plus_one_bit_per_term(V, f)
+
+
+def _bench_workloads():
+    """perfbench's seeded workload generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["zipf-text", "random-triples"])
+def test_stage1_on_bench_inputs_costs_direct_plus_one_bit_per_term(tmp_path, workload):
+    gen = _bench_workloads().generate(workload, 1, tmp_path)
+    V = (ingest_triples if gen.triples else ingest_tsv)(gen.corpus)
+    _assert_direct_plus_one_bit_per_term(V, factor_whole_rows(V))
+
+
+def _with_h_lists(data, words):
+    """`data` with its H section's lists replaced by the gamma code words
+    of `words`, the W section moved after them, re-signed."""
+    *_, off_h, off_w = _HEADER.unpack_from(data)
+    bits = "".join(map(gamma_encode, words))
+    bits += "0" * (-len(bits) % 8)
+    h = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    data = bytearray(data[: off_h + 8] + h + data[off_w:])
+    struct.pack_into("<Q", data, _HEADER.size - 8, off_h + 8 + len(h))
+    return data
+
+
+@pytest.mark.parametrize(
+    "term_1, error, message",
+    [
+        ([3, 2, 1, 1000, 997], None, None),  # as saved
+        ([2, 2, 1, 1000, 997], CorruptionError, "^H list 1 does not end at the end of the section$"),
+        ([4, 2, 1, 1000, 997], TruncationError, "^bit stream ended mid-value$"),
+        ([3, 2, 3, 1000, 997], CorruptionError, "^direct list of term 1 references doc beyond num_docs$"),
+    ],
+    ids=["as-saved", "count-one-short", "count-one-over", "doc-past-the-end"],
+)
+def test_direct_list_corruption(tmp_path, term_1, error, message):
+    # no multi-row meta-term: the H section is the two terms' direct lists,
+    # each gamma(count + 1), the doc gaps, the payloads
+    V = matrix_from_cells({0: {0: 1000, 3: 999}, 1: {1: 1000, 2: 997}})
+    f = factor(V)
+    path = tmp_path / "d.idx"
+    save_index(f, V.lexicon, CodecConfig(), path, V.doc_names)
+    data = _with_h_lists(path.read_bytes(), [3, 1, 3, 1000, 999] + term_1)
+    if error is None:
+        assert data == path.read_bytes()
+        return
+    with pytest.raises(error, match=message):
+        _load_resigned(tmp_path, data)
