@@ -33,7 +33,8 @@ the per-bit work. There are three list kernels:
   regex findall splits a whole window into code words; under other codec
   pairs one findall splits each run of words under one codec, over a span
   sized from the run's count. A word cut off at a window's end is carried
-  over into the next window, and int(word, 2) turns words into values.
+  over into the next window, and int(word, 2) turns words into values
+  (vbyte words after one join of each run's 7-bit groups).
 * size (`list_bit_lengths`, `code_bits`): code lengths in closed form from
   each value's bit length, with nothing encoded.
 

@@ -448,7 +448,7 @@ def test_section_parts_keep_their_shape(tmp_path):
     # the W rows as saved hold the multi-row memberships alone
     saved_rows = list(decode_lists(w, f.num_terms, cfg.doc_gap, cfg.coeff))
     multi = {m for m, n in _members(f).items() if n >= 2}
-    assert saved_rows == [([m for m, _ in row if m in multi], [k for m, k in row if m in multi]) for row in f.memberships]
+    assert [list(zip(*row)) for row in saved_rows] == [[p for p in row if p[0] in multi] for row in f.memberships]
     assert w_offsets == encode_lists(saved_rows, cfg.doc_gap, cfg.coeff)[1]
 
 
@@ -495,7 +495,10 @@ HAND_BUILT = {
     "memberless meta-term last": (_f([((0,), (1,)), ((1,), (3,))], [[(0, 2)], []], 2), 2),
     "singleton with no columns": (_f([((), ())], [[(0, 1)]], 1), 1),
     "payload past 64 bits": (_f([((0, 1), (2, 3))], [[(0, 1 << 63)]], 2), 1),
-    "singleton before a multi-row meta-term": (_f([((0,), (1,)), ((1, 2), (1, 1))], [[(0, 1), (1, 1)], [(1, 2)]], 3), 2),
+    "singleton before a multi-row meta-term": (
+        _f([((0,), (1,)), ((1, 2), (1, 1))], [[(0, 1), (1, 1)], [(1, 2)]], 3),
+        2,
+    ),
 }
 
 
