@@ -9,10 +9,8 @@ with lossy static pruning.
 
 from .codec import (
     CodecConfig,
-    decode_posting_list,
     delta_decode,
     delta_encode,
-    encode_posting_list,
     gamma_decode,
     gamma_encode,
     vbyte_decode,
@@ -46,14 +44,12 @@ from .matrix import (
     Lexicon,
     Posting,
     PostingList,
-    PrimitiveRow,
     TermDocMatrix,
     export_triples,
     ingest_triples,
     ingest_tsv,
     matrix_from_cells,
     nnz,
-    primitive_form,
 )
 from .query import Query, ScoredDoc, overlap_at_k, prune, top_k
 from .store import IndexStats, LoadedIndex, load_index, save_index, stats
@@ -76,17 +72,14 @@ __all__ = [
     "ParseError",
     "Posting",
     "PostingList",
-    "PrimitiveRow",
     "Query",
     "ScoredDoc",
     "TermDocMatrix",
     "TruncationError",
     "ValidationError",
     "brute_force_optimal",
-    "decode_posting_list",
     "delta_decode",
     "delta_encode",
-    "encode_posting_list",
     "expand_term",
     "export_factors",
     "export_triples",
@@ -101,7 +94,6 @@ __all__ = [
     "matrix_from_cells",
     "nnz",
     "overlap_at_k",
-    "primitive_form",
     "prune",
     "reconstruct",
     "refine_partial",

@@ -82,6 +82,12 @@ def _factored_corpus(args: argparse.Namespace) -> tuple[TermDocMatrix, Factoriza
     return matrix, factor(matrix, _params(args))
 
 
+def _metaterm_count(f: Factorization) -> int:
+    """The meta-term ids export_factors writes: one per meta-term and one
+    per non-empty residual row."""
+    return len(f.metaterms) + sum(map(bool, f.residual))
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     matrix, f = _factored_corpus(args)
     written = save_index(f, matrix.lexicon, _cfg(args), args.index, matrix.doc_names)
@@ -99,7 +105,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
     export_factors(f, h_path, w_path)
     if args.verbose:
         print(
-            f"{len(f.metaterms)} meta-terms, total size {total_size(f)} "
+            f"{_metaterm_count(f)} meta-terms, total size {total_size(f)} "
             f"(nnz_V {nnz(matrix)})",
             file=sys.stderr,
         )
@@ -110,7 +116,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     matrix, f = _factored_corpus(args)
     _print_stats(stats(matrix, f, _cfg(args)), args.tsv)
     if args.verbose:
-        print(f"{len(f.metaterms)} meta-terms over {matrix.num_terms} terms", file=sys.stderr)
+        print(f"{_metaterm_count(f)} meta-terms over {matrix.num_terms} terms", file=sys.stderr)
     return 0
 
 

@@ -55,7 +55,6 @@ from operator import sub
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import CorruptionError, TruncationError, ValidationError
-from .matrix import Posting, PostingList
 
 MAX_VALUE = (1 << 64) - 1
 MAX_VBYTE_LEN = 10  # ceil(64 / 7)
@@ -569,23 +568,9 @@ def list_bit_lengths(
 
 
 # ---------------------------------------------------------------------------
-# Posting lists
+# (key, value) pair lists
 
 
 def unzip_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[Sequence[int], ...]:
     """(keys, values) of a (key, value) pair list."""
     return tuple(zip(*pairs)) or ((), ())
-
-
-def encode_posting_list(pl: PostingList | Sequence[Posting], cfg: CodecConfig) -> bytes:
-    """Encode one posting list to bytes (zero-padded to a whole byte)."""
-    columns = (pl.docs, pl.payloads) if isinstance(pl, PostingList) else unzip_pairs(pl)
-    blob, _ = encode_lists([columns], cfg.doc_gap, cfg.payload)
-    return blob
-
-
-def decode_posting_list(data: bytes, cfg: CodecConfig, term: int = 0) -> PostingList:
-    """Exact inverse of encode_posting_list. `data` must hold one list that
-    ends in its final byte; the pad bits after it are not checked."""
-    ((docs, payloads),) = decode_lists(data, 1, cfg.doc_gap, cfg.payload, "posting list")
-    return PostingList._from_columns(term, docs, payloads)

@@ -11,9 +11,14 @@ two-stage greedy:
 
 * Stage 1 groups whole rows by identical (support, primitive base) signature;
   a group of r rows over c columns is merged whenever gain(r, c) > 0.
-* Stage 2 mines the remaining singleton-covered cells for partial-column
-  biclusters: column subsets on which pairs of rows keep a constant payload
-  ratio, extended to all rows that fit, applied greedily by descending gain.
+* Stage 2 mines the residual rows (the cells no meta-term covers) for
+  partial-column biclusters: column subsets on which pairs of rows keep a
+  constant payload ratio, extended to all rows that fit, applied greedily
+  by descending gain.
+
+Cells that no bicluster covers stay in their term's residual row, stored as
+they are; for the objective each non-empty residual row costs what a
+single-member meta-term would (one W entry plus its cells).
 
 A desk-scale exhaustive oracle (brute_force_optimal) provides the exact
 minimum for tiny instances so the greedy can be sandwich-tested.
@@ -102,26 +107,32 @@ class FactorParams:
 
 @dataclass(frozen=True)
 class Factorization:
-    """H (meta-term store) plus W (per-term meta-term memberships).
+    """H (meta-term store), W (per-term meta-term memberships) and the
+    per-term residual rows.
 
     memberships[t] is the ascending (meta-term id, coefficient) list of term t;
-    meta-term ids are indices into metaterms. Exactness contract:
-    reconstruct(f) equals the source matrix cell for cell, and each term's
-    membership columns are pairwise disjoint.
+    meta-term ids are indices into metaterms. residual[t] is term t's cells
+    that no meta-term covers, as a PostingList of term t (empty when there
+    are none). Exactness contract: reconstruct(f) equals the source matrix
+    cell for cell, and each term's residual docs and membership columns are
+    pairwise disjoint.
     """
 
     metaterms: tuple[MetaTerm, ...]
     memberships: tuple[tuple[tuple[int, int], ...], ...]
+    residual: tuple[PostingList, ...]
     num_terms: int
     num_docs: int
 
     @property
     def nnz_w(self) -> int:
-        return sum(len(row) for row in self.memberships)
+        """W entries, a non-empty residual row counting as one."""
+        return sum(map(len, self.memberships)) + sum(map(bool, self.residual))
 
     @property
     def nnz_h(self) -> int:
-        return sum(len(mt.cols) for mt in self.metaterms)
+        """H entries, a residual row counting one per cell."""
+        return sum(len(mt.cols) for mt in self.metaterms) + sum(map(len, self.residual))
 
     def provenance(self) -> list[Bicluster]:
         """The originating bicluster of each meta-term, rebuilt from W and H."""
@@ -145,26 +156,25 @@ def total_size(f: Factorization) -> int:
     return f.nnz_w + f.nnz_h
 
 
-def _assemble(biclusters: Sequence[Bicluster], num_terms: int, num_docs: int) -> Factorization:
-    """Canonical meta-term order: the multi-row meta-terms first, then the
-    single-member ones, each part by (lowest member TermId, lowest DocId).
-    The single-member meta-terms thus come last, in term order, which is
-    where the index file stores them as direct posting lists."""
-    order = sorted(
-        range(len(biclusters)),
-        key=lambda i: (len(biclusters[i].rows) < 2, biclusters[i].rows[0], biclusters[i].cols[0]),
-    )
-    metaterms = []
-    memberships: list[list[tuple[int, int]]] = [[] for _ in range(num_terms)]
-    for mid, i in enumerate(order):
-        b = biclusters[i]
-        metaterms.append(MetaTerm(mid, b.cols, b.base))
-        for t, k in zip(b.rows, b.coeffs):
-            memberships[t].append((mid, k))
+def _assemble(
+    metaterms: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
+    memberships: Sequence[Sequence[tuple[int, int]]],
+    residual: Sequence[PostingList],
+    num_docs: int,
+) -> Factorization:
+    """Number the (cols, base) meta-terms canonically, by (lowest member
+    TermId, lowest DocId), and renumber the memberships to match."""
+    lowest: dict[int, int] = {}
+    for t, row in enumerate(memberships):
+        for m, _ in row:
+            lowest.setdefault(m, t)
+    order = sorted(range(len(metaterms)), key=lambda m: (lowest[m], metaterms[m][0][0]))
+    new_id = dict(zip(order, range(len(order))))
     return Factorization(
-        metaterms=tuple(metaterms),
-        memberships=tuple(tuple(sorted(row)) for row in memberships),
-        num_terms=num_terms,
+        metaterms=tuple(MetaTerm(i, *metaterms[m]) for i, m in enumerate(order)),
+        memberships=tuple(tuple(sorted((new_id[m], k) for m, k in row)) for row in memberships),
+        residual=tuple(residual),
+        num_terms=len(residual),
         num_docs=num_docs,
     )
 
@@ -173,9 +183,8 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     """Stage 1: merge rows that are exact multiples over their full support.
 
     Rows are grouped by identical (support, primitive base); a group of r >= 2
-    rows over c columns is merged into one bicluster when gain(r, c) > 0,
-    otherwise each row passes through as a singleton meta-term with its GCD
-    scale as the W coefficient.
+    rows over c columns is merged into one bicluster when gain(r, c) > 0.
+    Every other row is its term's residual row, as it is.
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for t, row in enumerate(matrix.rows):
@@ -184,15 +193,16 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
         scale, base = primitive(row.payloads)
         groups.setdefault((row.docs, base), []).append((t, scale))
 
-    biclusters = []
+    metaterms = []
+    memberships: list[list[tuple[int, int]]] = [[] for _ in range(matrix.num_terms)]
+    residual = list(matrix.rows)
     for (cols, base), members in groups.items():
         if len(members) >= 2 and gain(len(members), len(cols)) > 0:
-            rows, coeffs = zip(*members)
-            biclusters.append(Bicluster(rows, cols, base, coeffs))
-        else:
-            for t, s in members:
-                biclusters.append(Bicluster((t,), cols, base, (s,)))
-    return _assemble(biclusters, matrix.num_terms, matrix.num_docs)
+            for t, k in members:
+                memberships[t].append((len(metaterms), k))
+                residual[t] = PostingList(t, (), ())
+            metaterms.append((cols, base))
+    return _assemble(metaterms, memberships, residual, matrix.num_docs)
 
 
 def _later_partners(
@@ -251,27 +261,18 @@ def _candidate_rows(
 
 
 def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams) -> Factorization:
-    """Stage 2: greedy partial-column merging over singleton-covered cells.
+    """Stage 2: greedy partial-column merging over the residual rows.
 
     Candidates come from pairs of residual rows sharing at least min_cols
     columns with a constant payload ratio; each candidate is extended to all
     residual rows that are exact multiples of its base, then candidates are
     applied in descending gain order (ties: lowest TermId, then lowest DocId),
-    revalidated against already-consumed cells first. Leftover cells of a
-    partially consumed row become a fresh singleton meta-term, so the output
-    total size never exceeds the input's.
+    revalidated against already-consumed cells first. A partly consumed row
+    keeps its leftover cells as its residual row, so the output total size
+    never exceeds the input's; rows no bicluster touches pass through as
+    they are.
     """
-    multi: list[Bicluster] = []
-    residual: dict[int, dict[int, int]] = {}
-    for b in f.provenance():
-        if len(b.rows) >= 2:
-            multi.append(b)
-        else:
-            t = b.rows[0]
-            cells = residual.setdefault(t, {})
-            k = b.coeffs[0]
-            for d, u in zip(b.cols, b.base):
-                cells[d] = k * u
+    residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(f.residual) if row}
 
     terms_of_doc: dict[int, list[int]] = {}
     for t in sorted(residual):
@@ -323,14 +324,11 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
     del doc_bits, bases, seen, terms_of_doc
 
     # Greedy application with revalidation against consumed cells.
-    applied: list[Bicluster] = []
+    metaterms = [(mt.cols, mt.base) for mt in f.metaterms]
+    memberships = list(map(list, f.memberships))
     while heap:
         _, _, _, rows, cols, base, coeffs = heappop(heap)
-        live = [
-            (t, k)
-            for t, k in zip(rows, coeffs)
-            if t in residual and all(d in residual[t] for d in cols)
-        ]
+        live = [(t, k) for t, k in zip(rows, coeffs) if all(d in residual[t] for d in cols)]
         if len(live) < 2:
             continue
         g_val = gain(len(live), len(cols))
@@ -341,20 +339,19 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
             live_coeffs = tuple(k for _, k in live)
             heappush(heap, (-g_val, live_rows[0], cols[0], live_rows, cols, base, live_coeffs))
             continue
-        for t in rows:
+        for t, k in live:
             cells = residual[t]
             for d in cols:
                 del cells[d]
-            if not cells:
-                del residual[t]
-        applied.append(Bicluster(rows, cols, base, coeffs))
+            memberships[t].append((len(metaterms), k))
+        metaterms.append((cols, base))
 
-    biclusters = multi + applied
-    for t in sorted(residual):
-        docs, payloads = zip(*sorted(residual[t].items()))
-        scale, base = primitive(payloads)
-        biclusters.append(Bicluster((t,), docs, base, (scale,)))
-    return _assemble(biclusters, f.num_terms, f.num_docs)
+    residual_rows = list(f.residual)
+    for t, cells in residual.items():
+        if len(cells) < len(residual_rows[t]):  # a bicluster took some of its cells
+            docs = tuple(sorted(cells))
+            residual_rows[t] = PostingList(t, docs, tuple(map(cells.__getitem__, docs)))
+    return _assemble(metaterms, memberships, residual_rows, f.num_docs)
 
 
 def factor(matrix: TermDocMatrix, params: FactorParams = FactorParams()) -> Factorization:
@@ -366,27 +363,33 @@ def factor(matrix: TermDocMatrix, params: FactorParams = FactorParams()) -> Fact
 
 
 def expand_term(f: Factorization, t: int) -> PostingList:
-    """Rebuild term t's original posting list from its meta-term memberships.
+    """Rebuild term t's original posting list: its residual row merged with
+    its meta-term memberships; a term with no membership gets its residual
+    row itself.
 
-    Overlapping memberships for a single cell raise InvariantError (the cover
-    must be element-disjoint).
+    A cell covered twice raises InvariantError (the cover must be
+    element-disjoint).
     """
     if not 0 <= t < f.num_terms:
         raise KeyError(t)
     memberships = f.memberships[t]
-    if len(memberships) == 1:
+    residual = f.residual[t]
+    if not memberships:
+        return residual
+    if len(memberships) == 1 and not residual:
         ((m, k),) = memberships
         mt = f.metaterms[m]
         if all(map(lt, mt.cols, islice(mt.cols, 1, None))):
             return PostingList._from_columns(t, mt.cols, _scaled(mt.base, k))
-    merged: dict[int, int] = {}
-    size = 0
+    merged = dict(zip(residual.docs, residual.payloads))
+    size = len(residual)
     for m, k in memberships:
         mt = f.metaterms[m]
         merged.update(zip(mt.cols, _scaled(mt.base, k)))
         size += min(len(mt.cols), len(mt.base))  # what zip pairs up
     if len(merged) < size:
-        docs = sorted(d for m, _ in memberships for d, _ in zip(f.metaterms[m].cols, f.metaterms[m].base))
+        cols = (d for m, _ in memberships for d, _ in zip(f.metaterms[m].cols, f.metaterms[m].base))
+        docs = sorted(chain(residual.docs, cols))
         lowest = next(d1 for d1, d2 in zip(docs, docs[1:]) if d1 == d2)
         raise InvariantError(f"term {t}: memberships overlap on doc {lowest}")
     docs = sorted(merged)
@@ -480,17 +483,31 @@ def brute_force_optimal(matrix: TermDocMatrix) -> int:
 
 def export_factors(f: Factorization, h_out: str | Path | IO[str], w_out: str | Path | IO[str]) -> None:
     """Write H as "metaterm doc payload" and W as "term metaterm coeff"
-    triples, in canonical (id-ascending) order."""
+    triples, in canonical (id-ascending) order.
+
+    Each non-empty residual row is written as the single-member meta-term it
+    stands for: ids follow the meta-terms' in term order, with the row's
+    primitive base in H and its gcd scale in W."""
+    singles = {}  # term -> (meta-term id, docs, scale, base)
+    for t, row in enumerate(f.residual):
+        if row:
+            singles[t] = (len(f.metaterms) + len(singles), row.docs, *primitive(row.payloads))
 
     def _write_h(fh: IO[str]) -> None:
         for mt in f.metaterms:
             for d, u in zip(mt.cols, mt.base):
                 fh.write(f"{mt.id} {d} {u}\n")
+        for m, docs, _, base in singles.values():
+            for d, u in zip(docs, base):
+                fh.write(f"{m} {d} {u}\n")
 
     def _write_w(fh: IO[str]) -> None:
         for t, row in enumerate(f.memberships):
             for m, k in row:
                 fh.write(f"{t} {m} {k}\n")
+            if t in singles:
+                m, _, scale, _ = singles[t]
+                fh.write(f"{t} {m} {scale}\n")
 
     for target, writer in ((h_out, _write_h), (w_out, _write_w)):
         if isinstance(target, (str, Path)):

@@ -179,14 +179,6 @@ class TermDocMatrix:
         ]
 
 
-@dataclass(frozen=True)
-class PrimitiveRow:
-    """Canonical witness that a row is `scale` times a GCD-1 base vector."""
-
-    scale: int
-    base: tuple[Posting, ...]
-
-
 _TOKEN = re.compile(r"[0-9A-Za-z]+")
 
 
@@ -196,24 +188,12 @@ def primitive(payloads: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 
     Two positive vectors over the same columns are integer multiples of one
     base exactly when their bases are equal. Both factorizer stages and
-    primitive_form go through this function.
+    export_factors go through this function.
     """
     g = gcd(*payloads)
     if g == 1:
         return 1, tuple(payloads)
     return g, tuple([p // g for p in payloads])
-
-
-def primitive_form(row: PostingList) -> PrimitiveRow:
-    """GCD-normalize a row: scale = gcd of payloads, base = row / scale.
-
-    Two non-empty rows are scalar multiples of each other exactly when their
-    primitive forms have identical (support, base) sequences.
-    """
-    if not row:
-        raise ValidationError("primitive_form: row is empty")
-    scale, base = primitive(row.payloads)
-    return PrimitiveRow(scale, tuple(map(Posting, row.docs, base)))
 
 
 def nnz(matrix: TermDocMatrix) -> int:

@@ -4,25 +4,22 @@ File layout, format version 4 (header integers little-endian, fixed width):
 
     magic "MTIX" | u8 version | u8 x3 codec ids (doc-gap, payload, coeff)
     u32 CRC32 (zlib) of every other byte of the file
-    u64 num_terms | u64 num_docs | u64 num_metaterms (the stored ones)
+    u64 num_terms | u64 num_docs | u64 num_metaterms
     u64 section offsets x4 (doc-table, lexicon, H-section, W-section)
 
 Each section is `u64 count | payload`:
 
     doc-table: one vbyte byte length per doc; the UTF-8 names back to back
     lexicon:   the same for the terms
-    H-section: the stored meta-terms' (doc gap, base value) lists, then one
-               direct (doc gap, payload) list per term, in term order
+    H-section: the meta-terms' (doc gap, base value) lists, then one direct
+               (doc gap, payload) list per term, in term order
     W-section: the per-term (meta-term id gap, coefficient) lists
 
-A term's cells that no other term shares are coded as its direct list, as a
-directly coded index would code them: no H list and no W entry of their own.
-In memory they are the term's single-member meta-term, the last meta-terms
-in term order (see factorize._assemble): save_index writes that run at the
-end of the meta-terms as direct lists, and load_index rebuilds each from its
-list's primitive form. A term with no such meta-term has an empty direct
-list. Every other meta-term is stored, with an H list and one W entry per
-member, so any factorization saves and loads back equal.
+A term's direct list is its residual row (Factorization.residual): the cells
+that no meta-term covers, coded as a directly coded index would code them,
+with no H list and no W entry of their own. A term with no residual cells
+has an empty direct list. Every meta-term is stored, with an H list and one
+W entry per member, so any factorization saves and loads back equal.
 
 H lists and W rows are bit-packed back to back by the codec's list kernels
 and zero-padded to a byte. No list offset is stored: each list starts with
@@ -43,12 +40,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from math import gcd
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -56,7 +50,6 @@ from .codec import (
     CODEC_IDS,
     CODEC_NAMES,
     CodecConfig,
-    MAX_VALUE,
     MAX_VBYTE_LEN,
     decode_lists,
     encode_lists,
@@ -64,8 +57,8 @@ from .codec import (
     unzip_pairs,
 )
 from .errors import CorruptionError, FormatError, ValidationError
-from .factorize import Factorization, MetaTerm, _scaled
-from .matrix import Lexicon, TermDocMatrix, nnz, primitive
+from .factorize import Factorization, MetaTerm
+from .matrix import Lexicon, PostingList, TermDocMatrix, nnz
 
 MAGIC = b"MTIX"
 VERSION = 4
@@ -141,53 +134,22 @@ def _read_strs(data: memoryview, pos: int, end: int, count: int, what: str) -> t
     return strings, pos
 
 
-def _direct_start(f: Factorization) -> int:
-    """The id of the first meta-term saved as a direct list.
-
-    Those are the longest run at the end of the meta-terms in which each
-    meta-term has one member and is that member's last membership, the
-    members' terms ascend, the columns are not empty and the base is
-    primitive, so that the coefficient is the list's gcd scale. The loader
-    rebuilds exactly these from the direct lists.
-    """
-    members = Counter(map(itemgetter(0), chain.from_iterable(f.memberships)))
-    last = {row[-1][0]: (t, row[-1][1]) for t, row in enumerate(f.memberships) if row}
-    start, below = len(f.metaterms), f.num_terms
-    while start and members[start - 1] == 1 and start - 1 in last:
-        t, k = last[start - 1]
-        base = f.metaterms[start - 1].base
-        primitive_base = base and (1 in base or gcd(*base) == 1)  # most bases hold a 1
-        if t >= below or not primitive_base or k > 1 and k * max(base) > MAX_VALUE:
-            break
-        start, below = start - 1, t
-    return start
-
-
-def _section_lists(f: Factorization) -> tuple[int, Iterator, Iterator]:
-    """(stored meta-term count, H lists, W rows) as saved."""
-    start = _direct_start(f)
-    metaterms = f.metaterms
-
-    def direct(row: tuple[tuple[int, int], ...]) -> tuple[Sequence[int], Sequence[int]]:
-        if row and row[-1][0] >= start:
-            m, k = row[-1]
-            return metaterms[m].cols, _scaled(metaterms[m].base, k)
-        return (), ()
-
-    h = chain(((mt.cols, mt.base) for mt in metaterms[:start]), map(direct, f.memberships))
-    w = (unzip_pairs(row[:-1] if row and row[-1][0] >= start else row) for row in f.memberships)
-    return start, h, w
+def _section_lists(f: Factorization) -> tuple[Iterator, Iterator]:
+    """(H lists, W rows) as saved: the meta-terms' lists, then the residual
+    rows as the direct lists, and the memberships."""
+    h = chain(((mt.cols, mt.base) for mt in f.metaterms), ((row.docs, row.payloads) for row in f.residual))
+    return h, map(unzip_pairs, f.memberships)
 
 
 def encoded_section_parts(
     f: Factorization, cfg: CodecConfig
 ) -> tuple[bytes, bytes, bytes, list[int]]:
     """(b"", H blob, W blob, W bit offsets): the H section's lists (the
-    stored meta-terms, then the direct lists) and the W rows exactly as
-    saved, and where each W row starts. The first item was the H offset
-    table, which format 3 dropped; it stays, empty, so that the tuple keeps
-    the shape perfbench reads."""
-    _, h_lists, w_lists = _section_lists(f)
+    meta-terms, then the direct lists) and the W rows exactly as saved, and
+    where each W row starts. The first item was the H offset table, which
+    format 3 dropped; it stays, empty, so that the tuple keeps the shape
+    perfbench reads."""
+    h_lists, w_lists = _section_lists(f)
     h_blob, _ = encode_lists(h_lists, cfg.doc_gap, cfg.payload)
     w_blob, w_offsets = encode_lists(w_lists, cfg.doc_gap, cfg.coeff)
     return b"", h_blob, w_blob, w_offsets
@@ -208,18 +170,16 @@ def save_index(
     if len(doc_names) != f.num_docs:
         raise ValidationError(f"{len(doc_names)} doc names for {f.num_docs} docs")
 
-    stored, h_lists, w_lists = _section_lists(f)
-    h_blob, _ = encode_lists(h_lists, cfg.doc_gap, cfg.payload)
-    w_blob, _ = encode_lists(w_lists, cfg.doc_gap, cfg.coeff)
+    _, h_blob, w_blob, _ = encoded_section_parts(f, cfg)
     sections = (
         _str_table(doc_names, "doc-table"),
         _str_table(lexicon, "lexicon"),
-        _U64.pack(stored) + h_blob,
+        _U64.pack(len(f.metaterms)) + h_blob,
         _U64.pack(f.num_terms) + w_blob,
     )
     codec_ids = (CODEC_IDS[c] for c in (cfg.doc_gap, cfg.payload, cfg.coeff))
     offsets = accumulate(map(len, sections[:-1]), initial=_HEADER.size)
-    counts = (f.num_terms, f.num_docs, stored)
+    counts = (f.num_terms, f.num_docs, len(f.metaterms))
     header = _HEADER.pack(MAGIC, VERSION, *codec_ids, 0, *counts, *offsets)  # CRC32 0 until filled in
     blob = bytearray().join((header, *sections))
     struct.pack_into("<I", blob, _CRC_AT, _checksum(blob))
@@ -270,8 +230,19 @@ def load_index(path: str | Path) -> LoadedIndex:
     if off_w + 8 > len(data) or _U64.unpack_from(data, off_w)[0] != num_terms:
         raise CorruptionError("W-section count does not match header")
 
-    # W first, so that each direct list in H is appended to its term's row
-    # as it is read, and one section's decode window is live at a time.
+    metaterms = []
+    residual = []
+    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list")
+    for mid, (cols, base) in enumerate(islice(h_lists, num_meta)):
+        # keys are strictly ascending, so the last is the largest
+        if cols and cols[-1] >= num_docs:
+            raise CorruptionError(f"meta-term {mid} references doc beyond num_docs")
+        metaterms.append(MetaTerm(mid, tuple(cols), tuple(base)))
+    for t, (docs, payloads) in enumerate(h_lists):  # the direct lists, one per term
+        if docs and docs[-1] >= num_docs:
+            raise CorruptionError(f"direct list of term {t} references doc beyond num_docs")
+        residual.append(PostingList(t, tuple(docs), tuple(payloads)))
+
     memberships = []
     w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row")
     for t, (ids, coeffs) in enumerate(w_lists):
@@ -279,24 +250,10 @@ def load_index(path: str | Path) -> LoadedIndex:
             raise CorruptionError(f"W row {t} references meta-term beyond count")
         memberships.append(tuple(zip(ids, coeffs)))
 
-    metaterms = []
-    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list")
-    for mid, (cols, base) in enumerate(islice(h_lists, num_meta)):
-        # keys are strictly ascending, so the last is the largest
-        if cols and cols[-1] >= num_docs:
-            raise CorruptionError(f"meta-term {mid} references doc beyond num_docs")
-        metaterms.append(MetaTerm(mid, tuple(cols), tuple(base)))
-    for t, (cols, payloads) in enumerate(h_lists):  # the direct lists, one per term
-        if cols:
-            if cols[-1] >= num_docs:
-                raise CorruptionError(f"direct list of term {t} references doc beyond num_docs")
-            scale, base = primitive(payloads)
-            memberships[t] += ((len(metaterms), scale),)
-            metaterms.append(MetaTerm(len(metaterms), tuple(cols), base))
-
     f = Factorization(
         metaterms=tuple(metaterms),
         memberships=tuple(memberships),
+        residual=tuple(residual),
         num_terms=num_terms,
         num_docs=num_docs,
     )
@@ -330,9 +287,9 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     """Measure V encoded directly vs the factored W + H under `cfg`.
 
     bytes_direct is V's rows coded as posting lists. bytes_factored counts
-    exactly what the file spends on W and H: the stored meta-terms' lists,
-    each term's direct list and the W rows. A factorization with no
-    multi-row meta-term thus costs bytes_direct + ceil(num_terms / 8): its
+    exactly what the file spends on W and H: the meta-terms' lists, each
+    term's residual row as its direct list, and the W rows. A factorization
+    with no meta-term thus costs bytes_direct + ceil(num_terms / 8): its
     direct lists are V's rows, and each W row is empty, a 1-bit count. The
     header, count words, doc names and term strings are left out of both:
     a directly coded index needs the same names and strings, so they are
@@ -340,13 +297,13 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     there is nothing to encode directly. Both come from closed-form code
     lengths, so the lists are taken to be valid, as ingest and factor build
     them; save_index is what checks them. nnz_w and nnz_h count the
-    factorization's entries, each single-member meta-term as one W entry
-    and len(cols) H entries.
+    factorization's entries, each non-empty residual row as the one W entry
+    and len(row) H entries of the single-member meta-term it stands for.
     """
     direct_bits = list_bit_lengths(
         ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload
     )
-    _, h_lists, w_lists = _section_lists(f)
+    h_lists, w_lists = _section_lists(f)
     h_bits = list_bit_lengths(h_lists, cfg.doc_gap, cfg.payload)
     w_bits = list_bit_lengths(w_lists, cfg.doc_gap, cfg.coeff)
     bytes_direct = (sum(direct_bits) + 7) // 8

@@ -2,15 +2,57 @@
 primitive-form rule in mtix.matrix, kept verbatim as the reference the
 differential test in test_factorize compares factorize.factor_whole_rows
 against. Not used by mtix; it keeps its own gcd code on purpose.
+
+PrimitiveRow and primitive_form left mtix.matrix, and _assemble (the
+meta-term numbering of the singleton form, single-member meta-terms last in
+term order) left mtix.factorize, when Factorization took per-term residual
+rows; they live on here verbatim. Its Factorization has an empty residual
+row per term: every cell sits in a meta-term. stage2_reference assembles
+through the same _assemble.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
 
 from mtix.errors import ValidationError
-from mtix.factorize import Bicluster, Factorization, _assemble, gain
-from mtix.matrix import Posting, PostingList, PrimitiveRow, TermDocMatrix
+from mtix.factorize import Bicluster, Factorization, MetaTerm, gain
+from mtix.matrix import Posting, PostingList, TermDocMatrix
+
+
+@dataclass(frozen=True)
+class PrimitiveRow:
+    """Canonical witness that a row is `scale` times a GCD-1 base vector."""
+
+    scale: int
+    base: tuple[Posting, ...]
+
+
+def _assemble(biclusters: Sequence[Bicluster], num_terms: int, num_docs: int) -> Factorization:
+    """Canonical meta-term order: the multi-row meta-terms first, then the
+    single-member ones, each part by (lowest member TermId, lowest DocId).
+    The single-member meta-terms thus come last, in term order, which is
+    where the index file stores them as direct posting lists."""
+    order = sorted(
+        range(len(biclusters)),
+        key=lambda i: (len(biclusters[i].rows) < 2, biclusters[i].rows[0], biclusters[i].cols[0]),
+    )
+    metaterms = []
+    memberships: list[list[tuple[int, int]]] = [[] for _ in range(num_terms)]
+    for mid, i in enumerate(order):
+        b = biclusters[i]
+        metaterms.append(MetaTerm(mid, b.cols, b.base))
+        for t, k in zip(b.rows, b.coeffs):
+            memberships[t].append((mid, k))
+    return Factorization(
+        metaterms=tuple(metaterms),
+        memberships=tuple(tuple(sorted(row)) for row in memberships),
+        residual=tuple(PostingList(t, (), ()) for t in range(num_terms)),
+        num_terms=num_terms,
+        num_docs=num_docs,
+    )
 
 
 def primitive_form(row: PostingList) -> PrimitiveRow:

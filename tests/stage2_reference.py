@@ -1,6 +1,9 @@
 """The stage-2 miner as it was before candidate mining moved into set and
 count builtins, kept verbatim as the reference the differential test in
 test_factorize compares factorize.refine_partial against. Not used by mtix.
+
+It reads and returns the singleton form (see stage1_reference): every cell
+in a meta-term, each row's leftover cells a single-member one.
 """
 
 from __future__ import annotations
@@ -8,8 +11,9 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from math import gcd
 
-from mtix.factorize import Bicluster, FactorParams, Factorization, _assemble, gain
+from mtix.factorize import Bicluster, FactorParams, Factorization, gain
 from mtix.matrix import TermDocMatrix
+from stage1_reference import _assemble
 
 
 def _candidate_from_cols(

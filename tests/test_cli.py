@@ -8,8 +8,10 @@ from mtix import (
     Factorization,
     Lexicon,
     MetaTerm,
+    PostingList,
     export_factors,
     export_triples,
+    factor,
     factor_whole_rows,
     ingest_triples,
     nnz,
@@ -58,6 +60,25 @@ def test_factor_no_stage2_matches_whole_rows(tmp_path):
     export_factors(factor_whole_rows(V), lib_h, lib_w)
     assert (tmp_path / "cli.h").read_text() == lib_h.read_text()
     assert (tmp_path / "cli.w").read_text() == lib_w.read_text()
+
+
+def test_verbose_metaterm_count_is_the_exported_ids(tmp_path, capsys):
+    # factor -v and stats -v count what the .h file numbers: the meta-terms
+    # and one per non-empty residual row
+    V, _ = planted_matrix(num_groups=3, rows_per_group=3, cols_per_group=8,
+                          noise_rows=10, num_docs=60, noise_len_range=(3, 6),
+                          rng=random.Random(14))
+    triples = tmp_path / "v.triples"
+    export_triples(V, triples)
+    capsys.readouterr()
+    assert main(["factor", str(triples), str(tmp_path / "cli"), "--triples", "--verbose"]) == 0
+    factor_err = capsys.readouterr().err
+    ids = {line.split()[0] for line in (tmp_path / "cli.h").read_text().splitlines()}
+    f = factor(ingest_triples(triples))
+    assert 0 < len(f.metaterms) < len(ids) == len(f.metaterms) + sum(map(bool, f.residual))
+    assert factor_err.startswith(f"{len(ids)} meta-terms, total size ")
+    assert main(["stats", str(triples), "--triples", "--verbose"]) == 0
+    assert capsys.readouterr().err == f"{len(ids)} meta-terms over {f.num_terms} terms\n"
 
 
 def test_query_command_blocks_and_tsv(tiny_corpus, tmp_path, capsys):
@@ -283,6 +304,7 @@ def test_invariant_violation_exits_3(tmp_path, capsys):
     bad = Factorization(
         metaterms=(MetaTerm(0, (0, 1), (1, 1)), MetaTerm(1, (1, 2), (1, 1))),
         memberships=(((0, 1), (1, 1)),),
+        residual=(PostingList(0, (), ()),),
         num_terms=1,
         num_docs=3,
     )

@@ -15,10 +15,8 @@ from mtix import (
     PostingList,
     TruncationError,
     ValidationError,
-    decode_posting_list,
     delta_decode,
     delta_encode,
-    encode_posting_list,
     gamma_decode,
     gamma_encode,
     vbyte_decode,
@@ -180,6 +178,18 @@ def test_sizing_rejects_values_past_64_bits():
             list_bit_lengths([((0, 1), (1, MAX_VALUE + 1))], "gamma", codec)
         with pytest.raises(ValidationError):
             list_bit_lengths([((0, MAX_VALUE + 1), (1, 1))], codec, "gamma")
+
+
+def encode_posting_list(pl: PostingList, cfg: CodecConfig) -> bytes:
+    """One posting list, coded as the only list of a section."""
+    blob, _ = encode_lists([(pl.docs, pl.payloads)], cfg.doc_gap, cfg.payload)
+    return blob
+
+
+def decode_posting_list(data: bytes, cfg: CodecConfig, term: int = 0) -> PostingList:
+    """The one list of a section; the pad bits after it are not checked."""
+    ((docs, payloads),) = decode_lists(data, 1, cfg.doc_gap, cfg.payload, "posting list")
+    return PostingList._from_columns(term, docs, payloads)
 
 
 def test_encode_posting_list_empty_is_single_gamma_one():

@@ -10,6 +10,7 @@ from mtix import (
     Factorization,
     InvariantError,
     MetaTerm,
+    PostingList,
     ValidationError,
     export_factors,
     factor,
@@ -23,6 +24,7 @@ from mtix import (
     total_size,
 )
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
+from conftest import singleton_form
 from stage1_reference import factor_whole_rows as reference_factor_whole_rows
 from stage2_reference import refine_partial as reference_refine_partial
 
@@ -50,8 +52,10 @@ def test_factor_whole_rows_groups_multiples():
 def test_factor_whole_rows_distinct_bases_stay_singleton():
     V = matrix_from_cells({0: {0: 1, 1: 2}, 1: {0: 2, 1: 3}})
     f = factor_whole_rows(V)
-    assert len(f.metaterms) == 2
-    assert all(len(row) == 1 for row in f.memberships)
+    assert f.metaterms == () and f.residual == tuple(V.rows)
+    g = singleton_form(f)  # as exported: one single-member meta-term per row
+    assert len(g.metaterms) == 2
+    assert all(len(row) == 1 for row in g.memberships)
     assert reconstruct(f).same_cells(V)
 
 
@@ -59,8 +63,10 @@ def test_factor_whole_rows_small_group_not_merged():
     # gain(2, 2) == 0, so a 2x2 multiple group passes through as singletons
     V = matrix_from_cells({0: {0: 1, 1: 2}, 1: {0: 2, 1: 4}})
     f = factor_whole_rows(V)
-    assert f.metaterms == (MetaTerm(0, (0, 1), (1, 2)), MetaTerm(1, (0, 1), (1, 2)))
-    assert f.memberships == (((0, 1),), ((1, 2),))
+    assert f.metaterms == () and f.residual == tuple(V.rows)
+    g = singleton_form(f)
+    assert g.metaterms == (MetaTerm(0, (0, 1), (1, 2)), MetaTerm(1, (0, 1), (1, 2)))
+    assert g.memberships == (((0, 1),), ((1, 2),))
 
 
 def test_factor_whole_rows_empty_matrix():
@@ -88,7 +94,7 @@ def test_refine_partial_skips_zero_gain_pair():
     # shared ratio on 2 columns only: gain(2, 2) == 0, not applied
     V = matrix_from_cells({0: {0: 1, 1: 1, 2: 7}, 1: {0: 2, 1: 2, 2: 9}})
     f = factor(V, FactorParams(min_cols=2))
-    assert len(f.metaterms) == 2
+    assert f.metaterms == () and len(singleton_form(f).metaterms) == 2
     assert total_size(f) == 2 + 6
     assert reconstruct(f).same_cells(V)
 
@@ -111,8 +117,10 @@ def test_refine_partial_residual_cells_become_singletons():
     )
     f = factor(V, FactorParams(min_cols=3))
     assert reconstruct(f).same_cells(V)
-    assert len(f.metaterms) == 3  # the merge plus two leftover singletons
-    sizes = sorted(len(mt.cols) for mt in f.metaterms)
+    assert len(f.metaterms) == 1 and [row.docs for row in f.residual] == [(3,), (4,)]
+    g = singleton_form(f)
+    assert len(g.metaterms) == 3  # the merge plus two leftover singletons
+    sizes = sorted(len(mt.cols) for mt in g.metaterms)
     assert sizes == [1, 1, 3]
 
 
@@ -233,6 +241,7 @@ def test_reconstruct_detects_overlapping_memberships():
     bad = Factorization(
         metaterms=(MetaTerm(0, (0, 1), (1, 1)), MetaTerm(1, (1, 2), (1, 1))),
         memberships=(((0, 1), (1, 1)),),
+        residual=(PostingList(0, (), ()),),
         num_terms=1,
         num_docs=3,
     )
@@ -261,14 +270,18 @@ def test_metaterm_canonical_order():
     rng = random.Random(31)
     V = random_matrix(25, 30, 0.25, payload_range=(1, 5), rng=rng)
     f = factor(V, FactorParams(min_cols=2))
-    # the multi-row meta-terms first, then the single-member ones, each
-    # part by (lowest member TermId, lowest DocId)
-    keys = [(len(b.rows) < 2, b.rows[0], b.cols[0]) for b in f.provenance()]
+    # by (lowest member TermId, lowest DocId); every meta-term has members
+    keys = [(b.rows[0], b.cols[0]) for b in f.provenance()]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    assert 0 < sum(single for single, _, _ in keys) < len(keys)
+    assert all(len(b.rows) >= 2 for b in f.provenance())
+    assert f.metaterms and any(f.residual)
     for mid, mt in enumerate(f.metaterms):
         assert mt.id == mid
+    # as exported, each residual row is a single-member meta-term after them
+    keys = [(len(b.rows) < 2, b.rows[0], b.cols[0]) for b in singleton_form(f).provenance()]
+    assert keys == sorted(keys)
+    assert 0 < sum(single for single, _, _ in keys) < len(keys)
 
 
 def test_factor_is_deterministic():
@@ -284,7 +297,7 @@ def test_membership_columns_are_disjoint_and_cover_support():
     V = random_matrix(20, 20, 0.4, payload_range=(1, 6), rng=rng)
     f = factor(V, FactorParams(min_cols=2))
     for t, row in enumerate(f.memberships):
-        seen = set()
+        seen = set(f.residual[t].docs)
         for m, _ in row:
             cols = set(f.metaterms[m].cols)
             assert not cols & seen
@@ -406,7 +419,8 @@ def sparse_id_matrices(draw):
 def test_refine_partial_matches_reference(V, min_cols, cap):
     params = FactorParams(min_cols=min_cols, max_candidates_per_term=cap)
     f1 = factor_whole_rows(V)
-    assert refine_partial(V, f1, params) == reference_refine_partial(V, f1, params)
+    want = reference_refine_partial(V, singleton_form(f1), params)
+    assert singleton_form(refine_partial(V, f1, params)) == want
 
 
 def test_refine_partial_matches_reference_mid_size(tmp_path):
@@ -418,7 +432,7 @@ def test_refine_partial_matches_reference_mid_size(tmp_path):
     V = ingest_tsv(path)
     f1 = factor_whole_rows(V)
     f2 = refine_partial(V, f1, FactorParams())
-    assert f2 == reference_refine_partial(V, f1, FactorParams())
+    assert singleton_form(f2) == reference_refine_partial(V, singleton_form(f1), FactorParams())
     assert total_size(f2) < total_size(f1)  # stage 2 applied biclusters
 
 
@@ -441,4 +455,4 @@ def small_planted_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_matrices(), correlated_matrices(), small_planted_matrices()))
 def test_factor_whole_rows_matches_reference(V):
-    assert factor_whole_rows(V) == reference_factor_whole_rows(V)
+    assert singleton_form(factor_whole_rows(V)) == reference_factor_whole_rows(V)

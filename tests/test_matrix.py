@@ -14,8 +14,6 @@ from mtix import (
     Posting,
     PostingList,
     ValidationError,
-    decode_posting_list,
-    encode_posting_list,
     expand_term,
     export_triples,
     factor,
@@ -23,10 +21,11 @@ from mtix import (
     ingest_tsv,
     matrix_from_cells,
     nnz,
-    primitive_form,
     prune,
     reconstruct,
 )
+from mtix.codec import decode_lists, encode_lists
+from mtix.matrix import primitive
 from mtix.synth import zipf_corpus
 
 
@@ -177,19 +176,15 @@ def test_export_triples_canonical_order():
 
 def test_primitive_form_examples():
     row = PostingList.from_pairs(0, [(0, 2), (1, 4), (2, 6)])
-    p = primitive_form(row)
-    assert p.scale == 2 and tuple(b.payload for b in p.base) == (1, 2, 3)
+    scale, base = primitive(row.payloads)
+    assert scale == 2 and base == (1, 2, 3)
 
-    p = primitive_form(PostingList.from_pairs(0, [(4, 5)]))
-    assert p.scale == 5 and p.base == ((4, 1),)
+    row = PostingList.from_pairs(0, [(4, 5)])
+    scale, base = primitive(row.payloads)
+    assert scale == 5 and tuple(zip(row.docs, base)) == ((4, 1),)
 
-    p = primitive_form(PostingList.from_pairs(0, [(0, 3), (1, 7)]))
-    assert p.scale == 1 and tuple(b.payload for b in p.base) == (3, 7)
-
-
-def test_primitive_form_empty_row_rejected():
-    with pytest.raises(ValidationError):
-        primitive_form(PostingList(0, (), ()))
+    scale, base = primitive(PostingList.from_pairs(0, [(0, 3), (1, 7)]).payloads)
+    assert scale == 1 and base == (3, 7)
 
 
 def test_posting_list_invariants():
@@ -235,8 +230,8 @@ rows_strategy = st.lists(
 
 @given(rows_strategy)
 def test_primitive_form_reconstructs_row(row):
-    p = primitive_form(row)
-    rebuilt = tuple((d, p.scale * u) for d, u in p.base)
+    scale, base = primitive(row.payloads)
+    rebuilt = tuple((d, scale * u) for d, u in zip(row.docs, base))
     assert rebuilt == row.postings
 
 
@@ -248,7 +243,7 @@ def test_multiple_iff_identical_primitive_base(a, b):
         pa.payload * b.postings[0].payload == pb.payload * a.postings[0].payload
         for pa, pb in zip(a.postings, b.postings)
     )
-    bases_equal = primitive_form(a).base == primitive_form(b).base
+    bases_equal = (a.docs, primitive(a.payloads)[1]) == (b.docs, primitive(b.payloads)[1])
     assert cross_equal == (same_support and bases_equal)
 
 
@@ -308,10 +303,12 @@ def test_every_constructor_builds_int_columns(cells, convert, theta):
         _assert_columnar(expand_term(f, t))
     W = reconstruct(f)
     _assert_same_cells_agrees(V, W)
-    # decode_posting_list
+    # a list decoded from an index section
     cfg = CodecConfig()
     for row in V.rows:
-        decoded = decode_posting_list(encode_posting_list(row, cfg), cfg, row.term)
+        blob, _ = encode_lists([(row.docs, row.payloads)], cfg.doc_gap, cfg.payload)
+        ((docs, payloads),) = decode_lists(blob, 1, cfg.doc_gap, cfg.payload)
+        decoded = PostingList._from_columns(row.term, docs, payloads)
         _assert_columnar(decoded)
         assert decoded == row
     # prune
@@ -323,14 +320,23 @@ def test_every_constructor_builds_int_columns(cells, convert, theta):
 
 
 def test_expand_term_paths_build_int_columns():
-    # terms 0 and 2: one membership, coefficient 1 and 3; term 1: a merge of two
+    # terms 0 and 2: one membership, coefficient 1 and 3; term 1: a merge of
+    # two; term 3: a membership merged with a residual row; term 4: a
+    # residual row alone
     f = Factorization(
         metaterms=(MetaTerm(0, (0, 4), (1, 2)), MetaTerm(1, (2, 7), (5, 1))),
-        memberships=(((0, 1),), ((0, 3), (1, 2)), ((1, 3),)),
-        num_terms=3,
+        memberships=(((0, 1),), ((0, 3), (1, 2)), ((1, 3),), ((0, 1),), ()),
+        residual=(*(PostingList(t, (), ()) for t in range(3)), PostingList(3, (1, 5), (4, 2)), PostingList(4, (3,), (6,))),
+        num_terms=5,
         num_docs=8,
     )
-    want = {0: ((0, 1), (4, 2)), 1: ((0, 3), (2, 10), (4, 6), (7, 2)), 2: ((2, 15), (7, 3))}
+    want = {
+        0: ((0, 1), (4, 2)),
+        1: ((0, 3), (2, 10), (4, 6), (7, 2)),
+        2: ((2, 15), (7, 3)),
+        3: ((0, 1), (1, 4), (4, 2), (5, 2)),
+        4: ((3, 6),),
+    }
     for t, postings in want.items():
         pl = expand_term(f, t)
         _assert_columnar(pl)

@@ -15,6 +15,7 @@ from mtix import (
     CodecConfig,
     Factorization,
     FactorParams,
+    InvariantError,
     Lexicon,
     MetaTerm,
     Posting,
@@ -35,18 +36,51 @@ from mtix import (
     stats,
     top_k,
 )
-from conftest import brute_force_top_k
+from conftest import brute_force_top_k, singleton_form
 from mtix.synth import planted_matrix, random_matrix, random_queries, zipf_corpus
 from test_factorize import correlated_matrices, small_matrices
 
 
 def test_expand_term_singleton_scalar_multiply():
-    # singleton membership with coefficient 2 over base [(0,1),(3,4)]
+    # exported as a singleton membership with coefficient 2 over base [(0,1),(3,4)]
     V = matrix_from_cells({0: {0: 2, 3: 8}})
     f = factor(V)
-    assert f.metaterms[0].base == (1, 4)
-    assert f.memberships[0] == ((0, 2),)
+    g = singleton_form(f)
+    assert g.metaterms[0].base == (1, 4)
+    assert g.memberships[0] == ((0, 2),)
     assert expand_term(f, 0).postings == ((0, 2), (3, 8))
+    assert expand_term(g, 0).postings == ((0, 2), (3, 8))
+
+
+def test_expand_term_returns_the_residual_row_itself():
+    # terms 1 and 2 merge (gain(2, 4) = 2); term 0 has no membership
+    V = matrix_from_cells({0: {0: 2, 3: 8}, 1: {1: 1, 2: 1, 4: 1, 5: 3}, 2: {1: 2, 2: 2, 4: 2, 5: 6}})
+    f = factor(V)
+    assert f.memberships[0] == () and f.memberships[1] and not f.residual[1]
+    assert expand_term(f, 0) is f.residual[0] and f.residual[0] == V.rows[0]
+    assert expand_term(f, 1) == V.rows[1]
+
+
+@pytest.mark.parametrize(
+    "memberships, residual_docs, lowest",
+    [
+        (((0, 2), (1, 1)), (1, 5), 1),
+        (((0, 2), (1, 1)), (4, 7, 9), 7),
+        (((1, 3),), (3, 8, 9), 9),  # one membership beside a residual row
+    ],
+)
+def test_residual_row_overlapping_a_membership_raises(memberships, residual_docs, lowest):
+    f = Factorization(
+        metaterms=(MetaTerm(0, (0, 1, 7), (1, 1, 1)), MetaTerm(1, (2, 9), (1, 1))),
+        memberships=(memberships,),
+        residual=(PostingList(0, residual_docs, (1,) * len(residual_docs)),),
+        num_terms=1,
+        num_docs=10,
+    )
+    with pytest.raises(InvariantError, match=f"^term 0: memberships overlap on doc {lowest}$"):
+        expand_term(f, 0)
+    with pytest.raises(InvariantError, match=f"^term 0: memberships overlap on doc {lowest}$"):
+        reconstruct(f)
 
 
 def test_expand_term_merges_disjoint_memberships():
@@ -57,7 +91,7 @@ def test_expand_term_merges_disjoint_memberships():
         }
     )
     f = factor(V, FactorParams(min_cols=3))
-    assert len(f.memberships[0]) == 2  # merged block plus leftover singleton
+    assert len(f.memberships[0]) == 1 and f.residual[0].docs == (7,)  # merged block plus leftover row
     assert expand_term(f, 0).postings == V.rows[0].postings
 
 
@@ -323,13 +357,15 @@ def _assert_same_outcome(got, want):
         assert all(type(sd) is ScoredDoc for sd in got)
 
 
-def _assert_query_path_matches_reference(f, queries):
+def _assert_query_path_matches_reference(f, ref, queries):
+    """mtix on f answers as the reference on ref, f in the singleton form
+    (every residual row empty) that the reference reads."""
     for t in range(f.num_terms + 1):  # one past the end raises KeyError in both
-        _assert_same_outcome(_outcome(expand_term, f, t), _outcome(reference.expand_term, f, t))
+        _assert_same_outcome(_outcome(expand_term, f, t), _outcome(reference.expand_term, ref, t))
     lexicon = Lexicon(str(t) for t in range(f.num_terms))
     for terms, k in queries:
         q = Query(tuple(terms), k)
-        _assert_same_outcome(_outcome(top_k, f, q, lexicon), _outcome(reference.top_k, f, q, lexicon))
+        _assert_same_outcome(_outcome(top_k, f, q, lexicon), _outcome(reference.top_k, ref, q, lexicon))
 
 
 def _query_lists(num_terms):
@@ -357,7 +393,7 @@ def factorizations_and_queries(draw):
 @given(factorizations_and_queries())
 def test_query_path_matches_reference(fq):
     f, queries = fq
-    _assert_query_path_matches_reference(f, queries)
+    _assert_query_path_matches_reference(f, singleton_form(f), queries)
 
 
 def _corrupt(draw, f):
@@ -395,9 +431,9 @@ def _corrupt(draw, f):
 def malformed_factorizations_and_queries(draw):
     if draw(st.booleans()):
         V = draw(st.one_of(small_matrices(), correlated_matrices()))
-        f = factor(V, FactorParams(min_cols=draw(st.integers(2, 4))))
+        f = singleton_form(factor(V, FactorParams(min_cols=draw(st.integers(2, 4)))))
         if not f.metaterms:
-            f = factor(matrix_from_cells({0: {0: 1, 2: 3}, 1: {0: 2, 2: 6}, 2: {1: 5}}))
+            f = singleton_form(factor(matrix_from_cells({0: {0: 1, 2: 3}, 1: {0: 2, 2: 6}, 2: {1: 5}})))
         for _ in range(draw(st.integers(1, 2))):
             f = _corrupt(draw, f)
     else:
@@ -414,7 +450,8 @@ def malformed_factorizations_and_queries(draw):
         memberships = tuple(
             tuple(draw(st.lists(membership, max_size=3))) for _ in range(draw(st.integers(1, 5)))
         )
-        f = Factorization(tuple(metaterms), memberships, len(memberships), num_docs)
+        residual = tuple(PostingList(t, (), ()) for t in range(len(memberships)))
+        f = Factorization(tuple(metaterms), memberships, residual, len(memberships), num_docs)
     return f, draw(_query_lists(f.num_terms))
 
 
@@ -422,7 +459,7 @@ def malformed_factorizations_and_queries(draw):
 @given(malformed_factorizations_and_queries())
 def test_malformed_query_path_matches_reference(fq):
     f, queries = fq
-    _assert_query_path_matches_reference(f, queries)
+    _assert_query_path_matches_reference(f, f, queries)
 
 
 @settings(max_examples=300, deadline=None)
@@ -453,8 +490,9 @@ def test_query_path_builds_no_posting_view(fq):
     lexicon = Lexicon(str(t) for t in range(f.num_terms))
     terms = range(f.num_terms + 1)
     queries = [Query(tuple(q), k) for q, k in queries]
-    want = [_outcome(reference.expand_term, f, t) for t in terms]
-    want += [_outcome(reference.top_k, f, q, lexicon) for q in queries]
+    ref = singleton_form(f)
+    want = [_outcome(reference.expand_term, ref, t) for t in terms]
+    want += [_outcome(reference.top_k, ref, q, lexicon) for q in queries]
     with _without_posting_views():
         got = [_outcome(expand_term, f, t) for t in terms]
         got += [_outcome(top_k, f, q, lexicon) for q in queries]

@@ -15,6 +15,7 @@ from mtix import (
     FormatError,
     Lexicon,
     MtixError,
+    PostingList,
     TruncationError,
     ValidationError,
     factor,
@@ -175,11 +176,11 @@ def test_stats_bytes_match_file_sections(tmp_path):
 
 def test_stats_all_singleton_overhead():
     # primitive rows (gcd 1), no shared structure: factored carries the same
-    # bases plus W indirection, so the ratio is >= 1
+    # rows plus an empty W row per term, so the ratio is >= 1
     cells = {t: {t * 3 + i: [1, 2, 5][i] for i in range(3)} for t in range(8)}
     V = matrix_from_cells(cells)
     f = factor(V)
-    assert all(len(row) == 1 for row in f.memberships)
+    assert f.metaterms == () and all(f.residual)  # every row is its residual row
     st = stats(V, f, CodecConfig())
     assert st.bytes_factored >= st.bytes_direct
     assert st.ratio is not None and st.ratio >= 1
@@ -472,32 +473,40 @@ def test_v3_file_is_rejected(tmp_path):
         load_index(path)
 
 
-def _f(metaterms, memberships, num_docs):
+def _f(metaterms, memberships, num_docs, residual=None):
+    """A hand-built factorization; residual maps a term to its (docs,
+    payloads), the other terms' residual rows are empty."""
     return Factorization(
         tuple(MetaTerm(m, cols, base) for m, (cols, base) in enumerate(metaterms)),
         tuple(tuple(row) for row in memberships),
+        tuple(PostingList(t, *(residual or {}).get(t, ((), ()))) for t in range(len(memberships))),
         len(memberships),
         num_docs,
     )
 
 
-# Hand-built factorizations and how many meta-terms each stores with an H
-# list: only the run of single-member meta-terms at the end, in term order,
-# each its term's last membership, with a primitive base, is coded as
-# direct lists.
+# Hand-built factorizations: every meta-term is stored with an H list,
+# whatever its members, and each residual row is its term's direct list.
 HAND_BUILT = {
-    "all singletons in term order": (_f([((0, 2), (1, 2)), ((1,), (1,))], [[(0, 3)], [(1, 1)]], 3), 0),
-    "two singletons on one term": (_f([((0, 1), (1, 2)), ((3,), (1,))], [[(0, 1), (1, 5)]], 4), 1),
-    "non-primitive base": (_f([((0, 2), (2, 4))], [[(0, 1)]], 3), 1),
-    "coefficient not the gcd": (_f([((1,), (3,))], [[(0, 2)]], 2), 1),
-    "singletons out of term order": (_f([((1,), (1,)), ((0,), (1,))], [[(1, 2)], [(0, 1)]], 2), 1),
-    "meta-term with no members": (_f([((0,), (1,)), ((1,), (3,)), ((1,), (1,))], [[(0, 2)], [(2, 5)]], 2), 2),
-    "memberless meta-term last": (_f([((0,), (1,)), ((1,), (3,))], [[(0, 2)], []], 2), 2),
-    "singleton with no columns": (_f([((), ())], [[(0, 1)]], 1), 1),
-    "payload past 64 bits": (_f([((0, 1), (2, 3))], [[(0, 1 << 63)]], 2), 1),
-    "singleton before a multi-row meta-term": (
-        _f([((0,), (1,)), ((1, 2), (1, 1))], [[(0, 1), (1, 1)], [(1, 2)]], 3),
-        2,
+    "all singletons in term order": _f([((0, 2), (1, 2)), ((1,), (1,))], [[(0, 3)], [(1, 1)]], 3),
+    "two singletons on one term": _f([((0, 1), (1, 2)), ((3,), (1,))], [[(0, 1), (1, 5)]], 4),
+    "non-primitive base": _f([((0, 2), (2, 4))], [[(0, 1)]], 3),
+    "coefficient not the gcd": _f([((1,), (3,))], [[(0, 2)]], 2),
+    "singletons out of term order": _f([((1,), (1,)), ((0,), (1,))], [[(1, 2)], [(0, 1)]], 2),
+    "meta-term with no members": _f([((0,), (1,)), ((1,), (3,)), ((1,), (1,))], [[(0, 2)], [(2, 5)]], 2),
+    "memberless meta-term last": _f([((0,), (1,)), ((1,), (3,))], [[(0, 2)], []], 2),
+    "singleton with no columns": _f([((), ())], [[(0, 1)]], 1),
+    "payload past 64 bits": _f([((0, 1), (2, 3))], [[(0, 1 << 63)]], 2),
+    "singleton before a multi-row meta-term": _f([((0,), (1,)), ((1, 2), (1, 1))], [[(0, 1), (1, 1)], [(1, 2)]], 3),
+    "residual rows only": _f([], [[], [], []], 5, {0: ((0, 4), (2, 1)), 2: ((1,), (1 << 63,))}),
+    "residual rows beside singletons": _f(
+        [((0, 2), (1, 2)), ((1,), (1,))], [[(0, 3)], [(1, 1)]], 4, {0: ((1, 3), (5, 5)), 1: ((0, 3), (2, 6))}
+    ),
+    "residual rows beside singletons first and last": _f(
+        [((4,), (2,)), ((0, 1), (1, 1)), ((2,), (3,))],
+        [[(0, 1), (1, 2)], [(1, 1)], [(2, 1)]],
+        5,
+        {0: ((2, 3), (7, 1)), 1: ((3,), (9,)), 2: ((0, 1, 3, 4), (1, 1, 1, 1))},
     ),
 }
 
@@ -505,12 +514,12 @@ HAND_BUILT = {
 @pytest.mark.parametrize("cfg", CFGS)
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))
 def test_hand_built_factorizations_round_trip(tmp_path, case, cfg):
-    f, stored = HAND_BUILT[case]
+    f = HAND_BUILT[case]
     path = tmp_path / "h.idx"
     save_index(f, Lexicon(map(str, range(f.num_terms))), cfg, path)
     assert load_index(path).factorization == f
     data = path.read_bytes()
-    assert _HEADER.unpack_from(data)[8] == stored  # the header's meta-term count
+    assert _HEADER.unpack_from(data)[8] == len(f.metaterms)  # the header's meta-term count
     *_, off_h, off_w = _HEADER.unpack_from(data)
     _, h, w, _ = encoded_section_parts(f, cfg)
     assert (h, w) == (data[off_h + 8 : off_w], data[off_w + 8 :])
