@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .codec import CODEC_NAMES, CodecConfig
 from .errors import InvariantError, MtixError, ValidationError, utf8_error
-from .factorize import FactorParams, Factorization, export_factors, factor, total_size
+from .factorize import FactorParams, Factorization, export_factors, factor, factor_whole_rows, total_size
 from .matrix import TermDocMatrix, export_triples, ingest_triples, ingest_tsv, nnz, read_triples
 from .query import Query, overlap_at_k, prune, resolve_terms, top_k
 from .store import IndexStats, load_index, save_index, stats
@@ -45,12 +45,11 @@ def _cfg(args: argparse.Namespace) -> CodecConfig:
     return CodecConfig(args.codec_doc, args.codec_payload, args.codec_coeff)
 
 
-def _params(args: argparse.Namespace) -> FactorParams:
-    return FactorParams(
-        min_cols=args.min_cols,
-        max_candidates_per_term=args.max_candidates,
-        enable_stage2=not args.no_stage2,
-    )
+def _factor(args: argparse.Namespace, matrix: TermDocMatrix) -> Factorization:
+    """factor() under the command's flags; --no-stage2 runs stage 1 alone.
+    The stage-2 flags are checked either way."""
+    params = FactorParams(min_cols=args.min_cols, max_candidates_per_term=args.max_candidates)
+    return factor_whole_rows(matrix) if args.no_stage2 else factor(matrix, params)
 
 
 def _load_matrix(path: str, triples: bool) -> TermDocMatrix:
@@ -79,7 +78,7 @@ def _factored_corpus(args: argparse.Namespace) -> tuple[TermDocMatrix, Factoriza
     matrix = _load_matrix(args.corpus, args.triples)
     if args.theta is not None:
         matrix = prune(matrix, args.theta)
-    return matrix, factor(matrix, _params(args))
+    return matrix, _factor(args, matrix)
 
 
 def _metaterm_count(f: Factorization) -> int:
@@ -99,7 +98,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_factor(args: argparse.Namespace) -> int:
     matrix = _load_matrix(args.input, args.triples)
-    f = factor(matrix, _params(args))
+    f = _factor(args, matrix)
     h_path = f"{args.out_prefix}.h"
     w_path = f"{args.out_prefix}.w"
     export_factors(f, h_path, w_path)
@@ -164,14 +163,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     queries = _read_queries(args.queries)
 
     cfg = _cfg(args)
-    params = _params(args)
-    baseline_f = factor(matrix, params)
+    baseline_f = _factor(args, matrix)
     baseline = [top_k(baseline_f, Query(tuple(t), args.k), matrix.lexicon) for t in queries]
 
     rows = []
     for theta in thetas:
         pruned = prune(matrix, theta)
-        f = factor(pruned, params)
+        f = _factor(args, pruned)
         st = stats(pruned, f, cfg)
         if args.verbose:
             print(f"theta={theta}: kept {st.nnz_v} postings", file=sys.stderr)

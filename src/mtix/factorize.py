@@ -6,8 +6,9 @@ meta-term: its base over its columns is stored once in H, and every member
 row stores only its integer coefficient in W. Covering every non-zero cell
 with element-disjoint biclusters makes the factorization exact; the objective
 is to keep the total bicluster size (rows + columns, i.e. nnz(W) + nnz(H))
-small. Finding the best cover is intractable, so the factorizer is a
-two-stage greedy:
+small. Finding the best cover is intractable, so factor() is a two-stage
+greedy, refine_partial(factor_whole_rows(V)); stage 1 alone is the CLI's
+--no-stage2:
 
 * Stage 1 groups whole rows by identical (support, primitive base) signature;
   a group of r rows over c columns is merged whenever gain(r, c) > 0.
@@ -50,32 +51,13 @@ def gain(r: int, c: int) -> int:
 
 @dataclass(frozen=True)
 class Bicluster:
-    """Witness that rows x cols of V equals outer(coeffs, base), base primitive."""
+    """One meta-term as Factorization.provenance() returns it: rows x cols of
+    V equals outer(coeffs, base), base primitive."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     base: tuple[int, ...]
     coeffs: tuple[int, ...]
-
-    def check_against(self, matrix: TermDocMatrix) -> None:
-        """Cell-by-cell validation; raises InvariantError on any mismatch."""
-        if not self.rows or not self.cols:
-            raise InvariantError("bicluster must have at least one row and one column")
-        g = 0
-        for u in self.base:
-            g = gcd(g, u)
-        if g != 1:
-            raise InvariantError(f"bicluster base has gcd {g}, expected 1")
-        for t, k in zip(self.rows, self.coeffs):
-            if k < 1:
-                raise InvariantError(f"coefficient {k} for term {t} must be >= 1")
-            row = matrix.rows[t]
-            cells = dict(zip(row.docs, row.payloads))
-            for d, u in zip(self.cols, self.base):
-                if cells.get(d) != k * u:
-                    raise InvariantError(
-                        f"cell ({t}, {d}): expected {k * u}, matrix has {cells.get(d)}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -86,17 +68,13 @@ class MetaTerm:
     cols: tuple[int, ...]
     base: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.cols)
-
 
 @dataclass(frozen=True)
 class FactorParams:
-    """Stage-2 knobs. The pipeline is deterministic."""
+    """Stage-2 knobs; stage 1 has none. The pipeline is deterministic."""
 
     min_cols: int = 4
     max_candidates_per_term: int = 64
-    enable_stage2: bool = True
 
     def __post_init__(self) -> None:
         if self.min_cols < 2:
@@ -162,8 +140,8 @@ def _assemble(
     residual: Sequence[PostingList],
     num_docs: int,
 ) -> Factorization:
-    """Number the (cols, base) meta-terms canonically, by (lowest member
-    TermId, lowest DocId), and renumber the memberships to match."""
+    """Stage 2's numbering: the (cols, base) meta-terms canonically, by
+    (lowest member TermId, lowest DocId), and the memberships to match."""
     lowest: dict[int, int] = {}
     for t, row in enumerate(memberships):
         for m, _ in row:
@@ -184,7 +162,9 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
 
     Rows are grouped by identical (support, primitive base); a group of r >= 2
     rows over c columns is merged into one bicluster when gain(r, c) > 0.
-    Every other row is its term's residual row, as it is.
+    Every other row is its term's residual row, as it is. Groups come in
+    the order of their lowest member term, so numbering them as they merge
+    gives the canonical ids.
     """
     groups: dict[tuple, list[tuple[int, int]]] = {}
     for t, row in enumerate(matrix.rows):
@@ -193,16 +173,17 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
         scale, base = primitive(row.payloads)
         groups.setdefault((row.docs, base), []).append((t, scale))
 
-    metaterms = []
-    memberships: list[list[tuple[int, int]]] = [[] for _ in range(matrix.num_terms)]
+    metaterms: list[MetaTerm] = []
+    memberships: list[tuple[tuple[int, int], ...]] = [()] * matrix.num_terms
     residual = list(matrix.rows)
     for (cols, base), members in groups.items():
         if len(members) >= 2 and gain(len(members), len(cols)) > 0:
+            m = len(metaterms)
             for t, k in members:
-                memberships[t].append((len(metaterms), k))
+                memberships[t] = ((m, k),)
                 residual[t] = PostingList(t, (), ())
-            metaterms.append((cols, base))
-    return _assemble(metaterms, memberships, residual, matrix.num_docs)
+            metaterms.append(MetaTerm(m, cols, base))
+    return Factorization(tuple(metaterms), tuple(memberships), tuple(residual), matrix.num_terms, matrix.num_docs)
 
 
 def _later_partners(
@@ -260,7 +241,7 @@ def _candidate_rows(
     return tuple(rows), tuple(coeffs)
 
 
-def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams) -> Factorization:
+def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
     """Stage 2: greedy partial-column merging over the residual rows.
 
     Candidates come from pairs of residual rows sharing at least min_cols
@@ -274,9 +255,10 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
     """
     residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(f.residual) if row}
 
+    # residual's keys ascend, so each doc's term list does too.
     terms_of_doc: dict[int, list[int]] = {}
-    for t in sorted(residual):
-        for d in residual[t]:
+    for t, cells in residual.items():
+        for d in cells:
             terms_of_doc.setdefault(d, []).append(t)
 
     # Candidate generation, one pass over residual row pairs.
@@ -287,8 +269,7 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
     bases: dict[tuple[int, ...], tuple[int, ...]] = {}
     heap: list[tuple] = []
     seen: set[tuple] = set()
-    for t1 in sorted(residual):
-        row1 = residual[t1]
+    for t1, row1 in residual.items():
         if len(row1) < min_cols:
             continue
         made = 0
@@ -355,11 +336,8 @@ def refine_partial(matrix: TermDocMatrix, f: Factorization, params: FactorParams
 
 
 def factor(matrix: TermDocMatrix, params: FactorParams = FactorParams()) -> Factorization:
-    """Full pipeline: whole-row grouping, then optional partial refinement."""
-    f = factor_whole_rows(matrix)
-    if params.enable_stage2:
-        f = refine_partial(matrix, f, params)
-    return f
+    """Full pipeline: whole-row grouping, then partial refinement."""
+    return refine_partial(factor_whole_rows(matrix), params)
 
 
 def expand_term(f: Factorization, t: int) -> PostingList:

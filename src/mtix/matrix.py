@@ -101,9 +101,6 @@ class PostingList:
     def __iter__(self) -> Iterator[Posting]:
         return map(tuple.__new__, repeat(Posting), zip(self.docs, self.payloads))
 
-    def support(self) -> tuple[int, ...]:
-        return self.docs
-
 
 def _ints(values: Sequence[int]) -> tuple[int, ...]:
     """The values through int(), as a tuple; int() returns an exact int as

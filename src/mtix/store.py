@@ -19,7 +19,9 @@ A term's direct list is its residual row (Factorization.residual): the cells
 that no meta-term covers, coded as a directly coded index would code them,
 with no H list and no W entry of their own. A term with no residual cells
 has an empty direct list. Every meta-term is stored, with an H list and one
-W entry per member, so any factorization saves and loads back equal.
+W entry per member, so any factorization save_index accepts loads back
+equal; one that would not, it rejects before writing. Overlapping
+memberships round-trip as they are: reconstruct is what rejects them.
 
 H lists and W rows are bit-packed back to back by the codec's list kernels
 and zero-padded to a byte. No list offset is stored: each list starts with
@@ -155,6 +157,27 @@ def encoded_section_parts(
     return b"", h_blob, w_blob, w_offsets
 
 
+def _check_saveable(f: Factorization) -> None:
+    """Raise ValidationError for a factorization that would not load back
+    equal: a table not num_terms long, an id not its position, or a key out
+    of range. A list's last key stands for all of it: encode_lists rejects
+    keys that do not ascend."""
+    if not len(f.residual) == len(f.memberships) == f.num_terms:
+        raise ValidationError(f"{len(f.residual)} residual rows and {len(f.memberships)} W rows for {f.num_terms} terms")
+    for m, mt in enumerate(f.metaterms):
+        if mt.id != m:
+            raise ValidationError(f"meta-term at position {m} has id {mt.id}")
+        if mt.cols and mt.cols[-1] >= f.num_docs:
+            raise ValidationError(f"meta-term {m} references doc {mt.cols[-1]} beyond num_docs={f.num_docs}")
+    for t, (row, members) in enumerate(zip(f.residual, f.memberships)):
+        if row.term != t:
+            raise ValidationError(f"residual row {t} is of term {row.term}")
+        if row.docs and row.docs[-1] >= f.num_docs:
+            raise ValidationError(f"residual row {t} references doc {row.docs[-1]} beyond num_docs={f.num_docs}")
+        if members and members[-1][0] >= len(f.metaterms):
+            raise ValidationError(f"W row {t} references meta-term {members[-1][0]} beyond {len(f.metaterms)}")
+
+
 def save_index(
     f: Factorization,
     lexicon: Lexicon,
@@ -162,7 +185,9 @@ def save_index(
     path: str | Path,
     doc_names: Sequence[str] | None = None,
 ) -> int:
-    """Write the factored index to `path`; returns total bytes written."""
+    """Write the factored index to `path`; returns total bytes written.
+    Raises ValidationError, writing nothing, for what would not load back equal."""
+    _check_saveable(f)
     if len(lexicon) != f.num_terms:
         raise ValidationError(f"lexicon has {len(lexicon)} terms, factorization {f.num_terms}")
     if doc_names is None:

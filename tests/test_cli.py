@@ -14,9 +14,11 @@ from mtix import (
     factor,
     factor_whole_rows,
     ingest_triples,
+    matrix_from_cells,
     nnz,
     prune,
     save_index,
+    stats,
 )
 from mtix.cli import main
 from mtix.synth import planted_matrix, random_matrix, random_queries
@@ -47,10 +49,17 @@ def test_build_is_deterministic(tiny_corpus, tmp_path):
     assert hashlib.sha256(a.read_bytes()).digest() == hashlib.sha256(b.read_bytes()).digest()
 
 
-def test_factor_no_stage2_matches_whole_rows(tmp_path):
+def test_factor_no_stage2_matches_whole_rows(tmp_path, capsys):
     V, _ = planted_matrix(num_groups=3, rows_per_group=3, cols_per_group=8,
                           noise_rows=10, num_docs=60, noise_len_range=(3, 6),
                           rng=random.Random(14))
+    # two more rows with one ratio on docs 0-4 only: stage 2 merges them,
+    # stage 1 does not, so --no-stage2 changes every output below
+    cells = {row.term: dict(zip(row.docs, row.payloads)) for row in V.rows}
+    cells[V.num_terms] = {**{d: 1 for d in range(5)}, 50: 7}
+    cells[V.num_terms + 1] = {**{d: 2 for d in range(5)}, 51: 3}
+    V = matrix_from_cells(cells, num_docs=V.num_docs)
+    assert factor(V) != factor_whole_rows(V)
     triples = tmp_path / "v.triples"
     export_triples(V, triples)
     rc = main(["factor", str(triples), str(tmp_path / "cli"), "--triples", "--no-stage2"])
@@ -60,6 +69,16 @@ def test_factor_no_stage2_matches_whole_rows(tmp_path):
     export_factors(factor_whole_rows(V), lib_h, lib_w)
     assert (tmp_path / "cli.h").read_text() == lib_h.read_text()
     assert (tmp_path / "cli.w").read_text() == lib_w.read_text()
+
+    # build and stats read the matrix back from the triples
+    M = ingest_triples(triples)
+    f1 = factor_whole_rows(M)
+    assert main(["build", str(triples), str(tmp_path / "cli.idx"), "--triples", "--no-stage2"]) == 0
+    save_index(f1, M.lexicon, CodecConfig(), tmp_path / "lib.idx", M.doc_names)
+    assert (tmp_path / "cli.idx").read_bytes() == (tmp_path / "lib.idx").read_bytes()
+    capsys.readouterr()
+    assert main(["stats", str(triples), "--triples", "--no-stage2", "--tsv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{k}\t{v}" for k, v in stats(M, f1, CodecConfig()).rows()]
 
 
 def test_verbose_metaterm_count_is_the_exported_ids(tmp_path, capsys):

@@ -23,10 +23,18 @@ from mtix import (
     refine_partial,
     total_size,
 )
+from mtix.factorize import _assemble
+from mtix.matrix import primitive
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 from conftest import singleton_form
 from stage1_reference import factor_whole_rows as reference_factor_whole_rows
 from stage2_reference import refine_partial as reference_refine_partial
+
+
+def _biclusters_are_primitive(f):
+    """Every meta-term has members and columns, a gcd-1 base and coefficients
+    >= 1; with reconstruct(f) equal to V, each is a bicluster of V."""
+    return all(b.rows and b.cols and primitive(b.base)[0] == 1 and min(b.coeffs) >= 1 for b in f.provenance())
 
 
 def test_gain_examples():
@@ -216,14 +224,13 @@ def test_correlated_rows_torture():
         assert reconstruct(f2).same_cells(V), trial
         assert total_size(f2) <= total_size(f1)
         assert factor(V, FactorParams(min_cols=3)) == f2  # deterministic
-        for b in f2.provenance():
-            b.check_against(V)
+        assert _biclusters_are_primitive(f2)
 
 
 def test_refine_partial_no_candidates_is_identity():
     V = matrix_from_cells({0: {0: 1, 1: 2}, 1: {2: 3, 3: 4}, 2: {0: 5, 2: 6}})
     f1 = factor_whole_rows(V)
-    f2 = refine_partial(V, f1, FactorParams(min_cols=2))
+    f2 = refine_partial(f1, FactorParams(min_cols=2))
     assert f1 == f2
 
 
@@ -232,7 +239,7 @@ def test_refine_partial_never_increases_size():
     for _ in range(30):
         V = random_matrix(8, 8, 0.5, payload_range=(1, 4), rng=rng)
         f1 = factor_whole_rows(V)
-        f2 = refine_partial(V, f1, FactorParams(min_cols=2))
+        f2 = refine_partial(f1, FactorParams(min_cols=2))
         assert total_size(f2) <= total_size(f1)
         assert reconstruct(f2).same_cells(V)
 
@@ -282,6 +289,17 @@ def test_metaterm_canonical_order():
     keys = [(len(b.rows) < 2, b.rows[0], b.cols[0]) for b in singleton_form(f).provenance()]
     assert keys == sorted(keys)
     assert 0 < sum(single for single, _, _ in keys) < len(keys)
+    # stage 1 numbers its groups as they come, with no renumbering pass: the
+    # ids are positions and ascend by lowest member term, which planted_matrix's
+    # shuffled term ids make differ from the order the groups were planted in
+    V, report = planted_matrix(num_groups=8, rows_per_group=3, cols_per_group=6, noise_rows=30,
+                               num_docs=60, noise_len_range=(2, 5), rng=random.Random(31))
+    planted_lowest = [g.terms[0] for g in report.groups]
+    assert planted_lowest != sorted(planted_lowest)
+    f1 = factor_whole_rows(V)
+    assert [mt.id for mt in f1.metaterms] == list(range(len(f1.metaterms)))
+    assert [b.rows[0] for b in f1.provenance()] == sorted(planted_lowest)
+    assert _assemble([(mt.cols, mt.base) for mt in f1.metaterms], f1.memberships, f1.residual, f1.num_docs) == f1
 
 
 def test_factor_is_deterministic():
@@ -302,7 +320,7 @@ def test_membership_columns_are_disjoint_and_cover_support():
             cols = set(f.metaterms[m].cols)
             assert not cols & seen
             seen |= cols
-        assert seen == set(V.rows[t].support())
+        assert seen == set(V.rows[t].docs)
 
 
 @st.composite
@@ -320,12 +338,11 @@ def small_matrices(draw):
 @settings(max_examples=120, deadline=None)
 @given(small_matrices(), st.integers(2, 4), st.booleans())
 def test_factor_exactness_property(V, min_cols, stage2):
-    f = factor(V, FactorParams(min_cols=min_cols, enable_stage2=stage2))
+    f = factor(V, FactorParams(min_cols=min_cols)) if stage2 else factor_whole_rows(V)
     assert reconstruct(f).same_cells(V)
     non_empty = sum(1 for row in V.rows if row.postings)
     assert total_size(f) <= non_empty + nnz(V)
-    for b in f.provenance():
-        b.check_against(V)
+    assert _biclusters_are_primitive(f)
 
 
 def _golden_corpus(name, tmp_path):
@@ -420,7 +437,7 @@ def test_refine_partial_matches_reference(V, min_cols, cap):
     params = FactorParams(min_cols=min_cols, max_candidates_per_term=cap)
     f1 = factor_whole_rows(V)
     want = reference_refine_partial(V, singleton_form(f1), params)
-    assert singleton_form(refine_partial(V, f1, params)) == want
+    assert singleton_form(refine_partial(f1, params)) == want
 
 
 def test_refine_partial_matches_reference_mid_size(tmp_path):
@@ -431,7 +448,7 @@ def test_refine_partial_matches_reference_mid_size(tmp_path):
     path.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
     V = ingest_tsv(path)
     f1 = factor_whole_rows(V)
-    f2 = refine_partial(V, f1, FactorParams())
+    f2 = refine_partial(f1, FactorParams())
     assert singleton_form(f2) == reference_refine_partial(V, singleton_form(f1), FactorParams())
     assert total_size(f2) < total_size(f1)  # stage 2 applied biclusters
 

@@ -238,7 +238,7 @@ def test_primitive_form_reconstructs_row(row):
 @given(rows_strategy, rows_strategy)
 def test_multiple_iff_identical_primitive_base(a, b):
     # cross-ratio oracle: same support and a_i * b_0 == b_i * a_0 everywhere
-    same_support = a.support() == b.support()
+    same_support = a.docs == b.docs
     cross_equal = same_support and all(
         pa.payload * b.postings[0].payload == pb.payload * a.postings[0].payload
         for pa, pb in zip(a.postings, b.postings)
@@ -272,7 +272,7 @@ def _assert_columnar(pl):
     assert all(type(p) is Posting for p in pl.postings)
     assert tuple(pl) == pl.postings and all(type(p) is Posting for p in pl)
     assert len(pl) == len(pl.postings) and bool(pl) == bool(pl.postings)
-    assert pl.support() == tuple(p.doc for p in pl.postings)
+    assert pl.docs == tuple(p.doc for p in pl.postings)
 
 
 def _assert_same_cells_agrees(a, b):

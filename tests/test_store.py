@@ -4,6 +4,7 @@ import random
 import struct
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -535,10 +536,42 @@ small_dense_matrices = st.dictionaries(
 @settings(max_examples=80, deadline=None)
 @given(small_dense_matrices, st.booleans(), st.sampled_from(CFGS))
 def test_every_factor_output_round_trips(tmp_path_factory, V, stage2, cfg):
-    f = factor(V, FactorParams(min_cols=2, enable_stage2=stage2))
+    f = factor(V, FactorParams(min_cols=2)) if stage2 else factor_whole_rows(V)
     path = tmp_path_factory.getbasetemp() / "dense.idx"
     save_index(f, V.lexicon, cfg, path, V.doc_names)
     assert load_index(path).factorization == f
+
+
+_SAVE_V = matrix_from_cells({0: {0: 1, 1: 2, 2: 3}, 1: {0: 2, 1: 4, 2: 6}, 2: {1: 5}})
+_SAVE_F = factor_whole_rows(_SAVE_V)  # terms 0 and 1 share meta-term 0; term 2 is residual
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"memberships": (((0, 1),), ((0, 2),), ((1, 1),))}, "^W row 2 references meta-term 1 beyond 1$"),
+        ({"residual": _SAVE_F.residual[:2]}, "^2 residual rows and 3 W rows for 3 terms$"),
+        ({"memberships": _SAVE_F.memberships[:2]}, "^3 residual rows and 2 W rows for 3 terms$"),
+        ({"residual": _SAVE_F.residual[:2] + (PostingList(2, (3,), (5,)),)},
+         "^residual row 2 references doc 3 beyond num_docs=3$"),
+        ({"metaterms": (MetaTerm(0, (0, 1, 3), (1, 2, 3)),)}, "^meta-term 0 references doc 3 beyond num_docs=3$"),
+        ({"metaterms": (MetaTerm(1, (0, 1, 2), (1, 2, 3)),)}, "^meta-term at position 0 has id 1$"),
+        ({"residual": _SAVE_F.residual[:2] + (PostingList(0, (1,), (5,)),)}, "^residual row 2 is of term 0$"),
+    ],
+    ids=["w-id-past-count", "short-residual", "short-memberships", "residual-doc-past-end",
+         "metaterm-col-past-end", "metaterm-id-not-position", "residual-term-not-index"],
+)
+def test_save_rejects_what_would_not_load_back_equal(tmp_path, changes, message):
+    # unchecked, each shape saves and then fails to load or loads different:
+    # save_index must refuse it before it writes a byte
+    assert _SAVE_F.metaterms == (MetaTerm(0, (0, 1, 2), (1, 2, 3)),)
+    path = tmp_path / "f.idx"
+    save_index(_SAVE_F, _SAVE_V.lexicon, CodecConfig(), path, _SAVE_V.doc_names)
+    assert load_index(path).factorization == _SAVE_F
+    path.unlink()
+    with pytest.raises(ValidationError, match=message):
+        save_index(replace(_SAVE_F, **changes), _SAVE_V.lexicon, CodecConfig(), path, _SAVE_V.doc_names)
+    assert not path.exists()
 
 
 def _assert_direct_plus_one_bit_per_term(V, f):
@@ -553,7 +586,7 @@ def _assert_direct_plus_one_bit_per_term(V, f):
 def test_no_multirow_metaterm_costs_direct_plus_one_bit_per_term(V):
     """With no multi-row meta-term, H holds V's rows as they are and W one
     empty row per term, under every codec configuration."""
-    f = factor(V, FactorParams(enable_stage2=False))
+    f = factor_whole_rows(V)
     assume(all(n == 1 for n in _members(f).values()))
     _assert_direct_plus_one_bit_per_term(V, f)
 
