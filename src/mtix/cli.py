@@ -34,7 +34,7 @@ def _add_codec_flags(p: argparse.ArgumentParser) -> None:
 def _add_factor_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-cols", type=int, default=4, metavar="N", help="minimum shared columns for a partial-merge candidate")
     p.add_argument("--max-candidates", type=int, default=64, metavar="N", help="candidate cap per term")
-    p.add_argument("--no-stage2", action="store_true", help="whole-row grouping only")
+    p.add_argument("--no-stage2", action="store_true", help="whole-row grouping only (stage 1, which accepts groups by entries)")
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -46,10 +46,13 @@ def _cfg(args: argparse.Namespace) -> CodecConfig:
 
 
 def _factor(args: argparse.Namespace, matrix: TermDocMatrix) -> Factorization:
-    """factor() under the command's flags; --no-stage2 runs stage 1 alone.
-    The stage-2 flags are checked either way."""
+    """factor() under the command's flags, for the codec the index is
+    written with; mtix factor, which has no codec flags, factors under the
+    default CodecConfig(). --no-stage2 runs stage 1 alone. The stage-2
+    flags are checked either way."""
     params = FactorParams(min_cols=args.min_cols, max_candidates_per_term=args.max_candidates)
-    return factor_whole_rows(matrix) if args.no_stage2 else factor(matrix, params)
+    cfg = _cfg(args) if "codec_doc" in args else CodecConfig()
+    return factor_whole_rows(matrix) if args.no_stage2 else factor(matrix, params, cfg)
 
 
 def _load_matrix(path: str, triples: bool) -> TermDocMatrix:
@@ -244,7 +247,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("factor", help="factor a corpus and export W/H triples")
+    p = sub.add_parser(
+        "factor",
+        help="factor a corpus and export W/H triples",
+        description="Factor a corpus and export W/H triples. It has no codec flags: it factors "
+        "under the default codecs (all gamma), as build and stats do without theirs.",
+    )
     p.add_argument("input")
     p.add_argument("out_prefix", help="writes <prefix>.h and <prefix>.w")
     _add_input_flags(p)

@@ -541,6 +541,12 @@ def decode_lists(
     return _mixed_lists(src, count, gap_codec, val_codec, what)
 
 
+def code_lengths(codec: str) -> Sequence[int]:
+    """The bits of one `codec` code word, indexed by the coded value's bit
+    length: the table code_bits and list_bit_lengths sum from."""
+    return _CODE_LEN[codec]
+
+
 def code_bits(values: Iterable[int], codec: str) -> int:
     """Total bits of coding each of `values` under `codec`, in closed form."""
     try:

@@ -4,40 +4,48 @@ A bicluster is an all-non-zero submatrix whose rows are integer multiples of
 one primitive (GCD-1) base vector. Each discovered bicluster becomes a
 meta-term: its base over its columns is stored once in H, and every member
 row stores only its integer coefficient in W. Covering every non-zero cell
-with element-disjoint biclusters makes the factorization exact; the objective
-is to keep the total bicluster size (rows + columns, i.e. nnz(W) + nnz(H))
-small. Finding the best cover is intractable, so factor() is a two-stage
-greedy, refine_partial(factor_whole_rows(V)); stage 1 alone is the CLI's
---no-stage2:
+with element-disjoint biclusters makes the factorization exact. The
+objective is the bits the index file spends on H and W under the
+CodecConfig it is written with. Finding the best cover is intractable, so
+factor() is a greedy in three passes; the first two order and accept
+biclusters by stored entries (rows + columns, i.e. nnz(W) + nnz(H)), the
+third by bits:
 
-* Stage 1 groups whole rows by identical (support, primitive base) signature;
-  a group of r rows over c columns is merged whenever gain(r, c) > 0.
-* Stage 2 mines the residual rows (the cells no meta-term covers) for
-  partial-column biclusters: column subsets on which pairs of rows keep a
-  constant payload ratio, extended to all rows that fit, applied greedily
-  by descending gain.
+* Stage 1 (factor_whole_rows) groups whole rows by identical (support,
+  primitive base) signature; a group of r rows over c columns is merged
+  whenever gain(r, c) > 0. Run alone, it is the CLI's --no-stage2.
+* Stage 2 (refine_partial) mines the residual rows (the cells no meta-term
+  covers) for partial-column biclusters: column subsets on which pairs of
+  rows keep a constant payload ratio, extended to all rows that fit,
+  applied greedily by descending gain.
+* The dissolve pass puts a meta-term's cells back into its members' direct
+  lists wherever that saves bits under the codec, until none does. If the
+  meta-terms left still cost more bytes than their members' rows coded
+  directly, factor() returns the all-direct form, so a factored index is
+  never larger than the direct one plus one bit per term (its empty W rows).
 
 Cells that no bicluster covers stay in their term's residual row, stored as
-they are; for the objective each non-empty residual row costs what a
+they are; for the entry objective each non-empty residual row costs what a
 single-member meta-term would (one W entry plus its cells).
 
 A desk-scale exhaustive oracle (brute_force_optimal) provides the exact
-minimum for tiny instances so the greedy can be sandwich-tested.
+entry minimum for tiny instances so the greedy can be sandwich-tested.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from heapq import heappop, heappush
 from itertools import chain, compress, islice, repeat
 from math import gcd
-from operator import and_, ge, itemgetter, lshift, lt, mul
+from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, sub
 from pathlib import Path
 from typing import IO, Sequence
 
+from .codec import CodecConfig, code_bits, code_lengths, list_bit_lengths, unzip_pairs
 from .errors import InvariantError, ValidationError
 from .matrix import Lexicon, PostingList, TermDocMatrix, primitive
 
@@ -130,7 +138,7 @@ class Factorization:
 
 
 def total_size(f: Factorization) -> int:
-    """nnz(W) + nnz(H): the minimized objective."""
+    """nnz(W) + nnz(H): the entry objective the two greedy stages order by."""
     return f.nnz_w + f.nnz_h
 
 
@@ -335,9 +343,271 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
     return _assemble(metaterms, memberships, residual_rows, f.num_docs)
 
 
-def factor(matrix: TermDocMatrix, params: FactorParams = FactorParams()) -> Factorization:
-    """Full pipeline: whole-row grouping, then partial refinement."""
-    return refine_partial(factor_whole_rows(matrix), params)
+def factor(
+    matrix: TermDocMatrix, params: FactorParams = FactorParams(), cfg: CodecConfig = CodecConfig()
+) -> Factorization:
+    """Full pipeline: whole-row grouping, partial refinement, then the
+    dissolve pass under `cfg`, the codec the index is written with."""
+    return _dissolve(matrix, refine_partial(factor_whole_rows(matrix), params), cfg)
+
+
+_GAMMA = code_lengths("gamma")  # each list's head is gamma(count + 1)
+_FIRST = itemgetter(0)  # a member's term, a W entry's meta-term id
+
+
+def _gap_bits_added(cost: Sequence[int], docs: Sequence[int], cols: Sequence[int]) -> int:
+    """Bits the doc gaps of `docs` grow by when `cols`, ascending and
+    disjoint from them, are merged in, one at a time; cost[g] is the code
+    length of gap g.
+
+    Each doc merged in splits the gap it falls in: from the doc before it
+    (the one merged last, if that fell in the same gap; -1 before the first
+    doc) to the doc after it, found with bisect.
+    """
+    n = len(docs)
+    bits = 0
+    last = slot = -1
+    for d in cols:
+        p = bisect_left(docs, d)
+        left = last if p == slot else docs[p - 1] if p else -1
+        if p < n:
+            right = docs[p]
+            bits += cost[d - left] + cost[right - d] - cost[right - left]
+        else:
+            bits += cost[d - left]
+        last = d
+        slot = p
+    return bits
+
+
+class _Cover:
+    """The dissolve pass's state over a factorization f: each term's W row
+    and residual docs, and each meta-term's members, updated as meta-terms
+    are dissolved. Ids stay f's: a dissolved meta-term leaves its id unused
+    until result() numbers the survivors densely.
+    """
+
+    def __init__(self, f: Factorization, cfg: CodecConfig):
+        self.f = f
+        self.cfg = cfg
+        self.gap = code_lengths(cfg.doc_gap)
+        self.coeff = code_lengths(cfg.coeff)
+        self.min_cell = self.gap[1] + code_lengths(cfg.payload)[1]  # the shortest H cell: gap 1, value 1
+        self.w_rows: list[Sequence[tuple[int, int]]] = list(f.memberships)
+        self.docs: list[Sequence[int]] = list(map(attrgetter("docs"), f.residual))
+        self.members: list[list[tuple[int, int]] | None] = [[] for _ in f.metaterms]
+        for t in compress(range(f.num_terms), f.memberships):
+            for m, k in f.memberships[t]:
+                self.members[m].append((t, k))
+        self.h: dict[int, tuple[int, int]] = {}  # meta-term -> its H list's (gap, value) bits
+        # meta-term -> the W bits its members save, which keeps() finds and
+        # pays() reads again while nothing is dissolved
+        self.w_saved_sums: dict[int, int] = {}
+
+    @cached_property
+    def gap_cost(self) -> list[int]:
+        """The code length of each doc gap that can occur, by the gap: one
+        run per bit length."""
+        cost = [self.gap[0]]
+        for b in range(1, self.f.num_docs.bit_length() + 1):
+            cost += [self.gap[b]] * (1 << (b - 1))
+        return cost
+
+    def _h_bits(self, m: int) -> tuple[int, int]:
+        if m not in self.h:
+            mt = self.f.metaterms[m]
+            gaps = map(sub, mt.cols, chain((-1,), mt.cols))
+            self.h[m] = (code_bits(gaps, self.cfg.doc_gap), code_bits(mt.base, self.cfg.payload))
+        return self.h[m]
+
+    def _w_saved(self, t: int, m: int, k: int) -> int:
+        """Bits term t's W row loses with its entry (m, k): the count word,
+        the entry's id gap and coefficient, and its two neighbours' gaps
+        merged into one."""
+        row = self.w_rows[t]
+        n = len(row)
+        j = bisect_left(row, (m,))
+        gap = self.gap
+        prev = row[j - 1][0] if j else -1
+        bits = _GAMMA[(n + 1).bit_length()] - _GAMMA[n.bit_length()] + gap[(m - prev).bit_length()] + self.coeff[k.bit_length()]
+        if j + 1 < n:
+            after = row[j + 1][0]
+            bits += gap[(after - m).bit_length()] - gap[(after - prev).bit_length()]
+        return bits
+
+    def saving(self, m: int) -> int:
+        """Bits the file loses when meta-term m is dissolved: its H list and
+        its members' W entries go, and its cells join its members' direct
+        lists. The shift of the later ids in other W rows is left out: it
+        can only shorten their gaps, so the saving is never overstated."""
+        mt = self.f.metaterms[m]
+        c = len(mt.cols)
+        gap_bits, base_bits = self._h_bits(m)
+        head = _GAMMA[(c + 1).bit_length()]
+        saved = head + gap_bits + base_bits
+        for t, k in self.members[m]:
+            saved += self._w_saved(t, m, k)
+            cells = base_bits if k == 1 else code_bits(map(mul, mt.base, repeat(k)), self.cfg.payload)
+            docs = self.docs[t]
+            if docs:
+                n = len(docs)
+                saved -= _GAMMA[(n + c + 1).bit_length()] - _GAMMA[(n + 1).bit_length()] + cells
+                saved -= _gap_bits_added(self.gap_cost, docs, mt.cols)
+            else:  # gamma(1), an empty list, becomes k * base over m's columns
+                saved -= head - 1 + gap_bits + cells
+        return saved
+
+    def keeps(self, m: int) -> bool:
+        """Whether dissolving meta-term m saves no bits.
+
+        When every member's direct list is empty, each becomes k * base
+        over m's columns, which costs at least m's H list less one bit. So
+        the saving is at most the W bits saved plus r, less (r - 1) times
+        the shortest H list of m's width: that decides most whole-row
+        groups without a code length of their cells."""
+        members = self.members[m]
+        if not any(map(self.docs.__getitem__, map(_FIRST, members))):
+            w_saved = self.w_saved_sums[m] = sum(self._w_saved(t, m, k) for t, k in members)
+            if w_saved + self._shape_bound(m) <= 0:
+                return True
+        return self.saving(m) <= 0
+
+    def _shape_bound(self, m: int) -> int:
+        """r - (r - 1) times the shortest H list of meta-term m's width."""
+        r, c = len(self.members[m]), len(self.f.metaterms[m].cols)
+        return r - (r - 1) * (_GAMMA[(c + 1).bit_length()] + c * self.min_cell)
+
+    def dissolve(self, m: int) -> list[int]:
+        """Put meta-term m's cells back into its members' direct lists;
+        returns the ids of the meta-terms that share a member with it."""
+        cols = self.f.metaterms[m].cols
+        others = []
+        for t, _ in self.members[m]:
+            row = self.w_rows[t]
+            j = bisect_left(row, (m,))
+            row = self.w_rows[t] = row[:j] + row[j + 1 :]
+            others += map(_FIRST, row)
+            docs = self.docs[t] = [*self.docs[t], *cols]
+            docs.sort()  # two ascending runs: one merge
+        self.members[m] = None
+        return others
+
+    def result(self, matrix: TermDocMatrix) -> Factorization:
+        """The factorization as dissolved: f itself if nothing was.
+        Survivors keep their order, so dense ids keep _assemble's canonical
+        numbering. A term left with no membership gets its row of V back."""
+        f = self.f
+        alive = [m for m, members in enumerate(self.members) if members is not None]
+        if len(alive) == len(f.metaterms):
+            return f
+        new_id = dict(zip(alive, range(len(alive))))
+        first_gone = next(m for m, members in enumerate(self.members) if members is None)
+        memberships = list(f.memberships)
+        residual = list(f.residual)
+        for t, row in enumerate(self.w_rows):
+            if row is not f.memberships[t]:  # it lost an entry
+                memberships[t] = tuple((new_id[m], k) for m, k in row)
+                if not row:
+                    residual[t] = matrix.rows[t]
+                else:
+                    cells = matrix.rows[t]
+                    docs = tuple(self.docs[t])
+                    residual[t] = PostingList(t, docs, tuple(map(dict(zip(cells.docs, cells.payloads)).__getitem__, docs)))
+            elif row and row[-1][0] > first_gone:  # ids to renumber
+                memberships[t] = tuple((new_id[m], k) for m, k in row)
+        metaterms = tuple(
+            mt if mt.id == i else MetaTerm(i, mt.cols, mt.base) for i, mt in enumerate(map(f.metaterms.__getitem__, alive))
+        )
+        return Factorization(metaterms, tuple(memberships), tuple(residual), f.num_terms, f.num_docs)
+
+    def pays(self, matrix: TermDocMatrix) -> bool:
+        """Whether f, with no meta-term dissolved, takes no more bytes than
+        the all-direct form of matrix.
+
+        Only member terms differ between the two: their W rows against an
+        empty one each, and the meta-terms' H lists and the members'
+        residual rows against their rows of V. The other direct lists are
+        not sized, so the H section's padding is bounded either way, and
+        every row of V is sized only when the bounds do not decide. A
+        whole-row group (each member with that one membership and no
+        residual cell) is bounded from its shape first, as in keeps().
+        """
+        f = self.f
+        cfg = self.cfg
+
+        def direct_bits(rows: list[PostingList]) -> int:
+            return sum(list_bit_lengths(((row.docs, row.payloads) for row in rows), cfg.doc_gap, cfg.payload))
+
+        def h_excess(terms: Sequence[int]) -> int:
+            """The H bits of the meta-terms of `terms` and their residual
+            rows, less their rows of V."""
+            ms = {m for t in terms for m, _ in f.memberships[t]}
+            return (
+                sum(_GAMMA[(len(f.metaterms[m].cols) + 1).bit_length()] + sum(self._h_bits(m)) for m in ms)
+                + direct_bits([f.residual[t] for t in terms])
+                - direct_bits([matrix.rows[t] for t in terms])
+            )
+
+        # w: the W section's bits; bound_x: a bound on the whole-row groups'
+        # share of x, the H section's bits less the direct bits of V
+        w = f.num_terms
+        bound_x = 0
+        lone = {t for t in compress(range(f.num_terms), f.memberships) if len(f.memberships[t]) == 1 and not self.docs[t]}
+        opened: dict[int, None] = {}  # the other member terms, each once
+        for m, members in enumerate(self.members):
+            if all(map(lone.__contains__, map(_FIRST, members))):
+                if m not in self.w_saved_sums:
+                    self.w_saved_sums[m] = sum(self._w_saved(t, m, k) for t, k in members)
+                w += self.w_saved_sums[m]  # each W row is one bit once its entry goes
+                bound_x += self._shape_bound(m)
+            else:
+                opened.update(dict.fromkeys(map(_FIRST, members)))
+        w += sum(list_bit_lengths(map(unzip_pairs, map(f.memberships.__getitem__, opened)), cfg.doc_gap, cfg.coeff))
+        w -= len(opened)
+
+        # Whatever the other lists' bits, ceil((D + x) / 8) - ceil(D / 8)
+        # lies from floor(x / 8) to ceil(x / 8) bytes.
+        w_bytes = -(-w // 8) - -(-f.num_terms // 8)
+        if -(-(bound_x + h_excess(list(opened))) // 8) + w_bytes <= 0:
+            return True
+        x = h_excess([t for t, row in enumerate(f.memberships) if row])
+        if -(-x // 8) + w_bytes <= 0:
+            return True
+        if x // 8 + w_bytes > 0:
+            return False
+        d = direct_bits(matrix.rows)
+        return -(-(d + x) // 8) - -(-d // 8) + w_bytes <= 0
+
+
+def _dissolve(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> Factorization:
+    """The pass after stage 2: dissolve each meta-term whose cells cost
+    fewer bits under `cfg` in its members' direct lists.
+
+    Meta-terms are taken in id order. Dissolving one changes the saving of
+    only those that share a member with it, so only they are taken again,
+    in a next sweep, until a sweep dissolves none. The survivors are then
+    numbered densely, which shortens W rows' id gaps, and taken again, until
+    none is dissolved: no survivor's dissolution then saves bits. Last, f
+    is kept only if its meta-terms take no more bytes than the all-direct
+    form of matrix, which is returned otherwise.
+    """
+    while True:
+        cover = _Cover(f, cfg)
+        todo: Sequence[int] = range(len(f.metaterms))
+        while todo:
+            changed: set[int] = set()  # changed since it was last taken
+            for m in todo:
+                changed.discard(m)
+                if cover.members[m] is not None and not cover.keeps(m):
+                    changed.update(cover.dissolve(m))
+            todo = sorted(changed)
+        dissolved = cover.result(matrix)
+        if dissolved is f:
+            break
+        f = dissolved
+    if cover.pays(matrix):
+        return f
+    return Factorization((), ((),) * f.num_terms, tuple(matrix.rows), f.num_terms, f.num_docs)
 
 
 def expand_term(f: Factorization, t: int) -> PostingList:

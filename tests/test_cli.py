@@ -14,6 +14,7 @@ from mtix import (
     factor,
     factor_whole_rows,
     ingest_triples,
+    ingest_tsv,
     matrix_from_cells,
     nnz,
     prune,
@@ -21,7 +22,7 @@ from mtix import (
     stats,
 )
 from mtix.cli import main
-from mtix.synth import planted_matrix, random_matrix, random_queries
+from mtix.synth import planted_matrix, random_matrix, random_queries, zipf_corpus
 from conftest import brute_force_top_k
 
 
@@ -79,6 +80,30 @@ def test_factor_no_stage2_matches_whole_rows(tmp_path, capsys):
     capsys.readouterr()
     assert main(["stats", str(triples), "--triples", "--no-stage2", "--tsv"]) == 0
     assert capsys.readouterr().out.splitlines() == [f"{k}\t{v}" for k, v in stats(M, f1, CodecConfig()).rows()]
+
+
+def test_build_and_stats_factor_under_their_codec_flags(tmp_path, capsys):
+    # under vbyte, meta-terms that lose bits under gamma pay, so the flags
+    # must reach factor() as well as save_index and stats
+    corpus = tmp_path / "zipf.tsv"
+    docs = zipf_corpus(120, 400, rng=random.Random(3))
+    corpus.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
+    V = ingest_tsv(corpus)
+    vbyte = CodecConfig("vbyte", "vbyte", "vbyte")
+    f = factor(V, cfg=vbyte)
+    assert f != factor(V) and f.metaterms
+    flags = ["--codec-doc", "vbyte", "--codec-payload", "vbyte", "--codec-coeff", "vbyte"]
+    assert main(["build", str(corpus), str(tmp_path / "cli.idx"), *flags]) == 0
+    save_index(f, V.lexicon, vbyte, tmp_path / "lib.idx", V.doc_names)
+    assert (tmp_path / "cli.idx").read_bytes() == (tmp_path / "lib.idx").read_bytes()
+    capsys.readouterr()
+    assert main(["stats", str(corpus), "--tsv", *flags]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{k}\t{v}" for k, v in stats(V, f, vbyte).rows()]
+    # mtix factor has no codec flags: it exports factor() under the defaults
+    assert main(["factor", str(corpus), str(tmp_path / "cli")]) == 0
+    export_factors(factor(V), tmp_path / "lib.h", tmp_path / "lib.w")
+    assert (tmp_path / "cli.h").read_text() == (tmp_path / "lib.h").read_text()
+    assert (tmp_path / "cli.w").read_text() == (tmp_path / "lib.w").read_text()
 
 
 def test_verbose_metaterm_count_is_the_exported_ids(tmp_path, capsys):

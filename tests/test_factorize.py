@@ -123,7 +123,7 @@ def test_refine_partial_residual_cells_become_singletons():
     V = matrix_from_cells(
         {0: {0: 1, 1: 1, 2: 5, 3: 7}, 1: {0: 2, 1: 2, 2: 10, 4: 9}}
     )
-    f = factor(V, FactorParams(min_cols=3))
+    f = refine_partial(factor_whole_rows(V), FactorParams(min_cols=3))
     assert reconstruct(f).same_cells(V)
     assert len(f.metaterms) == 1 and [row.docs for row in f.residual] == [(3,), (4,)]
     g = singleton_form(f)
@@ -276,7 +276,7 @@ def test_w_coefficients_are_positive_integers():
 def test_metaterm_canonical_order():
     rng = random.Random(31)
     V = random_matrix(25, 30, 0.25, payload_range=(1, 5), rng=rng)
-    f = factor(V, FactorParams(min_cols=2))
+    f = refine_partial(factor_whole_rows(V), FactorParams(min_cols=2))
     # by (lowest member TermId, lowest DocId); every meta-term has members
     keys = [(b.rows[0], b.cols[0]) for b in f.provenance()]
     assert keys == sorted(keys)
@@ -373,14 +373,40 @@ GOLDEN_DIGESTS = [
 ]
 
 
+def _digest(f):
+    h, w = io.StringIO(), io.StringIO()
+    export_factors(f, h, w)
+    return hashlib.sha256((h.getvalue() + w.getvalue()).encode()).hexdigest()
+
+
 # Named by corpus and params alone, so that a regenerated digest keeps the test's name.
 @pytest.mark.parametrize("corpus, params, digest", GOLDEN_DIGESTS, ids=[f"{c}-{p}" for c, p, _ in GOLDEN_DIGESTS])
 def test_factor_golden_digest(corpus, params, digest, tmp_path):
-    # Pinned factorizations: any change to stage 1 or stage 2 output,
-    # including candidate order under the per-term cap, shows up here.
-    h, w = io.StringIO(), io.StringIO()
-    export_factors(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params]), h, w)
-    assert hashlib.sha256((h.getvalue() + w.getvalue()).encode()).hexdigest() == digest
+    # Pinned greedy, the two entry-based stages: any change to stage 1 or
+    # stage 2 output, including candidate order under the per-term cap,
+    # shows up here.
+    V = _golden_corpus(corpus, tmp_path)
+    assert _digest(refine_partial(factor_whole_rows(V), GOLDEN_PARAMS[params])) == digest
+
+
+# factor() on the same corpora: the greedy, then the dissolve pass under the
+# default codecs. It keeps none or one of the 403-444 meta-terms the greedy
+# finds on zipf, none of the 17-34 on random, and the 6 planted groups of
+# the 43-58 on planted, so both parameter sets give the same planted and
+# random factorization.
+FACTOR_DIGESTS = [
+    ("zipf", "default", "dd665edd4ef15cbf6a2f463717948c90dd43de6d9ebc8975fae77e7cecf1cbfd"),
+    ("zipf", "capped", "17731cce4a70d8047abdf43987311bc76219f733bf7ccf7ccc1ca6f834f457ba"),
+    ("planted", "default", "3d475a1378d92705f3ced7cd8bb64db05a20418cb16d50ffaf2825efaec3886f"),
+    ("planted", "capped", "3d475a1378d92705f3ced7cd8bb64db05a20418cb16d50ffaf2825efaec3886f"),
+    ("random", "default", "bb098f89990f1492f7e7540a4a77bafff4d379243c77e3646ef7ddd1754ef65b"),
+    ("random", "capped", "bb098f89990f1492f7e7540a4a77bafff4d379243c77e3646ef7ddd1754ef65b"),
+]
+
+
+@pytest.mark.parametrize("corpus, params, digest", FACTOR_DIGESTS, ids=[f"{c}-{p}" for c, p, _ in FACTOR_DIGESTS])
+def test_factor_digest(corpus, params, digest, tmp_path):
+    assert _digest(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params])) == digest
 
 
 @st.composite
