@@ -486,9 +486,10 @@ class _Cover:
             row = self.w_rows[t]
             j = bisect_left(row, (m,))
             row = self.w_rows[t] = row[:j] + row[j + 1 :]
-            others += map(_FIRST, row)
-            docs = self.docs[t] = [*self.docs[t], *cols]
-            docs.sort()  # two ascending runs: one merge
+            if row:  # else no meta-term reads t again, and result() takes its row of V
+                others += map(_FIRST, row)
+                docs = self.docs[t] = [*self.docs[t], *cols]
+                docs.sort()  # two ascending runs: one merge
         self.members[m] = None
         return others
 
