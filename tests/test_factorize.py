@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtix import (
+    CodecConfig,
     FactorParams,
     Factorization,
     InvariantError,
@@ -407,6 +408,28 @@ FACTOR_DIGESTS = [
 @pytest.mark.parametrize("corpus, params, digest", FACTOR_DIGESTS, ids=[f"{c}-{p}" for c, p, _ in FACTOR_DIGESTS])
 def test_factor_digest(corpus, params, digest, tmp_path):
     assert _digest(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params])) == digest
+
+
+# factor() under all-vbyte, where the dissolve pass keeps 399 of zipf's 403
+# meta-terms and 342 of its 444, so survivors with gaps between their ids are
+# numbered densely again. It keeps every meta-term on planted and random, whose
+# digests are then their GOLDEN_DIGESTS.
+FACTOR_DIGESTS_VBYTE = [
+    ("zipf", "default", "7c972955d0c39dbb4d3550fb21541fefea1f1511a90d51d6340d4036612c1005"),
+    ("zipf", "capped", "772a4908b8b74b77f3e947cbec935bb8cd511e8a1f6065d78579eb626b01f8ed"),
+    ("planted", "default", "db2aee5882e0d18d376435ed1aedc197b83feb9956f722c569d99f98fb810296"),
+    ("planted", "capped", "7cc4f9df10dc7dc8b0190deec9528a0df64bca2231f1c50e19bc1ab6691391b2"),
+    ("random", "default", "c9d13394978a0ebc2ff5168ac65abd1333f954b1730ccbacba10a343fcee94e4"),
+    ("random", "capped", "0c088e84cbfb34a6b95a9fc86496e94b9c63d50b7e1c530a623b7f21be949021"),
+]
+
+
+@pytest.mark.parametrize(
+    "corpus, params, digest", FACTOR_DIGESTS_VBYTE, ids=[f"{c}-{p}" for c, p, _ in FACTOR_DIGESTS_VBYTE]
+)
+def test_factor_digest_vbyte(corpus, params, digest, tmp_path):
+    cfg = CodecConfig("vbyte", "vbyte", "vbyte")
+    assert _digest(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params], cfg)) == digest
 
 
 @st.composite
