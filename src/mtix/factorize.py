@@ -148,13 +148,15 @@ def _assemble(
     residual: Sequence[PostingList],
     num_docs: int,
 ) -> Factorization:
-    """Stage 2's numbering: the (cols, base) meta-terms canonically, by
-    (lowest member TermId, lowest DocId), and the memberships to match."""
+    """The factorizer's one numbering after stage 1, for stage 2's output
+    and each dissolve round's survivors: the (cols, base) meta-terms
+    canonically, by (lowest member TermId, lowest DocId), and the
+    memberships to match. A meta-term with no member is dropped."""
     lowest: dict[int, int] = {}
     for t, row in enumerate(memberships):
         for m, _ in row:
             lowest.setdefault(m, t)
-    order = sorted(range(len(metaterms)), key=lambda m: (lowest[m], metaterms[m][0][0]))
+    order = sorted(lowest, key=lambda m: (lowest[m], metaterms[m][0][0]))
     new_id = dict(zip(order, range(len(order))))
     return Factorization(
         metaterms=tuple(MetaTerm(i, *metaterms[m]) for i, m in enumerate(order)),
@@ -384,7 +386,7 @@ class _Cover:
     """The dissolve pass's state over a factorization f: each term's W row
     and residual docs, and each meta-term's members, updated as meta-terms
     are dissolved. Ids stay f's: a dissolved meta-term leaves its id unused
-    until result() numbers the survivors densely.
+    until result() numbers the survivors through _assemble.
     """
 
     def __init__(self, f: Factorization, cfg: CodecConfig):
@@ -494,32 +496,22 @@ class _Cover:
         return others
 
     def result(self, matrix: TermDocMatrix) -> Factorization:
-        """The factorization as dissolved: f itself if nothing was.
-        Survivors keep their order, so dense ids keep _assemble's canonical
-        numbering. A term left with no membership gets its row of V back."""
+        """The factorization as dissolved: f itself if nothing was, else
+        the survivors numbered through _assemble. A term left with no
+        membership gets its row of V back."""
         f = self.f
-        alive = [m for m, members in enumerate(self.members) if members is not None]
-        if len(alive) == len(f.metaterms):
+        if None not in self.members:
             return f
-        new_id = dict(zip(alive, range(len(alive))))
-        first_gone = next(m for m, members in enumerate(self.members) if members is None)
-        memberships = list(f.memberships)
         residual = list(f.residual)
         for t, row in enumerate(self.w_rows):
             if row is not f.memberships[t]:  # it lost an entry
-                memberships[t] = tuple((new_id[m], k) for m, k in row)
                 if not row:
                     residual[t] = matrix.rows[t]
                 else:
                     cells = matrix.rows[t]
                     docs = tuple(self.docs[t])
                     residual[t] = PostingList(t, docs, tuple(map(dict(zip(cells.docs, cells.payloads)).__getitem__, docs)))
-            elif row and row[-1][0] > first_gone:  # ids to renumber
-                memberships[t] = tuple((new_id[m], k) for m, k in row)
-        metaterms = tuple(
-            mt if mt.id == i else MetaTerm(i, mt.cols, mt.base) for i, mt in enumerate(map(f.metaterms.__getitem__, alive))
-        )
-        return Factorization(metaterms, tuple(memberships), tuple(residual), f.num_terms, f.num_docs)
+        return _assemble([(mt.cols, mt.base) for mt in f.metaterms], self.w_rows, residual, f.num_docs)
 
     def pays(self, matrix: TermDocMatrix) -> bool:
         """Whether f, with no meta-term dissolved, takes no more bytes than

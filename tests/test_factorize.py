@@ -301,6 +301,19 @@ def test_metaterm_canonical_order():
     assert [mt.id for mt in f1.metaterms] == list(range(len(f1.metaterms)))
     assert [b.rows[0] for b in f1.provenance()] == sorted(planted_lowest)
     assert _assemble([(mt.cols, mt.base) for mt in f1.metaterms], f1.memberships, f1.residual, f1.num_docs) == f1
+    # a meta-term left with no member, as the dissolve pass leaves one, is
+    # dropped and the others are numbered from 0 in the same order
+    gone = [t for t, row in enumerate(f1.memberships) if row and row[0][0] == 0]
+    assert len(gone) >= 2 and len(f1.metaterms) >= 3
+    memberships = [() if t in gone else row for t, row in enumerate(f1.memberships)]
+    residual = [V.rows[t] if t in gone else row for t, row in enumerate(f1.residual)]
+    assert _assemble([(mt.cols, mt.base) for mt in f1.metaterms], memberships, residual, f1.num_docs) == Factorization(
+        metaterms=tuple(MetaTerm(mt.id - 1, mt.cols, mt.base) for mt in f1.metaterms[1:]),
+        memberships=tuple(tuple((m - 1, k) for m, k in row) for row in memberships),
+        residual=tuple(residual),
+        num_terms=f1.num_terms,
+        num_docs=f1.num_docs,
+    )
 
 
 def test_factor_is_deterministic():
