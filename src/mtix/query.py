@@ -91,9 +91,11 @@ def prune(matrix: TermDocMatrix, theta: int) -> TermDocMatrix:
 
 
 def overlap_at_k(a: Sequence[ScoredDoc], b: Sequence[ScoredDoc], k: int) -> float:
-    """|top-k(a) docs intersect top-k(b) docs| / k."""
+    """|top-k(a) docs intersect top-k(b) docs| over the larger of the two
+    doc sets, so two equal lists score 1.0 even when shorter than k; 1.0
+    when both are empty."""
     if k < 1:
         raise ValidationError("k must be >= 1")
     docs_a = {sd[0] for sd in a[:k]}
     docs_b = {sd[0] for sd in b[:k]}
-    return len(docs_a & docs_b) / k
+    return len(docs_a & docs_b) / max(len(docs_a), len(docs_b)) if docs_a or docs_b else 1.0

@@ -214,6 +214,13 @@ def test_bench_theta_one_is_identity(tmp_path, capsys):
     assert row["theta"] == "1"
     assert int(row["nnz"]) == nnz(V)
     assert row["overlap@k"] == "1.0000"
+    # a k above every query's matches among the 50 docs leaves each top-k
+    # shorter than k, and equal lists still score 1
+    rc = main(["bench", str(src), "--triples", "--queries", str(qfile),
+               "--thetas", "1", "--k", "60", "--tsv"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1].split("\t")[-1] == "1.0000"
 
 
 def test_bench_monotone_bytes_on_random_corpus(tmp_path, capsys):

@@ -228,6 +228,11 @@ def test_overlap_examples():
     assert overlap_at_k(a, b, 10) == 0.0
     assert overlap_at_k(a[:5], a[5:], 5) == 0.0
     assert overlap_at_k(a, a[:5] + b[:5], 10) == 0.5
+    # lists shorter than k: divided by the larger of the two doc sets
+    assert overlap_at_k(a[:3], a[:3], 10) == 1.0
+    assert overlap_at_k(a[:3], a[:6], 10) == 0.5
+    assert overlap_at_k([], [], 10) == 1.0
+    assert overlap_at_k(a[:3], [], 10) == 0.0
 
 
 def test_overlap_degrades_with_pruning():
