@@ -160,7 +160,7 @@ def _assemble(
     new_id = dict(zip(order, range(len(order))))
     return Factorization(
         metaterms=tuple(MetaTerm(i, *metaterms[m]) for i, m in enumerate(order)),
-        memberships=tuple(tuple(sorted((new_id[m], k) for m, k in row)) for row in memberships),
+        memberships=tuple(tuple(sorted([(new_id[m], k) for m, k in row])) if row else () for row in memberships),
         residual=tuple(residual),
         num_terms=len(residual),
         num_docs=num_docs,
