@@ -7,18 +7,20 @@ over the raw matrix, with ties broken by ascending doc id so result lists are
 canonical. Queries are read-only over an immutable index; accumulator state
 is per query.
 
-top_k expands each resolved query term through expand_term (a term given
-twice counts twice) and adds its payloads into one doc -> score map. It
-ranks from a threshold: the k-th largest score bounds which docs can place,
-and only those are sorted.
+top_k expands every resolved query term through expand_term, in query order
+(a term given twice counts twice), then builds one doc -> score map: the
+longest list seeds it in one C-level dict() call and the others add their
+payloads posting by posting. It ranks from a threshold: the k-th largest
+score bounds which docs can place, and only those docs are looked up and
+sorted.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress, repeat, starmap
-from operator import ge, itemgetter
+from itertools import compress, repeat
+from operator import ge
 from typing import NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -45,15 +47,19 @@ def top_k(f: Factorization, q: Query, lexicon: Lexicon) -> list[ScoredDoc]:
     """Documents ranked by summed payload desc, doc id asc; at most k results.
 
     Unknown query terms are dropped; a query resolving to no terms returns an
-    empty list.
+    empty list. Every resolved term is expanded before any is scored, so a
+    malformed factorization raises the error of its first failing term.
     """
-    scores: dict[int, int] = {}
+    lists = [expand_term(f, tid) for tid in map(lexicon.id_of, q.terms) if tid is not None]
+    if not lists:
+        return []
+    # Addition commutes, so the longest list can seed the map whatever its
+    # place in the query; the rank below does not depend on insertion order.
+    lists.sort(key=len)
+    seed = lists.pop()
+    scores = dict(zip(seed.docs, seed.payloads))
     get = scores.get
-    for term in q.terms:
-        tid = lexicon.id_of(term)
-        if tid is None:
-            continue
-        pl = expand_term(f, tid)
+    for pl in lists:
         for d, p in zip(pl.docs, pl.payloads):
             scores[d] = get(d, 0) + p
     if not scores:
@@ -61,9 +67,10 @@ def top_k(f: Factorization, q: Query, lexicon: Lexicon) -> list[ScoredDoc]:
     # Only docs scoring at least the k-th best score can rank; sort those by
     # doc id, then stably by score descending.
     kth = heapq.nlargest(q.k, scores.values())[-1]
-    best = sorted(compress(scores.items(), map(ge, scores.values(), repeat(kth))))
-    best.sort(key=itemgetter(1), reverse=True)
-    return list(starmap(ScoredDoc, best[: q.k]))
+    best = sorted(compress(scores, map(ge, scores.values(), repeat(kth))))
+    best.sort(key=scores.__getitem__, reverse=True)
+    del best[q.k :]
+    return list(map(ScoredDoc, best, map(scores.__getitem__, best)))
 
 
 def resolve_terms(q: Query, lexicon: Lexicon) -> tuple[list[str], list[str]]:

@@ -25,6 +25,7 @@ from mtix import (
     ValidationError,
     expand_term,
     factor,
+    factor_whole_rows,
     ingest_tsv,
     load_index,
     matrix_from_cells,
@@ -297,6 +298,42 @@ def test_top_k_repeated_term_counts_twice():
     f = factor(V)
     assert top_k(f, Query(("0", "0"), 5), V.lexicon) == [ScoredDoc(1, 10), ScoredDoc(0, 4)]
     assert top_k(f, Query(("0", "1", "0"), 5), V.lexicon) == [ScoredDoc(1, 10), ScoredDoc(0, 8)]
+
+
+# Term 0 holds the longest list; terms 1 and 2 are of equal length.
+_SEEDED_CELLS = {
+    0: {0: 1, 2: 5, 4: 2, 6: 3, 8: 1, 10: 4},
+    1: {1: 3, 2: 1, 5: 5, 9: 2},
+    2: {3: 2, 5: 1, 7: 5, 11: 4},
+    3: {6: 2, 9: 7},
+}
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [("1", "3", "0"), ("0", "1", "0"), ("1", "2"), ("2", "1"), ("1", "0"), ("3", "0"), ("nope", "0", "1")],
+    ids=["longest-last", "longest-twice", "equal-lengths", "equal-lengths-swapped", "tie-at-kth", "k-past-scored", "unknown-first"],
+)
+def test_top_k_seeded_from_longest_list_matches_reference(terms):
+    V = matrix_from_cells(_SEEDED_CELLS, num_docs=14)
+    lexicon = V.lexicon
+    for f in (factor(V), factor_whole_rows(V)):
+        ref = singleton_form(f)
+        for k in (*range(1, 14), 50):  # up to past the 12 docs any query scores
+            q = Query(terms, k)
+            got = top_k(f, q, lexicon)
+            assert got == brute_force_top_k(V, terms, k) == reference.top_k(ref, q, lexicon)
+
+
+def test_top_k_tie_at_kth_between_longest_only_and_shorter_only_docs():
+    # doc 1 (term 1 only) ties doc 6 (term 0, the longest, only) at 3, and
+    # doc 4 (term 0 only) ties doc 9 (term 1 only) at 2: the lower id ranks
+    V = matrix_from_cells(_SEEDED_CELLS)
+    f = factor(V)
+    ranked = [ScoredDoc(2, 6), ScoredDoc(5, 5), ScoredDoc(10, 4), ScoredDoc(1, 3), ScoredDoc(6, 3), ScoredDoc(4, 2)]
+    for k in (4, 6):
+        assert top_k(f, Query(("1", "0"), k), V.lexicon) == ranked[:k]
+        assert top_k(f, Query(("0", "1"), k), V.lexicon) == ranked[:k]
 
 
 def test_top_k_all_terms_unknown():
