@@ -44,7 +44,8 @@ import struct
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import is_, not_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -136,10 +137,11 @@ def _read_strs(data: memoryview, pos: int, end: int, count: int, what: str) -> t
     return strings, pos
 
 
-def _section_lists(f: Factorization) -> tuple[Iterator, Iterator]:
-    """(H lists, W rows) as saved: the meta-terms' lists, then the residual
-    rows as the direct lists, and the memberships."""
-    h = chain(((mt.cols, mt.base) for mt in f.metaterms), ((row.docs, row.payloads) for row in f.residual))
+def _section_lists(f: Factorization, residual: Iterable[PostingList]) -> tuple[Iterator, Iterator]:
+    """(H lists, W rows) as saved: the meta-terms' lists, then the given
+    residual rows (f.residual as saved) as the direct lists, and the
+    memberships."""
+    h = chain(((mt.cols, mt.base) for mt in f.metaterms), ((row.docs, row.payloads) for row in residual))
     return h, map(unzip_pairs, f.memberships)
 
 
@@ -151,7 +153,7 @@ def encoded_section_parts(
     where each W row starts. The first item was the H offset table, which
     format 3 dropped; it stays, empty, so that the tuple keeps the shape
     perfbench reads."""
-    h_lists, w_lists = _section_lists(f)
+    h_lists, w_lists = _section_lists(f, f.residual)
     h_blob, _ = encode_lists(h_lists, cfg.doc_gap, cfg.payload)
     w_blob, w_offsets = encode_lists(w_lists, cfg.doc_gap, cfg.coeff)
     return b"", h_blob, w_blob, w_offsets
@@ -328,11 +330,14 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     direct_bits = list_bit_lengths(
         ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload
     )
-    h_lists, w_lists = _section_lists(f)
-    h_bits = list_bit_lengths(h_lists, cfg.doc_gap, cfg.payload)
+    # A residual row that is V's own row object, as factoring leaves an
+    # untouched row, is coded as that row was above: only the others are sized.
+    own = list(map(is_, f.residual, chain(matrix.rows, repeat(None))))
+    h_lists, w_lists = _section_lists(f, compress(f.residual, map(not_, own)))
+    h_bits = sum(list_bit_lengths(h_lists, cfg.doc_gap, cfg.payload)) + sum(compress(direct_bits, own))
     w_bits = list_bit_lengths(w_lists, cfg.doc_gap, cfg.coeff)
     bytes_direct = (sum(direct_bits) + 7) // 8
-    bytes_factored = (sum(h_bits) + 7) // 8 + (sum(w_bits) + 7) // 8
+    bytes_factored = (h_bits + 7) // 8 + (sum(w_bits) + 7) // 8
     return IndexStats(
         nnz_v=nnz(matrix),
         nnz_w=f.nnz_w,

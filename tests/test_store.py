@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import operator
 import random
 import struct
 import sys
@@ -32,7 +33,7 @@ from mtix import (
 from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, gamma_encode, unzip_pairs
 from mtix.factorize import Factorization, MetaTerm
 from mtix.store import _CRC_AT, _HEADER, _checksum, encoded_section_parts
-from mtix.synth import planted_matrix, random_matrix
+from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 
 ALL_CFGS = [CodecConfig(g, p, c) for g in CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
 
@@ -173,6 +174,32 @@ def test_stats_bytes_match_file_sections(tmp_path):
     st = stats(V, f, cfg)
     # encoded content = the sections minus their u64 count words
     assert st.bytes_factored == (len(h_section) - 8) + (len(w_section) - 8)
+
+
+@pytest.mark.parametrize(
+    "corpus, cfg",
+    [
+        ("zipf", CodecConfig()),  # no meta-term pays: every residual row is V's own
+        ("zipf", CodecConfig("vbyte", "vbyte", "vbyte")),  # V's rows next to cut-down ones
+        ("planted", CodecConfig("delta", "gamma", "vbyte")),
+    ],
+)
+def test_stats_same_after_reload(tmp_path, corpus, cfg):
+    # stats reuses the direct size of each residual row that is V's own row
+    # object; a loaded factorization shares no row with V and is sized anew
+    if corpus == "zipf":
+        docs = zipf_corpus(120, 600, rng=random.Random(7))
+        (tmp_path / "z.tsv").write_text("".join(f"{d}\t{b}\n" for d, b in docs), encoding="utf-8")
+        V = ingest_tsv(tmp_path / "z.tsv")
+    else:
+        V, _ = planted_matrix(rng=random.Random(55))
+    f = factor(V, cfg=cfg)
+    assert any(map(operator.is_, f.residual, V.rows))
+    path = tmp_path / "s.idx"
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
+    g = load_index(path).factorization
+    assert g == f and not any(map(operator.is_, g.residual, V.rows))
+    assert stats(V, g, cfg) == stats(V, f, cfg)
 
 
 def test_stats_all_singleton_overhead():
