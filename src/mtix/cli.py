@@ -60,12 +60,13 @@ def _load_matrix(path: str, triples: bool) -> TermDocMatrix:
 
 
 def _read_queries(path: str) -> list[list[str]]:
-    """One whitespace-separated query per line of a UTF-8 file."""
+    """One whitespace-separated query per line of a UTF-8 file, lines ending
+    at \\n, \\r\\n or \\r only: other line breaks such as \\f separate terms."""
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return [line.decode("utf-8").split() for line in data.splitlines()]
     except UnicodeDecodeError:
-        raise utf8_error(Path(path).read_bytes()) from None
-    return [line.split() for line in text.splitlines()]
+        raise utf8_error(data) from None
 
 
 def _print_stats(st: IndexStats, tsv: bool) -> None:

@@ -149,6 +149,23 @@ def test_query_command_blocks_and_tsv(tiny_corpus, tmp_path, capsys):
     assert qids == {"0", "2"}  # query 1 (zebra) contributes no rows
 
 
+def test_query_file_lines_end_only_at_newlines(tiny_corpus, tmp_path, capsys):
+    # \f, \u2028 and \x85 are line breaks to str.splitlines but only
+    # whitespace inside a query line; blank lines stay empty queries
+    index = tmp_path / "q.idx"
+    main(["build", str(tiny_corpus), str(index)])
+    odd = tmp_path / "odd.txt"
+    odd.write_bytes("a\fb\ncat\u2028dog\r\n\r\ncat\x85a\r".encode("utf-8"))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("a b\ncat dog\n\ncat a\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["query", str(index), str(odd), "--k", "5", "--tsv"]) == 0
+    out = capsys.readouterr().out
+    assert {line.split("\t")[0] for line in out.splitlines()} == {"0", "1", "3"}
+    assert main(["query", str(index), str(plain), "--k", "5", "--tsv"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_query_k_larger_than_corpus(tiny_corpus, tmp_path, capsys):
     index = tmp_path / "k.idx"
     main(["build", str(tiny_corpus), str(index)])
