@@ -17,7 +17,9 @@ third by bits:
 * Stage 2 (refine_partial) mines the residual rows (the cells no meta-term
   covers) for partial-column biclusters: column subsets on which pairs of
   rows keep a constant payload ratio, extended to all rows that fit,
-  applied greedily by descending gain.
+  applied greedily by descending gain. A row's partners are counted in
+  bit-sliced counters over per-doc term bitsets when the residual is dense
+  enough for the bitsets to be cheap, else with a Counter.
 * The dissolve pass puts a meta-term's cells back into its members' direct
   lists wherever that saves bits under the codec, until none does. If the
   meta-terms left still cost more bytes than their members' rows coded
@@ -38,11 +40,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress, islice, repeat
 from math import gcd
 from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, sub
 from pathlib import Path
+from re import finditer
 from typing import IO, Sequence
 
 from .codec import CodecConfig, code_bits, code_lengths, list_bit_lengths, unzip_pairs
@@ -85,10 +88,12 @@ class FactorParams:
     max_candidates_per_term: int = 64
 
     def __post_init__(self) -> None:
-        if self.min_cols < 2:
-            raise ValidationError("min_cols must be >= 2")
-        if self.max_candidates_per_term < 1:
-            raise ValidationError("max_candidates_per_term must be >= 1")
+        for name, low in (("min_cols", 2), ("max_candidates_per_term", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int, not {type(value).__name__}")
+            if value < low:
+                raise ValidationError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -196,12 +201,11 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     return Factorization(tuple(metaterms), tuple(memberships), tuple(residual), matrix.num_terms, matrix.num_docs)
 
 
-def _later_partners(
-    terms_of_doc: dict[int, list[int]], row1: dict[int, int], t1: int, min_cols: int
-) -> list[int]:
+def _later_partners(doc_bits: _DocBits, row1: dict[int, int], t1: int, min_cols: int) -> list[int]:
     """The residual rows t2 > t1 sharing at least min_cols docs with row1,
-    ascending. A doc's term list is ascending, so t1's later partners in it
-    are the suffix past t1."""
+    ascending, counted in a Counter. A doc's term list is ascending, so t1's
+    later partners in it are the suffix past t1."""
+    terms_of_doc = doc_bits.terms_of_doc
     counts = Counter(
         chain.from_iterable((later := terms_of_doc[d])[bisect_right(later, t1) :] for d in row1)
     )
@@ -210,16 +214,42 @@ def _later_partners(
 
 class _DocBits(dict):
     """Doc id -> int bitset over residual term ids (bit t set iff term t has
-    a residual cell in that doc), each built the first time it is looked up.
-    """
+    a residual cell in that doc), each built the first time it is looked up;
+    `lanes` sets the bits of all num_terms term ids."""
 
-    def __init__(self, terms_of_doc: dict[int, list[int]]):
+    def __init__(self, terms_of_doc: dict[int, list[int]], num_terms: int):
         super().__init__()
         self.terms_of_doc = terms_of_doc
+        self.lanes = (1 << num_terms) - 1
 
     def __missing__(self, d: int) -> int:
         bits = self[d] = sum(map(lshift, repeat(1), self.terms_of_doc[d]))
         return bits
+
+
+def _later_partners_sliced(doc_bits: _DocBits, row1: dict[int, int], t1: int, min_cols: int) -> list[int]:
+    """_later_partners in bit-sliced counters (Rinfret, O'Neil and O'Neil,
+    SIGMOD 2001): bit j of plane i is bit i of lane j's count, the docs of
+    row1 that hold term t1 + 1 + j. The L = (min_cols - 1).bit_length()
+    planes start at 2**L - min_cols; each doc adds its bitset shifted past
+    t1, and a carry out of the top plane marks a lane that reached min_cols.
+    """
+    shift = t1 + 1
+    depth = (min_cols - 1).bit_length()
+    offset = (1 << depth) - min_cols
+    lanes = doc_bits.lanes >> shift
+    planes = [lanes if offset >> i & 1 else 0 for i in range(depth)]
+    reached = 0
+    for bits in map(doc_bits.__getitem__, row1):
+        carry = bits >> shift
+        i = 0
+        while carry and i < depth:
+            plane = planes[i]
+            planes[i] = plane ^ carry
+            carry &= plane
+            i += 1
+        reached |= carry
+    return [shift + lane.start() for lane in finditer("1", bin(reached)[:1:-1])]  # lane j at index j
 
 
 def _candidate_rows(
@@ -238,13 +268,17 @@ def _candidate_rows(
     """
     common = reduce(and_, map(doc_bits.__getitem__, docs))
     payloads = itemgetter(*docs)  # len(docs) >= min_cols >= 2: returns a tuple
+    (d0, d1), (u0, u1) = docs[:2], base[:2]
     rows = []
     coeffs = []
     while common:
         low = common & -common
         common ^= low
         t = low.bit_length() - 1
-        k, row_base = primitive(payloads(residual[t]))
+        cells = residual[t]
+        if cells[d0] * u1 != cells[d1] * u0:  # not even its first two columns in base's ratio
+            continue
+        k, row_base = primitive(payloads(cells))
         if row_base == base:
             rows.append(t)
             coeffs.append(k)
@@ -261,7 +295,10 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
     revalidated against already-consumed cells first. A partly consumed row
     keeps its leftover cells as its residual row, so the output total size
     never exceeds the input's; rows no bicluster touches pass through as
-    they are.
+    they are. Partners are counted in bit-sliced counters over the doc
+    bitsets when those take at most 16 B per residual cell, else with a
+    Counter: on a sparse residual, bitsets for every doc cost more memory
+    than they save time. Both find the same partners.
     """
     residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(f.residual) if row}
 
@@ -273,7 +310,10 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
 
     # Candidate generation, one pass over residual row pairs.
     min_cols = params.min_cols
-    doc_bits = _DocBits(terms_of_doc)
+    num_lanes = next(reversed(residual), -1) + 1
+    doc_bits = _DocBits(terms_of_doc, num_lanes)
+    dense = sum(map(len, residual.values())) * 128 >= len(terms_of_doc) * num_lanes
+    later_partners = _later_partners_sliced if dense else _later_partners
     # One tuple per distinct base (most are all ones), shared by the heap
     # and seen, which hold one per candidate.
     bases: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -283,7 +323,7 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
         if len(row1) < min_cols:
             continue
         made = 0
-        for t2 in _later_partners(terms_of_doc, row1, t1, min_cols):
+        for t2 in later_partners(doc_bits, row1, t1, min_cols):
             if made >= params.max_candidates_per_term:
                 break
             row2 = residual[t2]
@@ -307,19 +347,20 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
                 g_val = gain(len(rows), len(cols))
                 if len(rows) < 2 or g_val <= 0:
                     continue
-                heappush(heap, (-g_val, rows[0], cols[0], rows, cols, base, coeffs))
+                heap.append((-g_val, rows[0], cols[0], rows, cols, base, coeffs))
                 made += 1
 
     # Generation ends at stage 2's memory peak: free its indexes before
     # application allocates.
     del doc_bits, bases, seen, terms_of_doc
+    heapify(heap)  # no two keys are equal: (cols, base) differs
 
     # Greedy application with revalidation against consumed cells.
     metaterms = [(mt.cols, mt.base) for mt in f.metaterms]
     memberships = list(map(list, f.memberships))
     while heap:
         _, _, _, rows, cols, base, coeffs = heappop(heap)
-        live = [(t, k) for t, k in zip(rows, coeffs) if all(d in residual[t] for d in cols)]
+        live = [(t, k) for t, k in zip(rows, coeffs) if all(map(residual[t].__contains__, cols))]
         if len(live) < 2:
             continue
         g_val = gain(len(live), len(cols))

@@ -24,7 +24,7 @@ from mtix import (
     refine_partial,
     total_size,
 )
-from mtix.factorize import _assemble
+from mtix.factorize import _DocBits, _assemble, _later_partners, _later_partners_sliced
 from mtix.matrix import primitive
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 from conftest import singleton_form
@@ -45,6 +45,14 @@ def test_gain_examples():
     assert gain(5, 50) == 195
     with pytest.raises(ValidationError):
         gain(0, 3)
+
+
+@pytest.mark.parametrize("value", [4.5, 4.0, "4", True, None])
+@pytest.mark.parametrize("field", ["min_cols", "max_candidates_per_term"])
+def test_factor_params_rejects_a_non_int(field, value):
+    # FactorParams(min_cols=4.5) once passed and acted as 5
+    with pytest.raises(ValidationError, match=f"{field} must be an int"):
+        FactorParams(**{field: value})
 
 
 def test_factor_whole_rows_groups_multiples():
@@ -489,10 +497,42 @@ def sparse_id_matrices(draw):
     return matrix_from_cells(cells, num_docs=V.num_docs)
 
 
+def _residual_index(V):
+    """refine_partial's view of V's rows: term -> {doc: payload}, and the
+    doc bitsets over each doc's ascending term list."""
+    residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(V.rows) if row}
+    terms_of_doc = {}
+    for t, cells in residual.items():
+        for d in cells:
+            terms_of_doc.setdefault(d, []).append(t)
+    return residual, _DocBits(terms_of_doc, next(reversed(residual), -1) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(small_matrices(), correlated_matrices(), sparse_id_matrices()),
+    st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+)
+def test_partner_searches_agree(V, min_cols):
+    # refine_partial picks one partner search per call by density, so both
+    # are called here directly, for every anchor, the last residual term
+    # among them, and also with a min_cols above every row's length
+    residual, doc_bits = _residual_index(V)
+    above = max(map(len, residual.values()), default=0) + 1
+    for t1, row1 in residual.items():
+        for m in (min_cols, above):
+            want = _later_partners(doc_bits, row1, t1, m)
+            assert _later_partners_sliced(doc_bits, row1, t1, m) == want
+        assert want == []
+    if residual:
+        last = next(reversed(residual))
+        assert _later_partners_sliced(doc_bits, residual[last], last, 2) == []
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.one_of(correlated_matrices(), sparse_id_matrices()),
-    st.sampled_from([2, 3, 4]),
+    st.sampled_from([2, 3, 4, 5, 8]),
     st.sampled_from([1, 2, 64]),
 )
 def test_refine_partial_matches_reference(V, min_cols, cap):
@@ -502,14 +542,41 @@ def test_refine_partial_matches_reference(V, min_cols, cap):
     assert singleton_form(refine_partial(f1, params)) == want
 
 
-def test_refine_partial_matches_reference_mid_size(tmp_path):
+def _refuse(*args):
+    raise AssertionError("the other partner search ran")
+
+
+def test_refine_partial_matches_reference_mid_size(tmp_path, monkeypatch):
     # Zipf text with default parameters: about 3,500 terms, thousands of
-    # candidates, residual ids up to the last term
+    # candidates, residual ids up to the last term. Its residual is dense,
+    # so the bit-sliced partner search runs.
     path = tmp_path / "zipf.tsv"
     docs = zipf_corpus(400, 4000, rng=random.Random(11))
     path.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
     V = ingest_tsv(path)
     f1 = factor_whole_rows(V)
+    monkeypatch.setattr("mtix.factorize._later_partners", _refuse)
+    f2 = refine_partial(f1, FactorParams())
+    assert singleton_form(f2) == reference_refine_partial(V, singleton_form(f1), FactorParams())
+    assert total_size(f2) < total_size(f1)  # stage 2 applied biclusters
+
+
+def test_refine_partial_matches_reference_sparse_mid_size(monkeypatch):
+    # 1,500 terms over 4,000 docs at density 0.003, with 40 partial-column
+    # groups of 3 rows x 6 docs laid over them: the residual is too sparse
+    # for doc bitsets to count partners, so the Counter search runs
+    rng = random.Random(13)
+    V = random_matrix(1500, 4000, 0.003, payload_range=(1, 2), rng=rng)
+    cells = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(V.rows) if row}
+    for _ in range(40):
+        docs = rng.sample(range(4000), 6)
+        base = [rng.randint(1, 3) for _ in docs]
+        for t in rng.sample(range(1500), 3):
+            k = rng.randint(1, 3)
+            cells.setdefault(t, {}).update((d, k * u) for d, u in zip(docs, base))
+    V = matrix_from_cells(cells, num_terms=1500, num_docs=4000)
+    f1 = factor_whole_rows(V)
+    monkeypatch.setattr("mtix.factorize._later_partners_sliced", _refuse)
     f2 = refine_partial(f1, FactorParams())
     assert singleton_form(f2) == reference_refine_partial(V, singleton_form(f1), FactorParams())
     assert total_size(f2) < total_size(f1)  # stage 2 applied biclusters
