@@ -5,15 +5,23 @@ positive integers (term frequencies or pre-quantized impact scores); a zero
 payload is represented by absence and is never stored. All row arithmetic is
 exact integer arithmetic, so "row a is a multiple of row b" is decidable via
 GCD normalization with no floating-point tolerance anywhere.
+
+Ingest appends each term's doc ids and payloads to two columns and builds
+the term's row from them, with no per-cell dict. A triples file is read in
+fixed-size blocks of whole lines, each checked by one regex and parsed by
+one split() and map(int), so memory beyond the matrix stays near one block;
+a file with a bad line is read again line by line, to raise its first
+error with its line number.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import gcd
-from operator import lt
+from operator import lt, ne
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -204,6 +212,13 @@ def nnz(matrix: TermDocMatrix) -> int:
 _ID_LIMIT = 1 << 20
 
 
+def _check_id_limits(num_terms: int, num_docs: int) -> None:
+    """Raise before a matrix with more than _ID_LIMIT terms or docs is built."""
+    for what, ids in (("term", num_terms), ("doc", num_docs)):
+        if ids > _ID_LIMIT:
+            raise ValidationError(f"{what} id {ids - 1} past the limit: {what} ids must be below {_ID_LIMIT}")
+
+
 def matrix_from_cells(
     cells: dict[int, dict[int, int]],
     num_terms: int | None = None,
@@ -227,9 +242,7 @@ def matrix_from_cells(
         num_docs = max_doc + 1
     elif max_doc >= num_docs:
         raise ValidationError(f"doc {max_doc} outside num_docs={num_docs}")
-    for what, count in (("term", num_terms), ("doc", num_docs)):
-        if count > _ID_LIMIT:
-            raise ValidationError(f"{what} id {count - 1} past the limit: {what} ids must be below {_ID_LIMIT}")
+    _check_id_limits(num_terms, num_docs)
     rows = [
         PostingList.from_pairs(t, sorted(cells.get(t, {}).items())) for t in range(num_terms)
     ]
@@ -245,11 +258,12 @@ def ingest_tsv(path: str | Path) -> TermDocMatrix:
     is the frequency of t in d; TermIds are assigned in first-seen order and
     DocIds in line order. An empty file yields an empty matrix; a line
     without a tab, or a byte that is not UTF-8, raises ParseError with its
-    line number.
+    line number. Each term's docs and frequencies are appended to its two
+    columns, in which docs ascend because lines are read in doc order.
     """
     lexicon = Lexicon()
     doc_names: list[str] = []
-    cells: dict[int, dict[int, int]] = {}
+    columns: list[tuple[list[int], list[int]]] = []
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -259,27 +273,89 @@ def ingest_tsv(path: str | Path) -> TermDocMatrix:
                 name, body = line.split("\t", 1)
                 doc = len(doc_names)
                 doc_names.append(name)
-                for token in _TOKEN.findall(body.lower()):
+                # a Counter keeps first-seen order, so terms are interned as
+                # they first occur in the body
+                for token, freq in Counter(_TOKEN.findall(body.lower())).items():
                     tid = lexicon.intern(token)
-                    by_doc = cells.setdefault(tid, {})
-                    by_doc[doc] = by_doc.get(doc, 0) + 1
+                    if tid == len(columns):
+                        columns.append(([], []))
+                    docs, freqs = columns[tid]
+                    docs.append(doc)
+                    freqs.append(freq)
     except UnicodeDecodeError:
         raise utf8_error(Path(path).read_bytes()) from None
-    return matrix_from_cells(
-        cells, num_terms=len(lexicon), num_docs=len(doc_names), lexicon=lexicon, doc_names=doc_names
-    )
+    _check_id_limits(len(lexicon), len(doc_names))
+    rows = [PostingList(t, tuple(docs), tuple(freqs)) for t, (docs, freqs) in enumerate(columns)]
+    return TermDocMatrix(rows, len(doc_names), lexicon, doc_names)
 
 
-def read_triples(path: str | Path) -> dict[int, dict[int, int]]:
-    """Read "row col value" lines (space-separated decimal integers) into
-    {row: {col: value}}; values may be any integer.
+# Triples files are read in blocks of this many bytes, so ingest never holds
+# more of the file than one block and the line it ends in.
+_BLOCK = 1 << 16
 
-    Blank lines are skipped. A line without three integer fields raises
-    ParseError with its line number; a negative row or column id and a
-    duplicated (row, col) cell are validation errors. The file is read as
-    bytes, split into lines as universal newlines do, so a non-ASCII byte is
-    a non-integer field.
+# A line of three fields, as bytes.split() cuts them, once \r is read as \n;
+# int() then checks each field.
+_TRIPLE_LINE = re.compile(rb"(?m)^[ \t\v\f]*[^\s]+[ \t\v\f]+[^\s]+[ \t\v\f]+[^\s]+[ \t\v\f]*$")
+_CR_AS_LF = bytes.maketrans(b"\r", b"\n")
+
+
+def _blocks(fh: IO[bytes]) -> Iterator[bytes]:
+    """The file in pieces of whole lines, read _BLOCK bytes at a time: each
+    piece ends at its last \\n or \\r, and the bytes after it start the next.
+
+    A \\r\\n cut in two leaves a blank line, which read_triples skips.
     """
+    head: list[bytes] = []  # the line that continues into the next read
+    while block := fh.read(_BLOCK):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if cut:
+            yield b"".join([*head, block[:cut]])
+            head = [block[cut:]]
+        else:
+            head.append(block)
+    yield b"".join(head)
+
+
+def _ascending(values: Sequence[int]) -> bool:
+    return all(map(lt, values, islice(values, 1, None)))
+
+
+def _block_columns(fh: IO[bytes]) -> dict[int, tuple[list[int], list[int]]] | None:
+    """read_triples' cells as {row: (cols, values)} in file order, or None
+    when a line is not three integers, an id is negative or a cell repeats.
+
+    Each block's lines are checked by one regex, its fields parsed by one
+    split() and map(int); each run of lines with the same row id is appended
+    to that row's two columns by slice.
+    """
+    columns: dict[int, tuple[list[int], list[int]]] = {}
+    for block in _blocks(fh):
+        # with every three-field line taken out, only blank lines may be left
+        if _TRIPLE_LINE.sub(b"", block.translate(_CR_AS_LF)).strip():
+            return None
+        try:
+            ints = list(map(int, block.split()))
+        except ValueError:
+            return None
+        rows, block_cols, block_values = ints[::3], ints[1::3], ints[2::3]
+        if not rows:
+            continue
+        if min(rows) < 0 or min(block_cols) < 0:
+            return None
+        starts = [0, *compress(count(1), map(ne, rows, islice(rows, 1, None))), len(rows)]
+        for a, b in zip(starts, islice(starts, 1, None)):
+            cols, values = columns.get(rows[a]) or columns.setdefault(rows[a], ([], []))
+            cols += block_cols[a:b]
+            values += block_values[a:b]
+    for cols, _ in columns.values():
+        if not _ascending(cols) and len(set(cols)) < len(cols):
+            return None
+    return columns
+
+
+def _line_columns(path: str | Path) -> dict[int, tuple[list[int], list[int]]]:
+    """_block_columns one line at a time: the path that raises read_triples'
+    errors, the first in file order, with their line numbers."""
     cells: dict[int, dict[int, int]] = {}
     with open(path, "rb") as fh:
         lines = chain.from_iterable(map(bytes.splitlines, fh))
@@ -299,16 +375,53 @@ def read_triples(path: str | Path) -> dict[int, dict[int, int]]:
             if j in row:
                 raise ValidationError(f"line {line_no}: duplicate cell ({i}, {j})")
             row[j] = v
-    return cells
+    return {i: (list(row), list(row.values())) for i, row in cells.items()}
+
+
+def _triple_columns(path: str | Path) -> dict[int, tuple[list[int], list[int]]]:
+    """The cells of a triples file (see read_triples) as {row: (cols,
+    values)}: rows in first-seen order, each row's cells in file order."""
+    with open(path, "rb") as fh:
+        columns = _block_columns(fh)
+    return _line_columns(path) if columns is None else columns
+
+
+def read_triples(path: str | Path) -> dict[int, dict[int, int]]:
+    """Read "row col value" lines (space-separated decimal integers) into
+    {row: {col: value}}; values may be any integer.
+
+    Blank lines are skipped. A line without three integer fields raises
+    ParseError with its line number; a negative row or column id and a
+    duplicated (row, col) cell are validation errors. The file is read as
+    bytes, split into lines as universal newlines do, so a non-ASCII byte is
+    a non-integer field. Lines may come in any order; the file is read in
+    blocks of bounded size.
+    """
+    return {i: dict(zip(cols, values)) for i, (cols, values) in _triple_columns(path).items()}
 
 
 def ingest_triples(path: str | Path) -> TermDocMatrix:
     """Read "term doc payload" triples (see read_triples) into V.
 
     The matrix has exactly the listed non-zeros; a zero or negative payload
-    and a duplicated (term, doc) cell are validation errors.
+    and a duplicated (term, doc) cell are validation errors, and ids must be
+    below 2^20 as in matrix_from_cells. Each term's postings are built from
+    its columns, sorted by doc only when its lines were not in doc order.
     """
-    return matrix_from_cells(read_triples(path))
+    columns = _triple_columns(path)
+    num_terms = max(columns, default=-1) + 1
+    num_docs = max((max(docs) for docs, _ in columns.values()), default=-1) + 1
+    _check_id_limits(num_terms, num_docs)
+    rows = []
+    for t in range(num_terms):
+        # popped, so each term's lists are freed as its row is built
+        docs, payloads = columns.pop(t, ((), ()))
+        if not _ascending(docs):
+            docs, payloads = zip(*sorted(zip(docs, payloads)))
+        if payloads and min(payloads) < 1:
+            PostingList.from_pairs(t, zip(docs, payloads))  # raises the first bad payload's error
+        rows.append(PostingList(t, tuple(docs), tuple(payloads)))
+    return TermDocMatrix(rows, num_docs, Lexicon(str(t) for t in range(num_terms)), [])
 
 
 def export_triples(matrix: TermDocMatrix, out: str | Path | IO[str]) -> None:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import io
+import sys
+from pathlib import Path
 
 from mtix import Factorization, MetaTerm, PostingList, export_factors
 
@@ -42,3 +45,13 @@ def singleton_form(f):
         num_terms=f.num_terms,
         num_docs=f.num_docs,
     )
+
+
+def bench_workloads():
+    """perfbench's seeded workload generators, loaded from their file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module

@@ -316,6 +316,21 @@ def test_diag_remainder_zero_w(tmp_path, capsys):
     assert "R larger than V: no" in out
 
 
+def test_diag_remainder_reads_factors_in_any_order(tmp_path, capsys):
+    # zero and negative W and H values, \r\n line ends, lines out of order
+    (tmp_path / "v.t").write_bytes(b"1 1 4\n0 1 3\n0 0 2\n")
+    (tmp_path / "w.t").write_bytes(b"1 0 2\r\n0 1 -1\r\n0 0 1\r\n1 1 0\r\n")
+    (tmp_path / "h.t").write_bytes(b"1 2 5\r\n0 1 3\r\n0 0 2\r\n1 0 -2\r\n1 1 0\r\n")
+    argv = ["diag-remainder", str(tmp_path / "v.t"), str(tmp_path / "w.t"), str(tmp_path / "h.t")]
+    assert main(argv) == 0
+    # WH: term 0 = (4, 3, -5), term 1 = (4, 6, 0); only V's (0, 1) = 3 agrees
+    assert capsys.readouterr().out == "nnz_V\t3\nnnz_WH\t5\nnnz_R\t4\nR larger than V: yes\n"
+    (tmp_path / "w.t").write_bytes(b"1 0 2\r\n0 1 x\r\n0 0 1\r\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 2: non-integer field" in err and "Traceback" not in err
+
+
 def test_diag_remainder_dimension_mismatch(tmp_path, capsys):
     (tmp_path / "v.t").write_text("0 0 1\n")
     (tmp_path / "w.t").write_text("0 5 1\n")  # meta-term 5 has no H row

@@ -1,12 +1,9 @@
 import hashlib
-import importlib.util
 import operator
 import random
 import struct
-import sys
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,6 +31,7 @@ from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, gamma_encode, un
 from mtix.factorize import Factorization, MetaTerm
 from mtix.store import _CRC_AT, _HEADER, _checksum, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
+from conftest import bench_workloads
 
 ALL_CFGS = [CodecConfig(g, p, c) for g in CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
 
@@ -618,19 +616,9 @@ def test_no_multirow_metaterm_costs_direct_plus_one_bit_per_term(V):
     _assert_direct_plus_one_bit_per_term(V, f)
 
 
-def _bench_workloads():
-    """perfbench's seeded workload generators, loaded from their file."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    )
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["zipf-text", "random-triples"])
 def test_stage1_on_bench_inputs_costs_direct_plus_one_bit_per_term(tmp_path, workload):
-    gen = _bench_workloads().generate(workload, 1, tmp_path)
+    gen = bench_workloads().generate(workload, 1, tmp_path)
     V = (ingest_triples if gen.triples else ingest_tsv)(gen.corpus)
     _assert_direct_plus_one_bit_per_term(V, factor_whole_rows(V))
 
