@@ -34,7 +34,8 @@ the per-bit work. There are three list kernels:
   pairs one findall splits each run of words under one codec, over a span
   sized from the run's count. A word cut off at a window's end is carried
   over into the next window, and int(word, 2) turns words into values
-  (vbyte words after one join of each run's 7-bit groups).
+  (vbyte words after one join of each run's 7-bit groups); gamma words
+  of values below _TABLE_SIZE are looked up in a table instead.
 * size (`list_bit_lengths`, `code_bits`): code lengths in closed form from
   each value's bit length, with nothing encoded.
 
@@ -50,8 +51,8 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
-from operator import sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import is_, sub
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import CorruptionError, TruncationError, ValidationError
@@ -148,7 +149,12 @@ def _vbyte_format(values: Iterable[int]) -> list[str]:
 
 
 def _gamma_parse(words: list[str]) -> list[int]:
-    return list(map(int, words, repeat(2, len(words))))
+    """Values of gamma words: those below _TABLE_SIZE, as the table's own
+    int objects, from the word -> value table; the misses by int(word, 2)."""
+    values = list(map(_word_values("gamma").get, words))
+    for i in compress(count(), map(is_, values, repeat(None))):
+        values[i] = int(words[i], 2)
+    return values
 
 
 def _delta_parse(words: list[str]) -> list[int]:
@@ -193,6 +199,12 @@ _PARSE: dict[str, Callable[[list[str]], list[int]]] = {
 @functools.cache
 def _word_table(codec: str) -> list[str]:
     return _FORMAT[codec](range(_TABLE_SIZE))
+
+
+@functools.cache
+def _word_values(codec: str) -> dict[str, int]:
+    """The inverse of _word_table for the values 1 .. _TABLE_SIZE - 1."""
+    return dict(zip(_word_table(codec)[1:], range(1, _TABLE_SIZE)))
 
 
 def _words(values: Sequence[int], codec: str, top: int) -> list[str]:

@@ -41,6 +41,12 @@ class InvariantError(MtixError):
     """An internal invariant was violated; indicates a bug, not bad input."""
 
 
+def check_int(name: str, value: object) -> None:
+    """Raise ValidationError for a value that is not an int, or is a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def utf8_error(data: bytes) -> ParseError:
     """The ParseError for input `data` that is not UTF-8: it names the line
     of the first bad byte, lines ending at \\n, \\r\\n or \\r as in universal

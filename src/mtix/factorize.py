@@ -49,7 +49,7 @@ from re import finditer
 from typing import IO, Sequence
 
 from .codec import CodecConfig, code_bits, code_lengths, list_bit_lengths, unzip_pairs
-from .errors import InvariantError, ValidationError
+from .errors import InvariantError, ValidationError, check_int
 from .matrix import Lexicon, PostingList, TermDocMatrix, primitive
 
 
@@ -90,8 +90,7 @@ class FactorParams:
     def __post_init__(self) -> None:
         for name, low in (("min_cols", 2), ("max_candidates_per_term", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an int, not {type(value).__name__}")
+            check_int(name, value)
             if value < low:
                 raise ValidationError(f"{name} must be >= {low}")
 

@@ -11,7 +11,9 @@ the term's row from them, with no per-cell dict. A triples file is read in
 fixed-size blocks of whole lines, each checked by one regex and parsed by
 one split() and map(int), so memory beyond the matrix stays near one block;
 a file with a bad line is read again line by line, to raise its first
-error with its line number.
+error with its line number. Each block's doc ids are mapped through one
+table of ids, so a matrix holds one int object per distinct doc id, not
+one per cell.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from math import gcd
-from operator import lt, ne
+from operator import itemgetter, lt, ne
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
@@ -293,9 +295,11 @@ def ingest_tsv(path: str | Path) -> TermDocMatrix:
 # more of the file than one block and the line it ends in.
 _BLOCK = 1 << 16
 
-# A line of three fields, as bytes.split() cuts them, once \r is read as \n;
-# int() then checks each field.
-_TRIPLE_LINE = re.compile(rb"(?m)^[ \t\v\f]*[^\s]+[ \t\v\f]+[^\s]+[ \t\v\f]+[^\s]+[ \t\v\f]*$")
+# A block of lines that are blank or of three fields, as bytes.split() cuts
+# them, once \r is read as \n; int() then checks each field. Possessive, so
+# a line is matched once, with no backtracking.
+_LINE = rb"[ \t\v\f]*+(?:[^\s]++[ \t\v\f]++[^\s]++[ \t\v\f]++[^\s]++[ \t\v\f]*+)?+"
+_TRIPLE_LINES = re.compile(rb"(?:%s\n)*+%s" % (_LINE, _LINE))
 _CR_AS_LF = bytes.maketrans(b"\r", b"\n")
 
 
@@ -316,6 +320,12 @@ def _blocks(fh: IO[bytes]) -> Iterator[bytes]:
     yield b"".join(head)
 
 
+def shared_ints(table: list[int], keys: Sequence[int]) -> tuple[int, ...]:
+    """The table's own int objects for `keys`, which index it: with
+    table[j] == j, every key of one value comes back as one object."""
+    return itemgetter(*keys)(table) if len(keys) > 1 else tuple(map(table.__getitem__, keys))
+
+
 def _ascending(values: Sequence[int]) -> bool:
     return all(map(lt, values, islice(values, 1, None)))
 
@@ -325,13 +335,14 @@ def _block_columns(fh: IO[bytes]) -> dict[int, tuple[list[int], list[int]]] | No
     when a line is not three integers, an id is negative or a cell repeats.
 
     Each block's lines are checked by one regex, its fields parsed by one
-    split() and map(int); each run of lines with the same row id is appended
-    to that row's two columns by slice.
+    split() and map(int), and its column ids mapped to the id table's own
+    int objects; each run of lines with the same row id is appended to that
+    row's two columns by slice.
     """
     columns: dict[int, tuple[list[int], list[int]]] = {}
+    ids: list[int] = []  # ids[j] is j: one int object per column id
     for block in _blocks(fh):
-        # with every three-field line taken out, only blank lines may be left
-        if _TRIPLE_LINE.sub(b"", block.translate(_CR_AS_LF)).strip():
+        if not _TRIPLE_LINES.fullmatch(block.translate(_CR_AS_LF)):
             return None
         try:
             ints = list(map(int, block.split()))
@@ -342,6 +353,12 @@ def _block_columns(fh: IO[bytes]) -> dict[int, tuple[list[int], list[int]]] | No
             continue
         if min(rows) < 0 or min(block_cols) < 0:
             return None
+        try:
+            block_cols = shared_ints(ids, block_cols)
+        except IndexError:  # an id past the table; one past _ID_LIMIT is left to _check_id_limits
+            if (top := max(block_cols)) < _ID_LIMIT:
+                ids += range(len(ids), top + 1)
+                block_cols = shared_ints(ids, block_cols)
         starts = [0, *compress(count(1), map(ne, rows, islice(rows, 1, None))), len(rows)]
         for a, b in zip(starts, islice(starts, 1, None)):
             cols, values = columns.get(rows[a]) or columns.setdefault(rows[a], ([], []))

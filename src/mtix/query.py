@@ -23,7 +23,7 @@ from itertools import compress, repeat
 from operator import ge
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .factorize import Factorization, expand_term
 from .matrix import Lexicon, PostingList, TermDocMatrix
 
@@ -34,6 +34,7 @@ class Query:
     k: int
 
     def __post_init__(self) -> None:
+        check_int("k", self.k)
         if self.k < 1:
             raise ValidationError("k must be >= 1")
 
@@ -87,6 +88,7 @@ def prune(matrix: TermDocMatrix, theta: int) -> TermDocMatrix:
     Rows that become empty are kept as empty rows so the lexicon stays stable.
     theta <= 1 is the identity on any valid matrix.
     """
+    check_int("theta", theta)
     if theta < 0:
         raise ValidationError("theta must be >= 0")
     rows = []
@@ -101,6 +103,7 @@ def overlap_at_k(a: Sequence[ScoredDoc], b: Sequence[ScoredDoc], k: int) -> floa
     """|top-k(a) docs intersect top-k(b) docs| over the larger of the two
     doc sets, so two equal lists score 1.0 even when shorter than k; 1.0
     when both are empty."""
+    check_int("k", k)
     if k < 1:
         raise ValidationError("k must be >= 1")
     docs_a = {sd[0] for sd in a[:k]}

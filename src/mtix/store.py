@@ -30,7 +30,8 @@ the other. Loading checks the CRC right after magic and version, then the
 structure: each string table must end exactly at the next section's
 offset, and each section's lists must end in its final byte. Malformed or
 corrupted file content raises an MtixError subclass. Files of versions 1
-to 3 are not read.
+to 3 are not read. A loaded index holds one int object per doc id, which
+the meta-terms' columns and the direct lists share.
 
 Saving identical inputs yields byte-identical files. Size statistics count
 the encoded content of the H/W sections (everything after each section's
@@ -61,7 +62,7 @@ from .codec import (
 )
 from .errors import CorruptionError, FormatError, ValidationError
 from .factorize import Factorization, MetaTerm
-from .matrix import Lexicon, PostingList, TermDocMatrix, nnz
+from .matrix import Lexicon, PostingList, TermDocMatrix, nnz, shared_ints
 
 MAGIC = b"MTIX"
 VERSION = 4
@@ -257,6 +258,7 @@ def load_index(path: str | Path) -> LoadedIndex:
     if off_w + 8 > len(data) or _U64.unpack_from(data, off_w)[0] != num_terms:
         raise CorruptionError("W-section count does not match header")
 
+    doc_ids = list(range(num_docs))  # num_docs is bounded: the doc table is read
     metaterms = []
     residual = []
     h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list")
@@ -264,11 +266,11 @@ def load_index(path: str | Path) -> LoadedIndex:
         # keys are strictly ascending, so the last is the largest
         if cols and cols[-1] >= num_docs:
             raise CorruptionError(f"meta-term {mid} references doc beyond num_docs")
-        metaterms.append(MetaTerm(mid, tuple(cols), tuple(base)))
+        metaterms.append(MetaTerm(mid, shared_ints(doc_ids, cols), tuple(base)))
     for t, (docs, payloads) in enumerate(h_lists):  # the direct lists, one per term
         if docs and docs[-1] >= num_docs:
             raise CorruptionError(f"direct list of term {t} references doc beyond num_docs")
-        residual.append(PostingList(t, tuple(docs), tuple(payloads)))
+        residual.append(PostingList(t, shared_ints(doc_ids, docs), tuple(payloads)))
 
     memberships = []
     w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row")

@@ -22,6 +22,12 @@ def brute_force_top_k(matrix, terms, k):
     return ranked[:k]
 
 
+def one_object_per_value(ints):
+    """Whether equal ints among `ints` are one and the same object."""
+    ints = list(ints)
+    return len(set(map(id, ints))) == len(set(ints))
+
+
 def singleton_form(f):
     """f as export_factors writes it, read back from the text: each non-empty
     residual row becomes the single-member meta-term it stands for, after

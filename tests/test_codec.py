@@ -1,4 +1,5 @@
 import importlib.resources
+import operator
 import random
 import tracemalloc
 from itertools import accumulate, product
@@ -27,6 +28,7 @@ from mtix.codec import (
     MAX_VALUE,
     _TABLE_SIZE,
     _WINDOW_BYTES,
+    _gamma_parse,
     code_bits,
     decode_lists,
     encode_lists,
@@ -70,6 +72,21 @@ def test_delta_examples():
     assert delta_encode(5) == "01101"
     assert delta_encode(9) == "00100001"
     assert delta_decode("00100001") == (9, 8)
+
+
+def test_gamma_parse_through_the_word_table():
+    # every value the table holds and as many past it, both sides of its
+    # edge, the largest value, and windows that mix hits and misses
+    values = [*range(1, 1 << 13), _TABLE_SIZE - 1, _TABLE_SIZE, MAX_VALUE]
+    words = [gamma_encode(x) for x in values]
+    assert _gamma_parse(words) == [int(w, 2) for w in words] == values
+    mixed = [_TABLE_SIZE, 1, MAX_VALUE, _TABLE_SIZE - 1, 5000, 2, 2, 1 << 40, 300]
+    assert _gamma_parse([gamma_encode(x) for x in mixed]) == mixed
+    assert _gamma_parse([gamma_encode(x) for x in reversed(mixed)]) == mixed[::-1]
+    assert _gamma_parse([]) == []
+    # values in the table come back as its own objects
+    again = _gamma_parse(words[255:_TABLE_SIZE - 1])
+    assert all(map(operator.is_, again, _gamma_parse(words[255:_TABLE_SIZE - 1])))
 
 
 def test_zero_rejected_by_bit_codecs():

@@ -11,7 +11,7 @@ import ingest_reference as reference
 from mtix import MtixError, ingest_triples, ingest_tsv, nnz
 from mtix import matrix
 from mtix.matrix import read_triples
-from conftest import bench_workloads
+from conftest import bench_workloads, one_object_per_value
 
 
 def _summary(V):
@@ -116,6 +116,14 @@ def test_triples_match_line_reference(tmp_path, monkeypatch, block, data):
     _assert_same(read_triples, reference.read_triples, path)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=_triples_file())
+@example(data=b"0 0 1\n0 1\n \x0b\n1 1 1 1")
+def test_block_check_is_blank_or_three_fields_per_line(data):
+    want = all(len(line.split()) in (0, 3) for line in data.splitlines())
+    assert bool(matrix._TRIPLE_LINES.fullmatch(data.translate(matrix._CR_AS_LF))) == want
+
+
 _TOKENS = st.sampled_from(["a", "B", "a", "c1", "x-y", "Zz9", "été", "  ", "\t", "!"])
 
 
@@ -210,3 +218,27 @@ def test_bench_inputs_ingest_to_the_generated_matrix(tmp_path, workload):
         reversed_lines = tmp_path / "reversed.triples"
         reversed_lines.write_bytes(b"".join(reversed(gen.corpus.read_bytes().splitlines(keepends=True))))
         assert _summary(ingest_triples(reversed_lines)) == want
+
+
+@pytest.mark.parametrize("order", ["canonical", "shuffled"])
+def test_triples_share_one_int_per_doc_id(tmp_path, monkeypatch, order):
+    # blocks of 4 KiB, so ids recur across blocks; ids past 256, which
+    # CPython does not cache
+    monkeypatch.setattr(matrix, "_BLOCK", 4096)
+    rng = random.Random(22)
+    lines = [f"{t} {d} {rng.randint(1, 9)}\n" for t in range(300) for d in sorted(rng.sample(range(2000), 30))]
+    if order == "shuffled":
+        rng.shuffle(lines)
+    path = tmp_path / "t.triples"
+    path.write_text("".join(lines))
+    docs = [d for row in ingest_triples(path).rows for d in row.docs]
+    assert len(set(docs)) > 1000 and one_object_per_value(docs)
+    assert one_object_per_value(j for row in read_triples(path).values() for j in row)
+
+
+def test_tsv_shares_one_int_per_doc_id(tmp_path):
+    rng = random.Random(23)
+    path = tmp_path / "c.tsv"
+    path.write_text("".join(f"d{d}\t{' '.join(rng.choices('abcdefgh', k=6))}\n" for d in range(1000)))
+    docs = [d for row in ingest_tsv(path).rows for d in row.docs]
+    assert len(set(docs)) == 1000 and one_object_per_value(docs)

@@ -190,6 +190,14 @@ def test_query_validates_k():
         Query(("a",), 0)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3", True, None])
+def test_k_and_theta_must_be_ints(bad):
+    V = random_matrix(10, 20, 0.3, rng=random.Random(41))
+    for call in (lambda: Query(("0",), bad), lambda: overlap_at_k([], [], bad), lambda: prune(V, bad)):
+        with pytest.raises(ValidationError, match=f"must be an int, not {type(bad).__name__}$"):
+            call()
+
+
 def test_prune_identity_thresholds():
     rng = random.Random(41)
     V = random_matrix(10, 20, 0.3, rng=rng)

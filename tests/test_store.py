@@ -2,6 +2,8 @@ import hashlib
 import operator
 import random
 import struct
+import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -31,7 +33,7 @@ from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, gamma_encode, un
 from mtix.factorize import Factorization, MetaTerm
 from mtix.store import _CRC_AT, _HEADER, _checksum, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
-from conftest import bench_workloads
+from conftest import bench_workloads, one_object_per_value
 
 ALL_CFGS = [CodecConfig(g, p, c) for g in CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
 
@@ -90,6 +92,18 @@ def test_round_trip_planted(tmp_path):
     assert load_index(path).factorization == f
 
 
+@pytest.mark.parametrize("cfg", CFGS)
+def test_load_shares_one_int_per_doc_id(tmp_path, cfg):
+    V, _ = planted_matrix(rng=random.Random(9))
+    f = factor(V)
+    path = tmp_path / "p.idx"
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
+    g = load_index(path).factorization
+    assert g == f and len(g.metaterms) > 1
+    docs = [d for mt in g.metaterms for d in mt.cols] + [d for row in g.residual for d in row.docs]
+    assert len(set(docs)) > 500 and one_object_per_value(docs)
+
+
 def test_identical_inputs_give_identical_bytes(tmp_path):
     rng = random.Random(15)
     V = random_matrix(20, 40, 0.2, rng=rng)
@@ -121,6 +135,23 @@ def _load_resigned(tmp_path, data):
     bad = tmp_path / "resigned.idx"
     bad.write_bytes(_resign(data))
     return load_index(bad)
+
+
+def test_huge_doc_count_fails_before_any_per_doc_allocation(tmp_path):
+    data = bytearray(_saved(tmp_path))
+    fields = list(_HEADER.unpack_from(data))
+    fields[7] = 1 << 40  # num_docs
+    _HEADER.pack_into(data, 0, *fields)
+    struct.pack_into("<Q", data, _HEADER.size, 1 << 40)  # the doc table's count word
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptionError, match="^doc-table runs past its section$"):
+            _load_resigned(tmp_path, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1 and peak < 1 << 20
 
 
 def test_corrupt_magic(tmp_path):
