@@ -8,12 +8,12 @@ GCD normalization with no floating-point tolerance anywhere.
 
 Ingest appends each term's doc ids and payloads to two columns and builds
 the term's row from them, with no per-cell dict. A triples file is read in
-fixed-size blocks of whole lines, each checked by one regex and parsed by
-one split() and map(int), so memory beyond the matrix stays near one block;
-a file with a bad line is read again line by line, to raise its first
-error with its line number. Each block's doc ids are mapped through one
-table of ids, so a matrix holds one int object per distinct doc id, not
-one per cell.
+fixed-size blocks of whole lines, each checked by a few whole-block bytes
+operations and parsed by one split() and map(int), so memory beyond the
+matrix stays near one block; a file with a bad line is read again line by
+line, to raise its first error with its line number. Each block's doc ids
+are mapped through one table of ids, so a matrix holds one int object per
+distinct doc id, not one per cell.
 """
 
 from __future__ import annotations
@@ -295,12 +295,19 @@ def ingest_tsv(path: str | Path) -> TermDocMatrix:
 # more of the file than one block and the line it ends in.
 _BLOCK = 1 << 16
 
-# A block of lines that are blank or of three fields, as bytes.split() cuts
-# them, once \r is read as \n; int() then checks each field. Possessive, so
-# a line is matched once, with no backtracking.
-_LINE = rb"[ \t\v\f]*+(?:[^\s]++[ \t\v\f]++[^\s]++[ \t\v\f]++[^\s]++[ \t\v\f]*+)?+"
-_TRIPLE_LINES = re.compile(rb"(?:%s\n)*+%s" % (_LINE, _LINE))
-_CR_AS_LF = bytes.maketrans(b"\r", b"\n")
+# A byte as the block check sees it: \n ends a line (so does \r), a space is
+# a blank as bytes.split() cuts fields, and x is a byte of a field.
+_SHAPE = bytes(10 if c in b"\n\r" else 32 if c in b" \t\v\f" else 120 for c in range(256))
+
+
+def _three_fields_per_line(block: bytes) -> bool:
+    """Whether each line is blank or of three fields, as bytes.split() cuts
+    them: once each field is one ^ and the blanks are gone, a line of k
+    fields is k ^s and a \\n, and taking one ^^^\\n out of each line leaves
+    no ^ exactly when every k is 0 or 3. int() then checks each field."""
+    shape = b"\n" + block.translate(_SHAPE) + b"\n"
+    starts = shape.replace(b" x", b"^").replace(b"\nx", b"\n^").translate(None, b" x")
+    return b"^" not in starts.replace(b"^^^\n", b"")
 
 
 def _blocks(fh: IO[bytes]) -> Iterator[bytes]:
@@ -334,15 +341,15 @@ def _block_columns(fh: IO[bytes]) -> dict[int, tuple[list[int], list[int]]] | No
     """read_triples' cells as {row: (cols, values)} in file order, or None
     when a line is not three integers, an id is negative or a cell repeats.
 
-    Each block's lines are checked by one regex, its fields parsed by one
-    split() and map(int), and its column ids mapped to the id table's own
-    int objects; each run of lines with the same row id is appended to that
-    row's two columns by slice.
+    Each block's lines are checked by a few whole-block bytes operations,
+    its fields parsed by one split() and map(int), and its column ids
+    mapped to the id table's own int objects; each run of lines with the
+    same row id is appended to that row's two columns by slice.
     """
     columns: dict[int, tuple[list[int], list[int]]] = {}
     ids: list[int] = []  # ids[j] is j: one int object per column id
     for block in _blocks(fh):
-        if not _TRIPLE_LINES.fullmatch(block.translate(_CR_AS_LF)):
+        if not _three_fields_per_line(block):
             return None
         try:
             ints = list(map(int, block.split()))

@@ -2,6 +2,7 @@
 and on the benchmark's inputs."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ingest_reference as reference
 from mtix import MtixError, ingest_triples, ingest_tsv, nnz
-from mtix import matrix
+from mtix import codec, matrix
 from mtix.matrix import read_triples
 from conftest import bench_workloads, one_object_per_value
 
@@ -119,9 +120,30 @@ def test_triples_match_line_reference(tmp_path, monkeypatch, block, data):
 @settings(max_examples=300, deadline=None)
 @given(data=_triples_file())
 @example(data=b"0 0 1\n0 1\n \x0b\n1 1 1 1")
+@example(data=b"1 2 3 4 5 6\n")  # six fields: one ^^^ comes out, three ^s stay
+@example(data=b"^ ^^^ x\r\n^ ^\n")  # the check's own marks as field bytes
 def test_block_check_is_blank_or_three_fields_per_line(data):
     want = all(len(line.split()) in (0, 3) for line in data.splitlines())
-    assert bool(matrix._TRIPLE_LINES.fullmatch(data.translate(matrix._CR_AS_LF))) == want
+    assert matrix._three_fields_per_line(data) == want
+
+
+def _patterns(value):
+    if isinstance(value, re.Pattern):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _patterns(v)
+
+
+def test_patterns_compile_on_python_3_10():
+    # pyproject.toml supports 3.10, whose re has no possessive quantifiers
+    # (*+ ++ ?+ {m,n}+) and no atomic groups (?>...): either fails to compile there
+    newer_syntax = re.compile(r"(?<!\\)[*+?}]\+|\(\?>")
+    patterns = [p for module in (codec, matrix) for v in vars(module).values() for p in _patterns(v)]
+    assert patterns
+    for p in patterns:
+        text = p.pattern.decode("latin-1") if isinstance(p.pattern, bytes) else p.pattern
+        assert not newer_syntax.search(text), text
 
 
 _TOKENS = st.sampled_from(["a", "B", "a", "c1", "x-y", "Zz9", "été", "  ", "\t", "!"])
