@@ -52,7 +52,7 @@ from .matrix import (
     nnz,
 )
 from .query import Query, ScoredDoc, overlap_at_k, prune, top_k
-from .store import IndexStats, LoadedIndex, load_index, save_index, stats
+from .store import IndexStats, LoadedIndex, index_sections, load_index, save_index, stats
 
 __version__ = "0.1.0"
 
@@ -88,6 +88,7 @@ __all__ = [
     "gain",
     "gamma_decode",
     "gamma_encode",
+    "index_sections",
     "ingest_triples",
     "ingest_tsv",
     "load_index",

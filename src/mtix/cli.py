@@ -16,7 +16,7 @@ from .errors import InvariantError, MtixError, ValidationError, utf8_error
 from .factorize import FactorParams, Factorization, export_factors, factor, factor_whole_rows, total_size
 from .matrix import TermDocMatrix, export_triples, ingest_triples, ingest_tsv, nnz, read_triples
 from .query import Query, overlap_at_k, prune, resolve_terms, top_k
-from .store import IndexStats, load_index, save_index, stats
+from .store import IndexStats, index_sections, load_index, save_index, stats
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,6 +97,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     _print_stats(stats(matrix, f, _cfg(args)), args.tsv)
     if args.verbose:
         print(f"wrote {written} bytes to {args.index}", file=sys.stderr)
+        for part, size in index_sections(args.index).items():
+            print(f"  {part:<10} {size} bytes", file=sys.stderr)
     return 0
 
 

@@ -1,19 +1,26 @@
 """Binary index persistence and size statistics.
 
-File layout, format version 4 (header integers little-endian, fixed width):
+File layout, format version 5 (header integers little-endian, fixed width):
 
     magic "MTIX" | u8 version | u8 x3 codec ids (doc-gap, payload, coeff)
     u32 CRC32 (zlib) of every other byte of the file
     u64 num_terms | u64 num_docs | u64 num_metaterms
     u64 section offsets x4 (doc-table, lexicon, H-section, W-section)
 
-Each section is `u64 count | payload`:
+Each section starts with a `u64 count`:
 
-    doc-table: one vbyte byte length per doc; the UTF-8 names back to back
+    doc-table: count | u64 inflated length | zlib stream of the doc names
     lexicon:   the same for the terms
-    H-section: the meta-terms' (doc gap, base value) lists, then one direct
-               (doc gap, payload) list per term, in term order
-    W-section: the per-term (meta-term id gap, coefficient) lists
+    H-section: count | the meta-terms' (doc gap, base value) lists, then one
+               direct (doc gap, payload) list per term, in term order
+    W-section: count | the per-term (meta-term id gap, coefficient) lists
+
+The two name tables are front-coded, then deflated (zlib, level 9). The
+inflated bytes hold, one vbyte each, every name's shared-prefix length
+against the name before it (the first name's against ""), then every
+name's suffix length, and then the suffixes' UTF-8 text back to back. Both
+lengths count code points. Each zlib stream ends exactly at the next
+section's offset.
 
 A term's direct list is its residual row (Factorization.residual): the cells
 that no meta-term covers, coded as a directly coded index would code them,
@@ -26,21 +33,29 @@ memberships round-trip as they are: reconstruct is what rejects them.
 H lists and W rows are bit-packed back to back by the codec's list kernels
 and zero-padded to a byte. No list offset is stored: each list starts with
 its gamma-coded length, so a section decodes in sequence, one list after
-the other. Loading checks the CRC right after magic and version, then the
-structure: each string table must end exactly at the next section's
-offset, and each section's lists must end in its final byte. Malformed or
-corrupted file content raises an MtixError subclass. Files of versions 1
-to 3 are not read. A loaded index holds one int object per doc id, which
-the meta-terms' columns and the direct lists share.
+the other. Loading checks magic, version and section offsets, then the
+CRC, then the structure: each name table's count must match the header,
+its inflated length must hold two vbytes per name, its stream must
+inflate to exactly that length and end at the next section's offset, and
+its names must decode; each H and W section's lists must end in its final
+byte. Malformed or corrupted file content raises an MtixError subclass.
+Deflate expands at most 1032:1 and a stated length past that is
+rejected before inflating, so a crafted file cannot make load allocate
+more than about 1000 times its own size. Files of versions 1 to 4 are not
+read. A loaded index holds one int object per doc id, which the
+meta-terms' columns and the direct lists share.
 
-Saving identical inputs yields byte-identical files. Size statistics count
-the encoded content of the H/W sections (everything after each section's
-count word), so an empty index reports zero bytes; they are computed from
-closed-form code lengths, without encoding anything.
+Saving identical inputs yields byte-identical files under one zlib build
+(zlib's output is fixed for one level and one version of the library).
+Size statistics count the encoded content of the H/W sections
+(everything after each section's count word), so an empty index reports
+zero bytes; they are computed from closed-form code lengths, without
+encoding anything.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -65,10 +80,12 @@ from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, PostingList, TermDocMatrix, nnz, shared_ints
 
 MAGIC = b"MTIX"
-VERSION = 4
+VERSION = 5
 _HEADER = struct.Struct("<4s4BI3Q4Q")  # magic, version, 3 codec ids, CRC32, counts, offsets
 _CRC_AT = 8  # byte offset of the CRC32 in the header
 _U64 = struct.Struct("<Q")
+_NAME_LEVEL = 9  # deflate level of the name tables
+_MAX_INFLATE = 1032  # deflate's largest expansion: n stream bytes inflate to at most 1032 n
 
 
 def _checksum(image: bytes | bytearray | memoryview) -> int:
@@ -88,28 +105,46 @@ def _vbytes(values: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def _str_table(strings: Iterable[str], what: str) -> bytes:
+def _name_table(names: Iterable[str], what: str) -> bytes:
+    """A doc table or lexicon as saved: `u64 count | u64 inflated length |
+    zlib stream` of the names front-coded in their order."""
+    prefixes: list[int] = []
+    suffixes: list[str] = []
+    prev = ""
+    for name in names:
+        n = 0
+        for a, b in zip(prev, name):
+            if a != b:
+                break
+            n += 1
+        prefixes.append(n)
+        suffixes.append(name[n:])
+        prev = name
     try:
-        raw = [s.encode("utf-8") for s in strings]
-    except UnicodeEncodeError as exc:
-        raise ValidationError(f"{what} string {exc.object!r} is not encodable as UTF-8: {exc.reason}") from None
-    return _U64.pack(len(raw)) + _vbytes(map(len, raw)) + b"".join(raw)
+        text = "".join(suffixes).encode("utf-8")
+    except UnicodeEncodeError:
+        # the first name with an unencodable code point holds it in its suffix
+        name = ""
+        for n, suffix in zip(prefixes, suffixes):
+            name = name[:n] + suffix
+            try:
+                suffix.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ValidationError(f"{what} string {name!r} is not encodable as UTF-8: {exc.reason}") from None
+        raise
+    raw = _vbytes(prefixes) + _vbytes(map(len, suffixes)) + text
+    return _U64.pack(len(prefixes)) + _U64.pack(len(raw)) + zlib.compress(raw, _NAME_LEVEL)
 
 
-def _read_vbytes(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[int], int]:
-    """Read a table's count word and its `count` vbytes from data[pos:end]
-    in one pass; returns the values and the position after them."""
-    if pos + 8 > end:
-        raise CorruptionError(f"{what} runs past its section")
-    if _U64.unpack_from(data, pos)[0] != count:
-        raise CorruptionError(f"{what} count does not match header")
-    pos += 8
-    head = bytes(data[pos : min(pos + count, end)])
+def _read_vbytes(raw: bytes, count: int, what: str) -> tuple[list[int], int]:
+    """The first `count` vbytes of raw, read in one pass; returns the values
+    and the position after them."""
+    head = raw[:count]
     if len(head) == count and head.isascii():  # every value fits one byte
-        return list(head), pos + count
+        return list(head), count
     values: list[int] = []
-    x = shift = 0
-    for byte in data[pos:end]:
+    x = shift = pos = 0
+    for byte in raw:
         pos += 1
         x |= (byte & 0x7F) << shift
         if byte & 0x80:
@@ -124,18 +159,51 @@ def _read_vbytes(data: memoryview, pos: int, end: int, count: int, what: str) ->
     raise CorruptionError(f"{what} runs past its section")
 
 
-def _read_strs(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[str], int]:
-    lengths, pos = _read_vbytes(data, pos, end, count, what)
-    if pos + sum(lengths) > end:
+def _read_names(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[str], int]:
+    """The `count` names of the table in data[pos:end], and the position
+    where its zlib stream ends."""
+    if pos + 16 > end:
+        raise CorruptionError(f"{what} runs past its section")
+    if _U64.unpack_from(data, pos)[0] != count:
+        raise CorruptionError(f"{what} count does not match header")
+    size = _U64.unpack_from(data, pos + 8)[0]
+    stream = data[pos + 16 : end]
+    if size < 2 * count:  # two vbytes per name at least
+        raise CorruptionError(f"{what} runs past its section")
+    if size > _MAX_INFLATE * len(stream):
+        raise CorruptionError(f"{what} states {size} inflated bytes, more than its stream can hold")
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(stream, size + 1)
+    except zlib.error as exc:
+        raise CorruptionError(f"{what}: bad zlib stream: {exc}") from None
+    if len(raw) > size:
+        raise CorruptionError(f"{what} inflates past its stated {size} bytes")
+    if not inflater.eof:
+        raise CorruptionError(f"{what} zlib stream is truncated")
+    if len(raw) < size:
+        raise CorruptionError(f"{what} inflates to {len(raw)} bytes, not its stated {size}")
+    lengths, at = _read_vbytes(raw, 2 * count, what)
+    try:
+        text = str(memoryview(raw)[at:], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"{what} string at byte {at + exc.start} is not UTF-8: {exc.reason}") from None
+    prefixes, suffixes = lengths[:count], lengths[count:]
+    total = sum(suffixes)
+    if total > len(text):
         raise CorruptionError(f"{what} lengths run past its section")
-    strings = []
-    for n in lengths:
-        try:
-            strings.append(str(data[pos : pos + n], "utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CorruptionError(f"string at byte {pos} is not UTF-8: {exc.reason}") from None
-        pos += n
-    return strings, pos
+    if total < len(text):
+        raise CorruptionError(f"{what} text runs past its last name")
+    names: list[str] = []
+    name = ""
+    start = 0
+    for p, n in zip(prefixes, suffixes):
+        if p > len(name):
+            raise CorruptionError(f"{what} name {len(names)} shares {p} code points with a name of {len(name)}")
+        name = name[:p] + text[start : start + n]
+        start += n
+        names.append(name)
+    return names, end - len(inflater.unused_data)
 
 
 def _section_lists(f: Factorization, residual: Iterable[PostingList]) -> tuple[Iterator, Iterator]:
@@ -200,8 +268,8 @@ def save_index(
 
     _, h_blob, w_blob, _ = encoded_section_parts(f, cfg)
     sections = (
-        _str_table(doc_names, "doc-table"),
-        _str_table(lexicon, "lexicon"),
+        _name_table(doc_names, "doc-table"),
+        _name_table(lexicon, "lexicon"),
         _U64.pack(len(f.metaterms)) + h_blob,
         _U64.pack(f.num_terms) + w_blob,
     )
@@ -224,29 +292,55 @@ class LoadedIndex:
     cfg: CodecConfig
 
 
-def load_index(path: str | Path) -> LoadedIndex:
-    """Exact inverse of save_index."""
-    data = memoryview(Path(path).read_bytes())
+def _checked_header(data: bytes | memoryview, size: int) -> tuple:
+    """The header's fields, once its magic, version and section offsets
+    check out for a file of `size` bytes."""
     if len(data) < _HEADER.size:
         raise FormatError("file too small to hold an index header")
-    magic, version, id_gap, id_pay, id_coeff, crc, num_terms, num_docs, num_meta, off_doc, off_lex, off_h, off_w = _HEADER.unpack_from(data)
+    fields = _HEADER.unpack_from(data)
+    magic, version, *_, off_doc, off_lex, off_h, off_w = fields
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
+    if not _HEADER.size == off_doc <= off_lex <= off_h <= off_w <= size:
+        raise CorruptionError("section offsets out of bounds")
+    return fields
+
+
+def index_sections(path: str | Path) -> dict[str, int]:
+    """The bytes of each part of an index file, in file order: the header,
+    the doc table, the lexicon, the H section and the W section, each
+    section with its count word. They sum to the file's size. Only the
+    header is read and checked, as load_index checks it (bar the CRC)."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        size = fh.seek(0, os.SEEK_END)
+    *_, off_doc, off_lex, off_h, off_w = _checked_header(head, size)
+    return {
+        "header": off_doc,
+        "doc-table": off_lex - off_doc,
+        "lexicon": off_h - off_lex,
+        "H-section": off_w - off_h,
+        "W-section": size - off_w,
+    }
+
+
+def load_index(path: str | Path) -> LoadedIndex:
+    """Exact inverse of save_index."""
+    data = memoryview(Path(path).read_bytes())
+    _, _, id_gap, id_pay, id_coeff, crc, num_terms, num_docs, num_meta, off_doc, off_lex, off_h, off_w = _checked_header(data, len(data))
     if crc != _checksum(data):
         raise CorruptionError("checksum mismatch: the index file is corrupt")
     for cid in (id_gap, id_pay, id_coeff):
         if cid >= len(CODEC_NAMES):
             raise FormatError(f"unknown codec id {cid}")
     cfg = CodecConfig(CODEC_NAMES[id_gap], CODEC_NAMES[id_pay], CODEC_NAMES[id_coeff])
-    if not _HEADER.size == off_doc <= off_lex <= off_h <= off_w <= len(data):
-        raise CorruptionError("section offsets out of bounds")
 
-    doc_names, pos = _read_strs(data, off_doc, off_lex, num_docs, "doc-table")
+    doc_names, pos = _read_names(data, off_doc, off_lex, num_docs, "doc-table")
     if pos != off_lex:
         raise CorruptionError("doc-table does not end at the lexicon's offset")
-    terms, pos = _read_strs(data, off_lex, off_h, num_terms, "lexicon")
+    terms, pos = _read_names(data, off_lex, off_h, num_terms, "lexicon")
     if pos != off_h:
         raise CorruptionError("lexicon does not end at the H section's offset")
     lexicon = Lexicon(terms)

@@ -13,6 +13,7 @@ from mtix import (
     export_triples,
     factor,
     factor_whole_rows,
+    index_sections,
     ingest_triples,
     ingest_tsv,
     matrix_from_cells,
@@ -48,6 +49,15 @@ def test_build_is_deterministic(tiny_corpus, tmp_path):
     assert main(["build", str(tiny_corpus), str(a)]) == 0
     assert main(["build", str(tiny_corpus), str(b)]) == 0
     assert hashlib.sha256(a.read_bytes()).digest() == hashlib.sha256(b.read_bytes()).digest()
+
+
+def test_build_verbose_prints_section_bytes(tiny_corpus, tmp_path, capsys):
+    index = tmp_path / "out.idx"
+    assert main(["build", str(tiny_corpus), str(index), "--verbose"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == f"wrote {index.stat().st_size} bytes to {index}"
+    sections = index_sections(index)
+    assert lines[1:] == [f"  {part:<10} {size} bytes" for part, size in sections.items()]
 
 
 def test_factor_no_stage2_matches_whole_rows(tmp_path, capsys):

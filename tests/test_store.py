@@ -4,6 +4,7 @@ import random
 import struct
 import time
 import tracemalloc
+import zlib
 from collections import Counter
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from mtix import (
     FactorParams,
     ingest_triples,
     ingest_tsv,
+    index_sections,
     load_index,
     matrix_from_cells,
     save_index,
@@ -31,7 +33,7 @@ from mtix import (
 )
 from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, gamma_encode, unzip_pairs
 from mtix.factorize import Factorization, MetaTerm
-from mtix.store import _CRC_AT, _HEADER, _checksum, encoded_section_parts
+from mtix.store import _CRC_AT, _HEADER, _checksum, _name_table, _vbytes, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 from conftest import bench_workloads, one_object_per_value
 
@@ -165,7 +167,7 @@ def test_corrupt_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
-    for version in (1, 2, 3, 99):
+    for version in (1, 2, 3, 4, 99):
         bad.write_bytes(data[:4] + bytes([version]) + data[5:])
         with pytest.raises(FormatError, match=f"^unsupported version {version}$"):
             load_index(bad)
@@ -292,11 +294,12 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 
 
 # sha256 of save_index output for one seeded planted matrix, one digest per
-# all-same-codec config: format v4 must not move by a single byte.
+# all-same-codec config: format v5 must not move by a single byte. The name
+# tables are deflated, so the digests hold for zlib 1.2.13's output at level 9.
 PINNED_DIGESTS = {
-    "gamma": "784de274c92de18667646b7156dfeaa44cb5cdd851ed43da75a316e98710a3d7",
-    "delta": "3c44e434d25cfac3c6ab04a11d2f46ce0e43605b53eb4fa82068e8cd490e2ce3",
-    "vbyte": "d91118b58700d89b4baa13faaf7715743e34623b3c9a355579d2cc441d763c5e",
+    "gamma": "e3be3aa778dae0f1b2114580185b21e9f8f997f70d1602d19b25e9411ae28834",
+    "delta": "0546ac510555fde49aaa54ad64494ca081c3b7ddf9772bc4e333020be76aaa81",
+    "vbyte": "17ee8754c0e6bec98cf8094fc321ff122d0ee3fcbae9e8f349f16af759dc8b34",
 }
 
 
@@ -389,21 +392,53 @@ def test_bit_flip_never_loads_different_content(tmp_path, cfg):
         assert (idx.factorization, idx.lexicon, idx.doc_names, idx.cfg) == saved
 
 
+def _inflated(data, table="doc-table"):
+    """A name table's count and inflated bytes in a file image."""
+    fields = _HEADER.unpack_from(data)
+    start = fields[_TABLE_FIELD[table]]
+    (count,) = struct.unpack_from("<Q", data, start)
+    return count, zlib.decompress(data[start + 16 : fields[_TABLE_FIELD[table] + 1]])
+
+
+_TABLE_FIELD = {"doc-table": 9, "lexicon": 10}  # the header field of each name table's offset
+
+
+def _with_table(data, body, table="doc-table"):
+    """`data` with a name table's bytes after its count word replaced by
+    `body`, the later sections' offsets moved to match."""
+    fields = list(_HEADER.unpack_from(data))
+    i = _TABLE_FIELD[table]
+    start, end = fields[i], fields[i + 1]
+    shift = len(body) - (end - start - 8)
+    fields[i + 1 :] = [offset + shift for offset in fields[i + 1 :]]
+    data = bytearray(data[: start + 8] + body + data[end:])
+    _HEADER.pack_into(data, 0, *fields)
+    return data
+
+
+def _deflated(raw, size=None):
+    """A name table's body: the inflated length (`size` if given) and the
+    zlib stream of `raw`."""
+    return struct.pack("<Q", len(raw) if size is None else size) + zlib.compress(raw, 9)
+
+
 def test_non_utf8_string_is_corruption(tmp_path):
     data = _saved(tmp_path)
-    num_docs = _HEADER.unpack_from(data)[7]
-    # doc table: u64 count, one single-byte length per name, then the names
-    first_name = _HEADER.size + 8 + num_docs
+    count, raw = _inflated(data)
+    # the inflated doc table: prefix lengths, suffix lengths, then the text
+    first_name = 2 * count
+    raw = raw[:first_name] + b"\xff" + raw[first_name + 1 :]
     with pytest.raises(CorruptionError, match="string at byte .* is not UTF-8"):
-        _load_resigned(tmp_path, data[:first_name] + b"\xff" + data[first_name + 1 :])
+        _load_resigned(tmp_path, _with_table(data, _deflated(raw)))
 
 
 def test_string_lengths_past_section_are_corruption(tmp_path):
-    data = bytearray(_saved(tmp_path))
-    num_docs = _HEADER.unpack_from(data)[7]
-    data[_HEADER.size + 8 + num_docs - 1] = 127  # the last doc name's length
+    data = _saved(tmp_path)
+    count, raw = _inflated(data)
+    raw = bytearray(raw)
+    raw[2 * count - 1] = 127  # the last doc name's suffix length
     with pytest.raises(CorruptionError, match="^doc-table lengths run past its section$"):
-        _load_resigned(tmp_path, data)
+        _load_resigned(tmp_path, _with_table(data, _deflated(bytes(raw))))
 
 
 @pytest.mark.parametrize(
@@ -456,6 +491,9 @@ strings = st.one_of(
     st.text(max_size=4),
     st.text(min_size=128, max_size=160),  # at least 128 bytes: a two-byte vbyte length
     st.text(alphabet="é€\U0001f99c", min_size=40, max_size=60),
+    # names whose UTF-8 bytes share a prefix that ends inside a character:
+    # é/è, €/₭ and the two emoji differ in their last byte only
+    st.builds(operator.add, st.sampled_from(["", "ab", "日本"]), st.text(alphabet="éè€₭\U0001f99c\U0001f99d", max_size=4)),
 )
 
 
@@ -476,17 +514,91 @@ def test_overlong_string_length_is_corruption(tmp_path):
     V = matrix_from_cells({0: {0: 1}})
     path = tmp_path / "s.idx"
     save_index(factor(V), V.lexicon, CodecConfig(), path, ["d"])
-    data = bytearray(path.read_bytes())
-    at = _HEADER.size + 8  # the doc table's one length, then its one name
-    assert data[at : at + 2] == b"\x01d"
-    data[at : at + 2] = b"\x80\x80"  # both bytes flag a next byte
+    data = path.read_bytes()
+    assert _inflated(data) == (1, b"\x00\x01d")  # the one name's prefix and suffix lengths, then its text
+    # the suffix length's bytes both flag a next byte
     with pytest.raises(CorruptionError, match="^doc-table runs past its section$"):
-        _load_resigned(tmp_path, data)
-    data[at : at + 2] = b"\xff" * 10 + b"\x01d"  # an 11-byte vbyte length
-    for offset in range(_HEADER.size - 24, _HEADER.size, 8):  # the sections after it move
-        struct.pack_into("<Q", data, offset, struct.unpack_from("<Q", data, offset)[0] + 10)
+        _load_resigned(tmp_path, _with_table(data, _deflated(b"\x00\x80\x80")))
+    # an 11-byte vbyte suffix length
     with pytest.raises(CorruptionError, match="^doc-table: vbyte value longer than 10 bytes$"):
-        _load_resigned(tmp_path, data)
+        _load_resigned(tmp_path, _with_table(data, _deflated(b"\x00" + b"\xff" * 10 + b"\x01d")))
+
+
+def _two_names(tmp_path):
+    """A saved index whose doc table holds "ab" then "abc"; the file's bytes."""
+    V = matrix_from_cells({0: {0: 1, 1: 2}})
+    path = tmp_path / "n.idx"
+    save_index(factor(V), V.lexicon, CodecConfig(), path, ["ab", "abc"])
+    data = path.read_bytes()
+    assert _inflated(data) == (2, b"\x00\x02\x02\x01abc")
+    return data
+
+
+def _stream_cut(data, by):
+    """`data` with the doc table's zlib stream `by` bytes short."""
+    count, raw = _inflated(data)
+    return _with_table(data, _deflated(raw)[:-by])
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: _with_table(d, _deflated(b"\x00\x03\x02\x01abc")),
+         "^doc-table name 1 shares 3 code points with a name of 2$"),
+        (lambda d: _with_table(d, _deflated(b"\x00\x02\x02\x01abcd")), "^doc-table text runs past its last name$"),
+        (lambda d: _with_table(d, _deflated(b"\x00\x02\x02\x01abc", 8)),
+         "^doc-table inflates to 7 bytes, not its stated 8$"),
+        (lambda d: _with_table(d, _deflated(b"\x00\x02\x02\x01abc", 6)),
+         "^doc-table inflates past its stated 6 bytes$"),
+        (lambda d: _with_table(d, _deflated(b"\x00\x02\x02\x01abc") + b"\x00"),
+         "^doc-table does not end at the lexicon's offset$"),
+        (lambda d: _stream_cut(d, 1), "^doc-table zlib stream is truncated$"),
+        (lambda d: _stream_cut(d, 6), "^doc-table zlib stream is truncated$"),
+        (lambda d: _with_table(d, struct.pack("<Q", 7) + b"garbage!"), "^doc-table: bad zlib stream: "),
+        (lambda d: _with_table(d, struct.pack("<Q", 7) + zlib.compress(b"\x00\x02\x02\x01abd")[:-1] + b"\x00"),
+         "^doc-table: bad zlib stream: "),
+        (lambda d: _with_table(d, struct.pack("<Q", 3)), "^doc-table runs past its section$"),
+        (lambda d: _with_table(d, _deflated(b"\x00\x02\x02", 2)), "^doc-table runs past its section$"),
+    ],
+    ids=["prefix-past-name-before", "text-past-last-name", "length-one-over", "length-one-short",
+         "bytes-after-stream", "stream-cut-1", "stream-cut-6", "garbage-stream", "bad-check-value",
+         "no-stream", "length-below-two-per-name"],
+)
+def test_name_table_corruption(tmp_path, change, message):
+    data = _two_names(tmp_path)
+    assert _with_table(data, data[_HEADER.size + 8 : _HEADER.unpack_from(data)[10]]) == data
+    with pytest.raises(CorruptionError, match=message):
+        _load_resigned(tmp_path, change(data))
+
+
+def test_stated_length_past_the_stream_fails_before_inflating(tmp_path):
+    # a stated inflated length that holds two vbytes per name but no zlib
+    # stream of this size can give: rejected before anything is inflated
+    data = bytearray(_saved(tmp_path))
+    fields = list(_HEADER.unpack_from(data))
+    fields[7] = 1 << 40  # num_docs
+    _HEADER.pack_into(data, 0, *fields)
+    struct.pack_into("<QQ", data, _HEADER.size, 1 << 40, 2 << 40)  # the doc table's count and inflated length
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptionError, match=f"^doc-table states {2 << 40} inflated bytes, more than its stream can hold$"):
+            _load_resigned(tmp_path, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1 and peak < 1 << 20
+
+
+def test_name_tables_front_code_then_deflate():
+    names = ["ab", "abc", "b", "日本", "日本語", "日x", "\U0001f99c"]
+    table = _name_table(names, "doc-table")
+    raw = (
+        bytes([0, 2, 0, 0, 2, 1, 0])  # prefix lengths, in code points
+        + bytes([2, 1, 1, 2, 1, 1, 1])  # suffix lengths, in code points
+        + "abcb日本語x\U0001f99c".encode("utf-8")
+    )
+    assert table == struct.pack("<QQ", len(names), len(raw)) + zlib.compress(raw, 9)
 
 
 def test_section_parts_keep_their_shape(tmp_path):
@@ -523,11 +635,29 @@ V3_FILE = bytes.fromhex(
 )
 
 
+# A genuine format v4 file (terms "0" "1" "2" over docs "0" "1"), its
+# names stored raw: one vbyte byte length per name, then the UTF-8 bytes.
+V4_FILE = bytes.fromhex(
+    "4d5449580401010169547fd50300000000000000020000000000000000000000000000004400000000000000"
+    "50000000000000005e0000000000000069000000000000000200000000000000010130310300000000000000"
+    "01010130313200000000000000005a49f40300000000000000e0"
+)
+
+
 def test_v3_file_is_rejected(tmp_path):
     path = tmp_path / "v3.idx"
     path.write_bytes(V3_FILE)
     with pytest.raises(FormatError, match="^unsupported version 3$"):
         load_index(path)
+
+
+def test_v4_file_is_rejected(tmp_path):
+    path = tmp_path / "v4.idx"
+    path.write_bytes(V4_FILE)
+    with pytest.raises(FormatError, match="^unsupported version 4$"):
+        load_index(path)
+    with pytest.raises(FormatError, match="^unsupported version 4$"):
+        index_sections(path)
 
 
 def _f(metaterms, memberships, num_docs, residual=None):
@@ -652,6 +782,54 @@ def test_stage1_on_bench_inputs_costs_direct_plus_one_bit_per_term(tmp_path, wor
     gen = bench_workloads().generate(workload, 1, tmp_path)
     V = (ingest_triples if gen.triples else ingest_tsv)(gen.corpus)
     _assert_direct_plus_one_bit_per_term(V, factor_whole_rows(V))
+
+
+@pytest.mark.parametrize("cfg", CFGS)
+def test_index_sections_sum_to_the_file(tmp_path, cfg):
+    V, _ = planted_matrix(rng=random.Random(9))
+    f = factor(V)
+    path = tmp_path / "p.idx"
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
+    sections = index_sections(path)
+    assert list(sections) == ["header", "doc-table", "lexicon", "H-section", "W-section"]
+    assert sum(sections.values()) == path.stat().st_size
+    assert sections["header"] == _HEADER.size
+    _, h, w, _ = encoded_section_parts(f, cfg)
+    assert (sections["H-section"], sections["W-section"]) == (8 + len(h), 8 + len(w))
+
+
+def test_index_sections_checks_the_header(tmp_path):
+    data = _saved(tmp_path)
+    off_w = _HEADER.unpack_from(data)[-1]
+    path = tmp_path / "x.idx"
+    for image, error, message in [
+        (data[:10], FormatError, "^file too small to hold an index header$"),
+        (b"NOPE" + data[4:], FormatError, "^bad magic b'NOPE'$"),
+        (data[:4] + b"\x09" + data[5:], FormatError, "^unsupported version 9$"),
+        (data[: off_w - 1], CorruptionError, "^section offsets out of bounds$"),
+    ]:
+        path.write_bytes(image)
+        with pytest.raises(error, match=message):
+            index_sections(path)
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))  # the CRC is left to load_index
+    assert sum(index_sections(path).values()) == len(data)
+
+
+@pytest.mark.parametrize("workload", ["zipf-text", "planted-triples", "random-triples"])
+def test_name_tables_on_bench_inputs(tmp_path, workload):
+    """Front coding then deflate on the seed-1 bench inputs' names, with no
+    factoring: the triples inputs name docs and terms "0".."n-1", and
+    zipf-text's terms are words in first-seen order."""
+    gen = bench_workloads().generate(workload, 1, tmp_path)
+    V = (ingest_triples if gen.triples else ingest_tsv)(gen.corpus)
+    doc_table = len(_name_table(V.doc_names, "doc-table"))
+    lexicon = len(_name_table(V.lexicon, "lexicon"))
+    if gen.triples:
+        assert doc_table + lexicon <= 1024
+    else:
+        words = [t.encode("utf-8") for t in V.lexicon]
+        v4_lexicon = 8 + len(_vbytes(map(len, words))) + sum(map(len, words))  # a length vbyte per term, then the bytes
+        assert lexicon <= 0.7 * v4_lexicon
 
 
 def _with_h_lists(data, words):
