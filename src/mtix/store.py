@@ -136,12 +136,12 @@ def _name_table(names: Iterable[str], what: str) -> bytes:
     return _U64.pack(len(prefixes)) + _U64.pack(len(raw)) + zlib.compress(raw, _NAME_LEVEL)
 
 
-def _read_vbytes(raw: bytes, count: int, what: str) -> tuple[list[int], int]:
+def _read_vbytes(raw: bytes, count: int, what: str) -> tuple[Sequence[int], int]:
     """The first `count` vbytes of raw, read in one pass; returns the values
     and the position after them."""
     head = raw[:count]
-    if len(head) == count and head.isascii():  # every value fits one byte
-        return list(head), count
+    if len(head) == count and head.isascii():  # every value fits one byte: the bytes are the values
+        return head, count
     values: list[int] = []
     x = shift = pos = 0
     for byte in raw:

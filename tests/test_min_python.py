@@ -62,7 +62,7 @@ def _run(python, out):
     done = subprocess.run(
         [python, "-c", SCRIPT, str(out)],
         capture_output=True,
-        env={"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8"},
+        env={"PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8", "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=120,
     )
     assert done.returncode == 0, done.stderr.decode()

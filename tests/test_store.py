@@ -557,12 +557,14 @@ def _stream_cut(data, by):
         (lambda d: _with_table(d, struct.pack("<Q", 7) + b"garbage!"), "^doc-table: bad zlib stream: "),
         (lambda d: _with_table(d, struct.pack("<Q", 7) + zlib.compress(b"\x00\x02\x02\x01abd")[:-1] + b"\x00"),
          "^doc-table: bad zlib stream: "),
+        (lambda d: _with_table(d, _deflated(b"\x00\x02\x02\x01abc", (1 << 64) - 1)),
+         f"^doc-table states {(1 << 64) - 1} inflated bytes, more than its stream can hold$"),
         (lambda d: _with_table(d, struct.pack("<Q", 3)), "^doc-table runs past its section$"),
         (lambda d: _with_table(d, _deflated(b"\x00\x02\x02", 2)), "^doc-table runs past its section$"),
     ],
     ids=["prefix-past-name-before", "text-past-last-name", "length-one-over", "length-one-short",
          "bytes-after-stream", "stream-cut-1", "stream-cut-6", "garbage-stream", "bad-check-value",
-         "no-stream", "length-below-two-per-name"],
+         "length-past-64-bits", "no-stream", "length-below-two-per-name"],
 )
 def test_name_table_corruption(tmp_path, change, message):
     data = _two_names(tmp_path)
