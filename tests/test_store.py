@@ -392,25 +392,24 @@ def test_bit_flip_never_loads_different_content(tmp_path, cfg):
         assert (idx.factorization, idx.lexicon, idx.doc_names, idx.cfg) == saved
 
 
-def _inflated(data, table="doc-table"):
-    """A name table's count and inflated bytes in a file image."""
+_DOC_TABLE_AT = 9  # the header field of the doc table's offset; the lexicon's follows
+
+
+def _inflated(data):
+    """The doc table's count and inflated bytes in a file image."""
     fields = _HEADER.unpack_from(data)
-    start = fields[_TABLE_FIELD[table]]
+    start, end = fields[_DOC_TABLE_AT : _DOC_TABLE_AT + 2]
     (count,) = struct.unpack_from("<Q", data, start)
-    return count, zlib.decompress(data[start + 16 : fields[_TABLE_FIELD[table] + 1]])
+    return count, zlib.decompress(data[start + 16 : end])
 
 
-_TABLE_FIELD = {"doc-table": 9, "lexicon": 10}  # the header field of each name table's offset
-
-
-def _with_table(data, body, table="doc-table"):
-    """`data` with a name table's bytes after its count word replaced by
+def _with_table(data, body):
+    """`data` with the doc table's bytes after its count word replaced by
     `body`, the later sections' offsets moved to match."""
     fields = list(_HEADER.unpack_from(data))
-    i = _TABLE_FIELD[table]
-    start, end = fields[i], fields[i + 1]
+    start, end = fields[_DOC_TABLE_AT : _DOC_TABLE_AT + 2]
     shift = len(body) - (end - start - 8)
-    fields[i + 1 :] = [offset + shift for offset in fields[i + 1 :]]
+    fields[_DOC_TABLE_AT + 1 :] = [offset + shift for offset in fields[_DOC_TABLE_AT + 1 :]]
     data = bytearray(data[: start + 8] + body + data[end:])
     _HEADER.pack_into(data, 0, *fields)
     return data
@@ -536,7 +535,7 @@ def _two_names(tmp_path):
 
 def _stream_cut(data, by):
     """`data` with the doc table's zlib stream `by` bytes short."""
-    count, raw = _inflated(data)
+    _, raw = _inflated(data)
     return _with_table(data, _deflated(raw)[:-by])
 
 
@@ -568,7 +567,7 @@ def _stream_cut(data, by):
 )
 def test_name_table_corruption(tmp_path, change, message):
     data = _two_names(tmp_path)
-    assert _with_table(data, data[_HEADER.size + 8 : _HEADER.unpack_from(data)[10]]) == data
+    assert _with_table(data, data[_HEADER.size + 8 : _HEADER.unpack_from(data)[_DOC_TABLE_AT + 1]]) == data
     with pytest.raises(CorruptionError, match=message):
         _load_resigned(tmp_path, change(data))
 
