@@ -40,9 +40,13 @@ inflate to exactly that length and end at the next section's offset, and
 its names must decode; each H and W section's lists must end in its final
 byte. Malformed or corrupted file content raises an MtixError subclass.
 Deflate expands at most 1032:1 and a stated length past that is
-rejected before inflating, so a crafted file cannot make load allocate
-more than about 1000 times its own size. Files of versions 1 to 4 are not
-read. A loaded index holds one int object per doc id, which the
+rejected before inflating. Front coding multiplies the inflated bytes
+again (a name of a few bytes can repeat all of the name before it), so a
+table whose names would hold more than 1032 code points per byte of the
+file is rejected before any name is built. A crafted file thus cannot make
+load inflate more than 1032 bytes, or build names of more than 1032 code
+points, per table and per byte of its own size. Files of versions 1 to 4
+are not read. A loaded index holds one int object per doc id, which the
 meta-terms' columns and the direct lists share.
 
 Saving identical inputs yields byte-identical files under one zlib build
@@ -111,28 +115,21 @@ def _name_table(names: Iterable[str], what: str) -> bytes:
     prefixes: list[int] = []
     suffixes: list[str] = []
     prev = ""
-    for name in names:
-        n = 0
-        for a, b in zip(prev, name):
-            if a != b:
-                break
-            n += 1
-        prefixes.append(n)
-        suffixes.append(name[n:])
-        prev = name
     try:
-        text = "".join(suffixes).encode("utf-8")
-    except UnicodeEncodeError:
-        # the first name with an unencodable code point holds it in its suffix
-        name = ""
-        for n, suffix in zip(prefixes, suffixes):
-            name = name[:n] + suffix
-            try:
-                suffix.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ValidationError(f"{what} string {name!r} is not encodable as UTF-8: {exc.reason}") from None
-        raise
-    raw = _vbytes(prefixes) + _vbytes(map(len, suffixes)) + text
+        for name in names:
+            if not name.isascii():
+                name.encode("utf-8")  # raises for a lone surrogate
+            n = 0
+            for a, b in zip(prev, name):
+                if a != b:
+                    break
+                n += 1
+            prefixes.append(n)
+            suffixes.append(name[n:])
+            prev = name
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"{what} string {name!r} is not encodable as UTF-8: {exc.reason}") from None
+    raw = _vbytes(prefixes) + _vbytes(map(len, suffixes)) + "".join(suffixes).encode("utf-8")
     return _U64.pack(len(prefixes)) + _U64.pack(len(raw)) + zlib.compress(raw, _NAME_LEVEL)
 
 
@@ -194,6 +191,8 @@ def _read_names(data: memoryview, pos: int, end: int, count: int, what: str) -> 
         raise CorruptionError(f"{what} lengths run past its section")
     if total < len(text):
         raise CorruptionError(f"{what} text runs past its last name")
+    if sum(prefixes) + total > _MAX_INFLATE * len(data):  # the names' code points, if the prefixes are sound
+        raise CorruptionError(f"{what} names would hold more than {_MAX_INFLATE} code points per byte of the file")
     names: list[str] = []
     name = ""
     start = 0

@@ -3,9 +3,11 @@ from __future__ import annotations
 import importlib.util
 import io
 import sys
+import zlib
 from pathlib import Path
 
 from mtix import Factorization, MetaTerm, PostingList, export_factors
+from mtix.store import _HEADER
 
 
 def brute_force_top_k(matrix, terms, k):
@@ -26,6 +28,18 @@ def one_object_per_value(ints):
     """Whether equal ints among `ints` are one and the same object."""
     ints = list(ints)
     return len(set(map(id, ints))) == len(set(ints))
+
+
+def inflated_image(data):
+    """An index file's bytes with the CRC and the section offsets zeroed and
+    each name table's zlib stream replaced by its inflated bytes: the file's
+    content, the same under any zlib build. H and W stay byte for byte."""
+    fields = list(_HEADER.unpack_from(data))
+    off_doc, off_lex, off_h, _ = fields[-4:]
+    fields[5] = 0  # the CRC32
+    fields[-4:] = [0] * 4
+    tables = (data[a : a + 16] + zlib.decompress(data[a + 16 : b]) for a, b in ((off_doc, off_lex), (off_lex, off_h)))
+    return _HEADER.pack(*fields) + b"".join(tables) + data[off_h:]
 
 
 def singleton_form(f):
