@@ -40,7 +40,9 @@ the per-bit work. There are three list kernels:
   each value's bit length, with nothing encoded.
 
 The string-level scalar codecs (gamma_/delta_encode/decode) are one-value
-calls of the same code-word rules.
+calls of the same code-word rules, and the byte-level vbyte_encode/decode
+are one-value calls of the bulk pair encode_vbytes/decode_vbytes, which
+the index file's name tables use.
 
 Values are limited to 64 bits. Decoding raises only MtixError subclasses.
 All functions are pure.
@@ -236,33 +238,51 @@ def _decode_one(bits: str, start: int, codec: str) -> tuple[int, int]:
 def vbyte_encode(x: int) -> bytes:
     if not 0 <= x <= MAX_VALUE:
         raise ValidationError(f"vbyte_encode: {x} outside [0, 2^64)")
-    out = bytearray()
-    while True:
-        group = x & 0x7F
-        x >>= 7
-        out.append(group | 0x80 if x else group)
-        if not x:
-            return bytes(out)
+    return encode_vbytes((x,))
 
 
 def vbyte_decode(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode one vbyte value starting at `offset`; returns (value, bytes consumed)."""
-    x = 0
-    shift = 0
-    consumed = 0
-    while True:
-        if offset + consumed >= len(data):
-            raise TruncationError("vbyte value truncated")
-        if consumed >= MAX_VBYTE_LEN:
-            raise CorruptionError("vbyte value longer than 10 bytes")
-        byte = data[offset + consumed]
+    (x,), end = decode_vbytes(data, 1, offset)
+    if x > MAX_VALUE:
+        raise CorruptionError("vbyte value exceeds 64 bits")
+    return x, end - offset
+
+
+def encode_vbytes(values: Iterable[int]) -> bytes:
+    """Values >= 0 as vbytes back to back, written in one pass; vbyte_encode
+    is the one-value call with its range check."""
+    out = bytearray()
+    for x in values:
+        while x > 0x7F:
+            out.append(x & 0x7F | 0x80)
+            x >>= 7
+        out.append(x)
+    return bytes(out)
+
+
+def decode_vbytes(data: bytes, count: int, pos: int = 0) -> tuple[Sequence[int], int]:
+    """The `count` vbytes of data from `pos`, read in one pass; returns the
+    values and the position after them. A value may take up to 70 bits:
+    vbyte_decode is the one-value call with the 64-bit check."""
+    head = bytes(data[pos : pos + count])
+    if len(head) == count and head.isascii():  # every value fits one byte: the bytes are the values
+        return head, pos + count
+    values: list[int] = []
+    x = shift = 0
+    for byte in data[pos:]:
+        pos += 1
         x |= (byte & 0x7F) << shift
-        consumed += 1
-        if not byte & 0x80:
-            if x > MAX_VALUE:
-                raise CorruptionError("vbyte value exceeds 64 bits")
-            return x, consumed
-        shift += 7
+        if byte & 0x80:
+            shift += 7
+            if shift == 7 * MAX_VBYTE_LEN and pos < len(data):
+                raise CorruptionError(f"vbyte value longer than {MAX_VBYTE_LEN} bytes")
+            continue
+        values.append(x)
+        if len(values) == count:
+            return values, pos
+        x = shift = 0
+    raise TruncationError("vbyte value truncated")
 
 
 def gamma_encode(x: int) -> str:

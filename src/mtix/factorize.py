@@ -442,9 +442,6 @@ class _Cover:
             for m, k in f.memberships[t]:
                 self.members[m].append((t, k))
         self.h: dict[int, tuple[int, int]] = {}  # meta-term -> its H list's (gap, value) bits
-        # meta-term -> the W bits its members save, which keeps() finds and
-        # pays() reads again while nothing is dissolved
-        self.w_saved_sums: dict[int, int] = {}
 
     @cached_property
     def gap_cost(self) -> list[int]:
@@ -509,8 +506,7 @@ class _Cover:
         groups without a code length of their cells."""
         members = self.members[m]
         if not any(map(self.docs.__getitem__, map(_FIRST, members))):
-            w_saved = self.w_saved_sums[m] = sum(self._w_saved(t, m, k) for t, k in members)
-            if w_saved + self._shape_bound(m) <= 0:
+            if sum(self._w_saved(t, m, k) for t, k in members) + self._shape_bound(m) <= 0:
                 return True
         return self.saving(m) <= 0
 
@@ -589,9 +585,7 @@ class _Cover:
         opened: dict[int, None] = {}  # the other member terms, each once
         for m, members in enumerate(self.members):
             if all(map(lone.__contains__, map(_FIRST, members))):
-                if m not in self.w_saved_sums:
-                    self.w_saved_sums[m] = sum(self._w_saved(t, m, k) for t, k in members)
-                w += self.w_saved_sums[m]  # each W row is one bit once its entry goes
+                w += sum(self._w_saved(t, m, k) for t, k in members)  # each W row is one bit once its entry goes
                 bound_x += self._shape_bound(m)
             else:
                 opened.update(dict.fromkeys(map(_FIRST, members)))

@@ -194,8 +194,8 @@ def primitive(payloads: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     base = payloads // scale, so base has gcd 1 and payloads = scale * base.
 
     Two positive vectors over the same columns are integer multiples of one
-    base exactly when their bases are equal. Both factorizer stages and
-    export_factors go through this function.
+    base exactly when their bases are equal. Both factorizer stages,
+    export_factors and the synth generators go through this function.
     """
     g = gcd(*payloads)
     if g == 1:
@@ -231,9 +231,13 @@ def matrix_from_cells(
     """Build a matrix from {term: {doc: payload}}; terms/docs without cells get
     empty rows / unused columns up to the given counts.
 
-    Term and doc ids must be below 2^20 (1,048,576), given counts at most
-    that; past it a ValidationError is raised before any per-id allocation.
+    Term and doc ids must be in [0, 2^20) (2^20 = 1,048,576), given counts
+    at most 2^20; outside that a ValidationError is raised before any per-id
+    allocation.
     """
+    min_term = min(cells, default=0)
+    if min_term < 0:
+        raise ValidationError(f"term id {min_term} is negative")
     max_term = max(cells, default=-1)
     if num_terms is None:
         num_terms = max_term + 1

@@ -73,13 +73,14 @@ from .codec import (
     CODEC_IDS,
     CODEC_NAMES,
     CodecConfig,
-    MAX_VBYTE_LEN,
     decode_lists,
+    decode_vbytes,
     encode_lists,
+    encode_vbytes,
     list_bit_lengths,
     unzip_pairs,
 )
-from .errors import CorruptionError, FormatError, ValidationError
+from .errors import CorruptionError, FormatError, TruncationError, ValidationError
 from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, PostingList, TermDocMatrix, nnz, shared_ints
 
@@ -96,17 +97,6 @@ def _checksum(image: bytes | bytearray | memoryview) -> int:
     """CRC32 of every byte of a file image but the CRC's own four."""
     view = memoryview(image)
     return zlib.crc32(view[_CRC_AT + 4 :], zlib.crc32(view[:_CRC_AT]))
-
-
-def _vbytes(values: Iterable[int]) -> bytes:
-    """A table's entries, one vbyte per value, written in one pass."""
-    out = bytearray()
-    for x in values:
-        while x > 0x7F:
-            out.append(x & 0x7F | 0x80)
-            x >>= 7
-        out.append(x)
-    return bytes(out)
 
 
 def _name_table(names: Iterable[str], what: str) -> bytes:
@@ -129,31 +119,8 @@ def _name_table(names: Iterable[str], what: str) -> bytes:
             prev = name
     except UnicodeEncodeError as exc:
         raise ValidationError(f"{what} string {name!r} is not encodable as UTF-8: {exc.reason}") from None
-    raw = _vbytes(prefixes) + _vbytes(map(len, suffixes)) + "".join(suffixes).encode("utf-8")
+    raw = encode_vbytes(prefixes) + encode_vbytes(map(len, suffixes)) + "".join(suffixes).encode("utf-8")
     return _U64.pack(len(prefixes)) + _U64.pack(len(raw)) + zlib.compress(raw, _NAME_LEVEL)
-
-
-def _read_vbytes(raw: bytes, count: int, what: str) -> tuple[Sequence[int], int]:
-    """The first `count` vbytes of raw, read in one pass; returns the values
-    and the position after them."""
-    head = raw[:count]
-    if len(head) == count and head.isascii():  # every value fits one byte: the bytes are the values
-        return head, count
-    values: list[int] = []
-    x = shift = pos = 0
-    for byte in raw:
-        pos += 1
-        x |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            if shift == 7 * MAX_VBYTE_LEN:
-                raise CorruptionError(f"{what}: vbyte value longer than {MAX_VBYTE_LEN} bytes")
-            continue
-        values.append(x)
-        if len(values) == count:
-            return values, pos
-        x = shift = 0
-    raise CorruptionError(f"{what} runs past its section")
 
 
 def _read_names(data: memoryview, pos: int, end: int, count: int, what: str) -> tuple[list[str], int]:
@@ -180,7 +147,12 @@ def _read_names(data: memoryview, pos: int, end: int, count: int, what: str) -> 
         raise CorruptionError(f"{what} zlib stream is truncated")
     if len(raw) < size:
         raise CorruptionError(f"{what} inflates to {len(raw)} bytes, not its stated {size}")
-    lengths, at = _read_vbytes(raw, 2 * count, what)
+    try:
+        lengths, at = decode_vbytes(raw, 2 * count)
+    except TruncationError:
+        raise CorruptionError(f"{what} runs past its section") from None
+    except CorruptionError as exc:
+        raise CorruptionError(f"{what}: {exc}") from None
     try:
         text = str(memoryview(raw)[at:], "utf-8")
     except UnicodeDecodeError as exc:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from math import gcd, log
+from math import log
 
-from .matrix import Lexicon, TermDocMatrix, matrix_from_cells
+from .matrix import Lexicon, TermDocMatrix, matrix_from_cells, primitive
 
 
 def _bernoulli_support(num_docs: int, density: float, rng: random.Random) -> list[int]:
@@ -106,11 +106,7 @@ def planted_matrix(
     next_slot = 0
     for _ in range(num_groups):
         docs = tuple(sorted(rng.sample(range(num_docs), cols_per_group)))
-        base = [rng.randint(*base_range) for _ in docs]
-        g = 0
-        for u in base:
-            g = gcd(g, u)
-        base = tuple(u // g for u in base)
+        _, base = primitive([rng.randint(*base_range) for _ in docs])
         terms = []
         coeffs = []
         for _ in range(rows_per_group):
@@ -140,10 +136,7 @@ def planted_matrix(
             length = rng.randint(*noise_len_range)
             docs = tuple(sorted(rng.sample(range(num_docs), length)))
             payloads = tuple(rng.randint(*noise_payload_range) for _ in docs)
-            g = 0
-            for p in payloads:
-                g = gcd(g, p)
-            signature = (docs, tuple(p // g for p in payloads))
+            signature = (docs, primitive(payloads)[1])
             if signature not in seen_signatures:
                 seen_signatures.add(signature)
                 break
@@ -229,11 +222,7 @@ def whole_row_multiple_instance(
     next_doc = 0
     for r, c in shapes:
         docs = range(next_doc, next_doc + c)
-        base = [rng.randint(1, 5) for _ in range(c)]
-        g = 0
-        for u in base:
-            g = gcd(g, u)
-        base = [u // g for u in base]
+        _, base = primitive([rng.randint(1, 5) for _ in range(c)])
         for _ in range(r):
             k = rng.randint(1, 5)
             cells[next_term] = {d: k * u for d, u in zip(docs, base)}

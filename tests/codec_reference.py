@@ -7,6 +7,10 @@ word tables on purpose.
 
 write_lists and read_lists use them to code consecutive lists in the list
 format: gamma(count + 1), the key gaps, then the values.
+
+vbyte_decode is mtix.codec.vbyte_decode as it was before it became a
+one-value call of codec.decode_vbytes, kept verbatim so that test_codec can
+check the call raises the same errors, with the same messages.
 """
 
 from __future__ import annotations
@@ -130,6 +134,26 @@ def _get_vbyte(r: BitReader) -> int:
             return x
         shift += 7
     raise AssertionError("unreachable")
+
+
+def vbyte_decode(data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Decode one vbyte value starting at `offset`; returns (value, bytes consumed)."""
+    x = 0
+    shift = 0
+    consumed = 0
+    while True:
+        if offset + consumed >= len(data):
+            raise TruncationError("vbyte value truncated")
+        if consumed >= MAX_VBYTE_LEN:
+            raise CorruptionError("vbyte value longer than 10 bytes")
+        byte = data[offset + consumed]
+        x |= (byte & 0x7F) << shift
+        consumed += 1
+        if not byte & 0x80:
+            if x > MAX_VALUE:
+                raise CorruptionError("vbyte value exceeds 64 bits")
+            return x, consumed
+        shift += 7
 
 
 def _put_gamma(w: BitWriter, x: int) -> None:

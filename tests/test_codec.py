@@ -31,7 +31,9 @@ from mtix.codec import (
     _gamma_parse,
     code_bits,
     decode_lists,
+    decode_vbytes,
     encode_lists,
+    encode_vbytes,
     list_bit_lengths,
     unzip_pairs,
 )
@@ -160,6 +162,44 @@ def test_vbyte_decode_errors():
         vbyte_decode(b"\xff" * 10 + b"\x01")
     with pytest.raises(CorruptionError):
         vbyte_decode(b"\x80" * 9 + b"\x7f")  # 10 bytes but > 2^64
+
+
+# the values of one vbyte table: all of one byte (decode_vbytes' fast path)
+# or any 64-bit values (its loop)
+VBYTE_TABLES = st.lists(st.integers(0, 0x7F)) | st.lists(st.integers(0, MAX_VALUE))
+
+
+@given(VBYTE_TABLES, st.binary(max_size=3), st.binary(max_size=3))
+@example([], b"", b"")
+@example([0, 127, 5], b"\x80", b"\xff")
+@example([300, 1, MAX_VALUE], b"", b"")
+def test_vbyte_pair_is_the_scalar_codec_in_bulk(xs, before, after):
+    data = encode_vbytes(xs)
+    assert data == b"".join(map(vbyte_encode, xs))
+    values, end = decode_vbytes(before + data + after, len(xs), len(before))
+    assert list(values) == xs and end == len(before) + len(data)
+    assert isinstance(values, bytes) == all(x <= 0x7F for x in xs)  # the fast path returns the bytes
+
+
+def _outcome(decode, data, offset):
+    """decode(data, offset), or the type and message of the MtixError it raises."""
+    try:
+        return decode(data, offset)
+    except MtixError as exc:
+        return type(exc), str(exc)
+
+
+# bytes rich in the edges: 0, 1, 2 and 127 end a value, 128 and 255 flag a next byte
+VBYTE_BYTES = st.lists(st.sampled_from([0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF]) | st.integers(0, 0xFF), max_size=13)
+
+
+@given(VBYTE_BYTES.map(bytes), st.integers(0, 2))
+@example(b"\x80\x80", 0)  # truncated
+@example(b"\x80" * 10, 0)  # ten bytes that each flag a next byte, and no next byte
+@example(b"\xff" * 10 + b"\x01", 0)  # an 11-byte value
+@example(b"\x00" + b"\x80" * 9 + b"\x02", 1)  # 2^64, a 65-bit value
+def test_vbyte_decode_errors_match_the_reference(data, offset):
+    assert _outcome(vbyte_decode, data, offset) == _outcome(reference.vbyte_decode, data, offset)
 
 
 def test_gamma_decode_errors():

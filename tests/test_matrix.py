@@ -137,6 +137,15 @@ def test_ids_past_the_limit_rejected_before_allocation():
     assert matrix_from_cells({0: {(1 << 20) - 1: 1}}).num_docs == 1 << 20
 
 
+def test_negative_term_id_rejected_before_allocation():
+    # No row is built for a negative id, so its cells were dropped without a
+    # word: the first matrix came back with 1 term and nnz 1.
+    with pytest.raises(ValidationError, match="^term id -1 is negative$"):
+        matrix_from_cells({-1: {0: 1}, 0: {1: 2}})
+    with pytest.raises(ValidationError, match="^term id -3 is negative$"):
+        matrix_from_cells({0: {0: 1}, -3: {0: 1}, -1: {}}, num_terms=1 << 20)
+
+
 def test_ingest_triples_nnz_equals_line_count(tmp_path):
     rng = random.Random(5)
     cells = set()

@@ -1,9 +1,11 @@
-"""The package on the oldest Python that pyproject.toml declares (3.10):
-import, save_index, load_index and the CLI's build and query run there and
-print the same output and write the same index content as under the
-interpreter running the tests. The files are compared with their name
-tables inflated, since the two interpreters may link different zlib builds."""
+"""The package on the oldest Python that pyproject.toml declares (3.10) and
+on the newest one installed beside the running interpreter: import,
+save_index, load_index and the CLI's build and query run there and print
+the same output and write the same index content as under the interpreter
+running the tests. The files are compared with their name tables inflated,
+since the interpreters may link different zlib builds."""
 
+import re
 import shutil
 import subprocess
 import sys
@@ -58,6 +60,23 @@ def _python_3_10():
     return None
 
 
+def _newest_python():
+    """The newest runnable CPython installed beside the running one (an
+    X.Y.Z directory next to sys.base_prefix, as pyenv lays them out) if it
+    is newer than the running one, else None."""
+    installed = []
+    for candidate in Path(sys.base_prefix).parent.glob("3.*/bin/python"):
+        version = re.fullmatch(r"(\d+)\.(\d+)\.(\d+)", candidate.parent.parent.name)
+        if version:
+            installed.append((tuple(map(int, version.groups())), str(candidate)))
+    for version, candidate in sorted(installed, reverse=True):
+        if version <= sys.version_info[:3]:
+            return None
+        if subprocess.run([candidate, "--version"], capture_output=True).returncode == 0:
+            return candidate
+    return None
+
+
 def _run(python, out):
     """Run SCRIPT under `python` in `out`; its stdout and the two files'
     content (conftest.inflated_image)."""
@@ -83,3 +102,10 @@ def test_python_3_10_writes_and_reads_the_same_index(tmp_path):
     assert oldest == current
     stdout, _, _ = current
     assert len(stdout.splitlines()) > 4
+
+
+def test_newest_python_writes_and_reads_the_same_index(tmp_path):
+    python = _newest_python()
+    if python is None:
+        pytest.skip("no runnable CPython newer than the running one found beside it")
+    assert _run(python, tmp_path / "newest") == _run(sys.executable, tmp_path / "current")

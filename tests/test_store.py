@@ -31,9 +31,9 @@ from mtix import (
     save_index,
     stats,
 )
-from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, gamma_encode, unzip_pairs
+from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, encode_vbytes, gamma_encode, unzip_pairs
 from mtix.factorize import Factorization, MetaTerm
-from mtix.store import _CRC_AT, _HEADER, _checksum, _name_table, _vbytes, encoded_section_parts
+from mtix.store import _CRC_AT, _HEADER, _checksum, _name_table, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 from conftest import bench_workloads, inflated_image, one_object_per_value
 
@@ -598,7 +598,7 @@ def test_long_shared_prefixes_fail_before_any_name_is_built(tmp_path):
     # the name before it: about 5 N + L inflated bytes, N L code points of
     # names (100 MB here), rejected before any name is built
     L = N = 10_000
-    raw = _vbytes([0] + [L - 1] * N) + _vbytes([L] + [1] * N) + ("x" * L + "y" * N).encode()
+    raw = encode_vbytes([0] + [L - 1] * N) + encode_vbytes([L] + [1] * N) + ("x" * L + "y" * N).encode()
     data = _with_table(bytearray(_saved(tmp_path)), _deflated(raw))
     assert len(data) < 2_000
     fields = list(_HEADER.unpack_from(data))
@@ -854,7 +854,7 @@ def test_name_tables_on_bench_inputs(tmp_path, workload):
         assert doc_table + lexicon <= 1024
     else:
         words = [t.encode("utf-8") for t in V.lexicon]
-        v4_lexicon = 8 + len(_vbytes(map(len, words))) + sum(map(len, words))  # a length vbyte per term, then the bytes
+        v4_lexicon = 8 + len(encode_vbytes(map(len, words))) + sum(map(len, words))  # a length vbyte per term, then the bytes
         assert lexicon <= 0.7 * v4_lexicon
 
 
