@@ -231,9 +231,9 @@ def matrix_from_cells(
     """Build a matrix from {term: {doc: payload}}; terms/docs without cells get
     empty rows / unused columns up to the given counts.
 
-    Term and doc ids must be in [0, 2^20) (2^20 = 1,048,576), given counts
-    at most 2^20; outside that a ValidationError is raised before any per-id
-    allocation.
+    Term and doc ids must be below 2^20 (1,048,576), given counts at most
+    that; past it, or for a negative term id, a ValidationError is raised
+    before any per-id allocation.
     """
     min_term = min(cells, default=0)
     if min_term < 0:

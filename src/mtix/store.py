@@ -16,11 +16,11 @@ Each section starts with a `u64 count`:
     W-section: count | the per-term (meta-term id gap, coefficient) lists
 
 The two name tables are front-coded, then deflated (zlib, level 9). The
-inflated bytes hold, one vbyte each, every name's shared-prefix length
-against the name before it (the first name's against ""), then every
-name's suffix length, and then the suffixes' UTF-8 text back to back. Both
-lengths count code points. Each zlib stream ends exactly at the next
-section's offset.
+inflated bytes hold, one vbyte each (codec.encode_vbytes), every name's
+shared-prefix length against the name before it (the first name's against
+""), then every name's suffix length, and then the suffixes' UTF-8 text
+back to back. Both lengths count code points. Each zlib stream ends
+exactly at the next section's offset.
 
 A term's direct list is its residual row (Factorization.residual): the cells
 that no meta-term covers, coded as a directly coded index would code them,

@@ -49,13 +49,18 @@ CORPUS = "".join(
 )
 
 
+def _runs(python):
+    """Whether the interpreter at `python` starts."""
+    return subprocess.run([python, "--version"], capture_output=True).returncode == 0
+
+
 def _python_3_10():
     """A runnable Python 3.10 interpreter, or None."""
     found = shutil.which("python3.10")
-    if found and subprocess.run([found, "--version"], capture_output=True).returncode == 0:
+    if found and _runs(found):
         return found
     for candidate in sorted(Path(sys.base_prefix).parent.glob("3.10.*/bin/python")):
-        if subprocess.run([str(candidate), "--version"], capture_output=True).returncode == 0:
+        if _runs(str(candidate)):
             return str(candidate)
     return None
 
@@ -72,7 +77,7 @@ def _newest_python():
     for version, candidate in sorted(installed, reverse=True):
         if version <= sys.version_info[:3]:
             return None
-        if subprocess.run([candidate, "--version"], capture_output=True).returncode == 0:
+        if _runs(candidate):
             return candidate
     return None
 

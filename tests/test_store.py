@@ -523,6 +523,9 @@ def test_overlong_string_length_is_corruption(tmp_path):
     # an 11-byte vbyte suffix length
     with pytest.raises(CorruptionError, match="^doc-table: vbyte value longer than 10 bytes$"):
         _load_resigned(tmp_path, _with_table(data, _deflated(b"\x00" + b"\xff" * 10 + b"\x01d")))
+    # ten bytes that each flag a next byte, at the end of the inflated table
+    with pytest.raises(CorruptionError, match="^doc-table runs past its section$"):
+        _load_resigned(tmp_path, _with_table(data, _deflated(b"\x00" + b"\xff" * 10)))
 
 
 def _two_names(tmp_path):
