@@ -19,7 +19,9 @@ third by bits:
   rows keep a constant payload ratio, extended to all rows that fit,
   applied greedily by descending gain. A row's partners are counted in
   bit-sliced counters over per-doc term bitsets when the residual is dense
-  enough for the bitsets to be cheap, else with a Counter.
+  enough for the bitsets to be cheap, else with a Counter. Under bit-level
+  doc-gap and payload codes, factor() skips a pair that shares its docs
+  only by chance (lift below _MIN_LIFT); under vbyte it skips none.
 * The dissolve pass puts a meta-term's cells back into its members' direct
   lists wherever that saves bits under the codec, until none does. If the
   meta-terms left still cost more bytes than their members' rows coded
@@ -42,8 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, islice, repeat
-from math import gcd
-from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, sub
+from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, ne, sub
 from pathlib import Path
 from re import finditer
 from typing import IO, Sequence
@@ -284,7 +285,7 @@ def _candidate_rows(
     return tuple(rows), tuple(coeffs)
 
 
-def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
+def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) -> Factorization:
     """Stage 2: greedy partial-column merging over the residual rows.
 
     Candidates come from pairs of residual rows sharing at least min_cols
@@ -298,6 +299,14 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
     bitsets when those take at most 16 B per residual cell, else with a
     Counter: on a sparse residual, bitsets for every doc cost more memory
     than they save time. Both find the same partners.
+
+    A pair of rows of n1 and n2 residual cells shares about n1 * n2 /
+    num_docs docs by chance. A pair whose s shared docs fall below min_lift
+    times that, s * num_docs < min_lift * n1 * n2 (the association ratio of
+    collocation mining; Church and Hanks, 1990), makes no candidate, yet
+    counts toward its anchor's max_candidates_per_term: otherwise each
+    anchor scans further partners, and stage 2 takes longer, not less.
+    min_lift 0 skips no pair.
     """
     residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(f.residual) if row}
 
@@ -309,6 +318,7 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
 
     # Candidate generation, one pass over residual row pairs.
     min_cols = params.min_cols
+    num_docs = f.num_docs
     num_lanes = next(reversed(residual), -1) + 1
     doc_bits = _DocBits(terms_of_doc, num_lanes)
     dense = sum(map(len, residual.values())) * 128 >= len(terms_of_doc) * num_lanes
@@ -322,12 +332,17 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
         if len(row1) < min_cols:
             continue
         made = 0
+        chance = min_lift * len(row1)
         for t2 in later_partners(doc_bits, row1, t1, min_cols):
             if made >= params.max_candidates_per_term:
                 break
             row2 = residual[t2]
+            shared = row1.keys() & row2.keys()
+            if len(shared) * num_docs < chance * len(row2):  # below min_lift times chance
+                made += 1
+                continue
             by_ratio: dict[tuple[int, int], list[int]] = {}
-            for d in sorted(row1.keys() & row2.keys()):
+            for d in sorted(shared):
                 _, ratio = primitive((row1[d], row2[d]))
                 by_ratio.setdefault(ratio, []).append(d)
             # Docs were added in ascending order: the classes come by first doc.
@@ -385,12 +400,24 @@ def refine_partial(f: Factorization, params: FactorParams) -> Factorization:
     return _assemble(metaterms, memberships, residual_rows, f.num_docs)
 
 
+# Stage 2's min_lift in factor() when no vbyte code is in play.
+_MIN_LIFT = 2
+
+
 def factor(
     matrix: TermDocMatrix, params: FactorParams = FactorParams(), cfg: CodecConfig = CodecConfig()
 ) -> Factorization:
     """Full pipeline: whole-row grouping, partial refinement, then the
-    dissolve pass under `cfg`, the codec the index is written with."""
-    return _dissolve(matrix, refine_partial(factor_whole_rows(matrix), params), cfg)
+    dissolve pass under `cfg`, the codec the index is written with.
+
+    Stage 2 skips row pairs below _MIN_LIFT times chance, unless `cfg`
+    codes doc gaps or payloads in vbyte. A bit-level code spends a bit or
+    two on a cell of a dense list, so a chance-level bicluster saves about
+    nothing and the dissolve pass takes it back. vbyte spends at least a
+    byte on every gap and payload, so such a bicluster still saves bytes.
+    """
+    min_lift = 0 if "vbyte" in (cfg.doc_gap, cfg.payload) else _MIN_LIFT
+    return _dissolve(matrix, refine_partial(factor_whole_rows(matrix), params, min_lift), cfg)
 
 
 _GAMMA = code_lengths("gamma")  # each list's head is gamma(count + 1)
@@ -639,11 +666,15 @@ def _dissolve(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> Fact
 
 def expand_term(f: Factorization, t: int) -> PostingList:
     """Rebuild term t's original posting list: its residual row merged with
-    its meta-term memberships; a term with no membership gets its residual
-    row itself.
+    its meta-term memberships' cells; a term with no membership gets its
+    residual row itself.
 
-    A cell covered twice raises InvariantError (the cover must be
-    element-disjoint).
+    The cells are merged in a dict and sorted. A residual row more than
+    four times as long as them stays out of the dict: each cell finds its
+    place in the row by bisection, the row is copied in slices between
+    them, and only the cells are checked. A cell covered twice raises
+    InvariantError (the cover must be element-disjoint), naming the lowest
+    such doc.
     """
     if not 0 <= t < f.num_terms:
         raise KeyError(t)
@@ -656,21 +687,43 @@ def expand_term(f: Factorization, t: int) -> PostingList:
         mt = f.metaterms[m]
         if all(map(lt, mt.cols, islice(mt.cols, 1, None))):
             return PostingList._from_columns(t, mt.cols, _scaled(mt.base, k))
-    merged = dict(zip(residual.docs, residual.payloads))
-    size = len(residual)
+    cells: dict[int, int] = {}
+    size = 0
     for m, k in memberships:
         mt = f.metaterms[m]
-        merged.update(zip(mt.cols, _scaled(mt.base, k)))
+        cells.update(zip(mt.cols, _scaled(mt.base, k)))
         size += min(len(mt.cols), len(mt.base))  # what zip pairs up
-    if len(merged) < size:
+    # Per cell, a splice costs about four times what the dict and sort do.
+    splice = len(residual) > 4 * size
+    if not splice:
+        cells.update(zip(residual.docs, residual.payloads))
+        size += len(residual)
+    docs = sorted(cells)
+    spots = list(map(bisect_left, repeat(residual.docs), docs)) if splice else []
+    if len(cells) < size or any(map(ne, spots, map(bisect_right, repeat(residual.docs), docs))):
         cols = (d for m, _ in memberships for d, _ in zip(f.metaterms[m].cols, f.metaterms[m].base))
         docs = sorted(chain(residual.docs, cols))
         lowest = next(d1 for d1, d2 in zip(docs, docs[1:]) if d1 == d2)
         raise InvariantError(f"term {t}: memberships overlap on doc {lowest}")
-    docs = sorted(merged)
-    payloads = list(map(merged.__getitem__, docs))
-    del merged  # not held while the columns are built: it sets the peak on long lists
-    return PostingList._from_columns(t, docs, payloads)
+    payloads = list(map(cells.__getitem__, docs))
+    del cells  # not held while the columns are built: it sets the peak on long lists
+    merged = PostingList._from_columns(t, docs, payloads)
+    if not splice:
+        return merged
+    return PostingList(t, _splice(residual.docs, merged.docs, spots), _splice(residual.payloads, merged.payloads, spots))
+
+
+def _splice(long: Sequence[int], short: Sequence[int], spots: list[int]) -> tuple[int, ...]:
+    """long with short[i] placed before long[spots[i]], spots ascending:
+    long is copied in slices between short's items."""
+    out: list[int] = []
+    start = 0
+    for at, x in zip(spots, short):
+        out += long[start:at]
+        out.append(x)
+        start = at
+    out += long[start:]
+    return tuple(out)
 
 
 def _scaled(base: tuple[int, ...], k: int) -> Sequence[int]:
@@ -725,18 +778,8 @@ def brute_force_optimal(matrix: TermDocMatrix) -> int:
         vectors = [[grid.get((t, d)) for d in cols] for t in rows]
         if any(v is None for vec in vectors for v in vec):
             continue
-        ref = vectors[0]
-        g = 0
-        for v in ref:
-            g = gcd(g, v)
-        base = [v // g for v in ref]
-        ok = True
-        for vec in vectors:
-            k, rem = divmod(vec[0], base[0])
-            if rem or vec != [k * u for u in base]:
-                ok = False
-                break
-        if ok:
+        _, base = primitive(vectors[0])
+        if all(primitive(vec)[1] == base for vec in vectors[1:]):
             low = (mask & -mask).bit_length() - 1
             by_lowest[low].append((mask, len(rows) + len(cols)))
 

@@ -232,8 +232,8 @@ def matrix_from_cells(
     empty rows / unused columns up to the given counts.
 
     Term and doc ids must be below 2^20 (1,048,576), given counts at most
-    that; past it, or for a negative term id, a ValidationError is raised
-    before any per-id allocation.
+    that; past it, or for a negative term or doc id (the lowest is named), a
+    ValidationError is raised before any per-id allocation.
     """
     min_term = min(cells, default=0)
     if min_term < 0:
@@ -243,7 +243,11 @@ def matrix_from_cells(
         num_terms = max_term + 1
     elif max_term >= num_terms:
         raise ValidationError(f"term {max_term} outside num_terms={num_terms}")
-    max_doc = max((d for by_doc in cells.values() for d in by_doc), default=-1)
+    ends = [(min(by_doc), max(by_doc)) for by_doc in cells.values() if by_doc]
+    min_doc = min((low for low, _ in ends), default=0)
+    if min_doc < 0:
+        raise ValidationError(f"doc id {min_doc} is negative")
+    max_doc = max((high for _, high in ends), default=-1)
     if num_docs is None:
         num_docs = max_doc + 1
     elif max_doc >= num_docs:

@@ -21,7 +21,7 @@ from mtix import (
     top_k,
     total_size,
 )
-from mtix.factorize import _Cover
+from mtix.factorize import _MIN_LIFT, _Cover, _dissolve
 from mtix.synth import planted_matrix, random_matrix, whole_row_multiple_instance, zipf_corpus
 from conftest import singleton_form
 from test_factorize import correlated_matrices, small_matrices, small_planted_matrices, sparse_id_matrices
@@ -69,20 +69,28 @@ def test_factor_is_never_larger_than_direct_on_bench_shaped_corpora(corpus, cfg,
 
 
 def test_zipf_text_under_delta_gaps_falls_back_to_direct(tmp_path, monkeypatch):
-    # Under doc-gap delta, the pass dissolves all but 14 of this corpus's
-    # meta-terms, and no survivor's dissolution alone saves bits, yet
-    # together they cost 66 B more than their members' rows coded directly:
-    # the final check returns the all-direct form.
+    # Under doc-gap delta, the pass dissolves all but 14 of the meta-terms
+    # stage 2 finds on this corpus with no pair skipped, and no survivor's
+    # dissolution alone saves bits, yet together they cost 66 B more than
+    # their members' rows coded directly: the final check returns the
+    # all-direct form.
     V = _zipf_matrix(tmp_path, 500, 2000, 1)
     cfg = CodecConfig("delta", "gamma", "gamma")
-    f = factor(V, cfg=cfg)
+    greedy = refine_partial(factor_whole_rows(V), FactorParams())
+    f = _dissolve(V, greedy, cfg)
     assert f.metaterms == () and f.residual == tuple(V.rows)
     assert all(row == () for row in f.memberships)
     st_ = stats(V, f, cfg)
     assert st_.bytes_factored == st_.bytes_direct + -(-V.num_terms // 8)
 
+    # factor() skips the pairs below twice chance: one 4 x 4 meta-term is
+    # left, and it pays
+    factored = factor(V, cfg=cfg)
+    assert [(len(b.rows), len(b.cols)) for b in factored.provenance()] == [(4, 4)]
+    assert stats(V, factored, cfg).bytes_factored == st_.bytes_factored - 4
+
     monkeypatch.setattr(_Cover, "pays", lambda cover, matrix: True)
-    fixpoint = factor(V, cfg=cfg)
+    fixpoint = _dissolve(V, greedy, cfg)
     assert len(fixpoint.metaterms) == 14
     assert stats(V, fixpoint, cfg).bytes_factored == st_.bytes_factored + 66
 
@@ -94,6 +102,18 @@ factor_inputs = st.one_of(small_matrices(), correlated_matrices(), sparse_id_mat
 @given(factor_inputs, st.sampled_from(CFGS), st.integers(2, 4))
 def test_factor_is_never_larger_than_direct(V, cfg, min_cols):
     _assert_never_larger_than_direct(V, factor(V, FactorParams(min_cols=min_cols), cfg), cfg)
+
+
+# vbyte spends a byte or more on any gap and payload, so a chance-level
+# bicluster still saves bytes there
+VBYTE_CFGS = [cfg for cfg in CFGS if "vbyte" in (cfg.doc_gap, cfg.payload)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_inputs, st.sampled_from(VBYTE_CFGS), st.integers(2, 4))
+def test_factor_skips_no_pair_under_vbyte_streams(V, cfg, min_cols):
+    p = FactorParams(min_cols=min_cols)
+    assert factor(V, p, cfg) == _dissolve(V, refine_partial(factor_whole_rows(V), p), cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +133,9 @@ def test_dissolve_pass_properties(V, cfg, min_cols):
     assert keys == sorted(set(keys))
     assert [mt.id for mt in f.metaterms] == list(range(len(f.metaterms)))
     assert all(len(b.rows) >= 2 for b in provenance)
-    greedy = {(b.rows, b.cols) for b in refine_partial(factor_whole_rows(V), FactorParams(min_cols=min_cols)).provenance()}
+    min_lift = 0 if "vbyte" in (cfg.doc_gap, cfg.payload) else _MIN_LIFT  # stage 2 as factor() runs it
+    greedy = refine_partial(factor_whole_rows(V), FactorParams(min_cols=min_cols), min_lift)
+    greedy = {(b.rows, b.cols) for b in greedy.provenance()}
     assert {(b.rows, b.cols) for b in provenance} <= greedy
 
     # a fixpoint: by the pass's own accounting, dissolving any one survivor

@@ -141,6 +141,34 @@ def test_refine_partial_residual_cells_become_singletons():
     assert sizes == [1, 1, 3]
 
 
+def test_refine_partial_skips_pairs_below_min_lift():
+    # the rows above: 4 residual cells each, 3 shared docs of 5, so lift
+    # 3 * 5 / (4 * 4) = 0.94
+    cells = {0: {0: 1, 1: 1, 2: 5, 3: 7}, 1: {0: 2, 1: 2, 2: 10, 4: 9}}
+    p = FactorParams(min_cols=3)
+    assert refine_partial(factor_whole_rows(matrix_from_cells(cells)), p, 2).metaterms == ()
+    # the same rows among 20 docs: lift 3.75, and the same bicluster
+    V = matrix_from_cells(cells, num_docs=20)
+    f = refine_partial(factor_whole_rows(V), p, 2)
+    assert [(b.rows, b.cols) for b in f.provenance()] == [((0, 1), (0, 1, 2))]
+    assert f == refine_partial(factor_whole_rows(V), p)
+
+
+def test_refine_partial_counts_a_skipped_pair_toward_the_cap():
+    # among 60 docs, row 0 (20 cells) shares docs 0-3 with row 1 (14
+    # cells), lift 0.86, and docs 4-13 with row 2 (10 cells), lift 3
+    cells = {0: dict.fromkeys(range(20), 1), 1: dict.fromkeys([0, 1, 2, 3, *range(20, 30)], 1), 2: dict.fromkeys(range(4, 14), 2)}
+    f1 = factor_whole_rows(matrix_from_cells(cells, num_docs=60))
+
+    def biclusters(cap, min_lift):
+        f = refine_partial(f1, FactorParams(min_cols=4, max_candidates_per_term=cap), min_lift)
+        return [(b.rows, b.cols) for b in f.provenance()]
+
+    assert biclusters(1, 2) == []  # row 0's one try went to row 1
+    assert biclusters(2, 2) == [((0, 2), tuple(range(4, 14)))]
+    assert biclusters(1, 0) == [((0, 1), (0, 1, 2, 3))]
+
+
 def test_refine_partial_requeues_after_losing_rows_to_higher_gain():
     # candidate A = rows {0,1,3} on docs 0..5 (gain 9); candidate B = rows
     # {0,2} on docs 0..11 (gain 10). B wins, consumes row 0's cells, A loses
@@ -412,13 +440,15 @@ def test_factor_golden_digest(corpus, params, digest, tmp_path):
 
 
 # factor() on the same corpora: the greedy, then the dissolve pass under the
-# default codecs. It keeps none or one of the 403-444 meta-terms the greedy
-# finds on zipf, none of the 17-34 on random, and the 6 planted groups of
-# the 43-58 on planted, so both parameter sets give the same planted and
-# random factorization.
+# default codecs. Under them stage 2 skips pairs below twice chance, so the
+# greedy finds 316 and 307 meta-terms on zipf (403 and 444 at min_lift 0,
+# as pinned above), 13 and 18 on planted (43 and 58) and 2 and 1 on random
+# (17 and 34). The pass keeps none and 3 of them on zipf, none on random,
+# and the 6 planted groups on planted, so both parameter sets give the same
+# planted and random factorization.
 FACTOR_DIGESTS = [
     ("zipf", "default", "dd665edd4ef15cbf6a2f463717948c90dd43de6d9ebc8975fae77e7cecf1cbfd"),
-    ("zipf", "capped", "17731cce4a70d8047abdf43987311bc76219f733bf7ccf7ccc1ca6f834f457ba"),
+    ("zipf", "capped", "2d382b40249b00adb9f7e98f904f110eaf10dd6f33cd0d7ac381b24d1f2fe39c"),
     ("planted", "default", "3d475a1378d92705f3ced7cd8bb64db05a20418cb16d50ffaf2825efaec3886f"),
     ("planted", "capped", "3d475a1378d92705f3ced7cd8bb64db05a20418cb16d50ffaf2825efaec3886f"),
     ("random", "default", "bb098f89990f1492f7e7540a4a77bafff4d379243c77e3646ef7ddd1754ef65b"),

@@ -146,6 +146,15 @@ def test_negative_term_id_rejected_before_allocation():
         matrix_from_cells({0: {0: 1}, -3: {0: 1}, -1: {}}, num_terms=1 << 20)
 
 
+def test_negative_doc_id_rejected_before_allocation():
+    # It read as an ordering fault from inside row building: "term 0: doc
+    # ids not strictly ascending at -1".
+    with pytest.raises(ValidationError, match="^doc id -1 is negative$"):
+        matrix_from_cells({0: {-1: 1}})
+    with pytest.raises(ValidationError, match="^doc id -5 is negative$"):
+        matrix_from_cells({0: {3: 1, -2: 1}, 1: {}, 2: {-5: 1}}, num_docs=1 << 20)
+
+
 def test_ingest_triples_nnz_equals_line_count(tmp_path):
     rng = random.Random(5)
     cells = set()

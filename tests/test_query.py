@@ -33,6 +33,7 @@ from mtix import (
     overlap_at_k,
     prune,
     reconstruct,
+    refine_partial,
     save_index,
     stats,
     top_k,
@@ -446,14 +447,17 @@ def test_query_path_matches_reference(fq):
     _assert_query_path_matches_reference(f, singleton_form(f), queries)
 
 
-def _corrupt(draw, f):
-    """f with one defect the expansion must reject or sort out as before."""
+CORRUPTIONS = ["overlap", "dup_col", "unsorted", "negative_doc", "zero_coeff", "zero_base"]
+
+
+def _corrupt(draw, f, kind=None):
+    """f with one defect the expansion must reject or sort out as before:
+    `kind`, or one drawn from CORRUPTIONS."""
     metaterms, memberships = list(f.metaterms), list(f.memberships)
     m = draw(st.integers(0, len(metaterms) - 1))
     mt = metaterms[m]
     i = draw(st.integers(0, len(mt.cols) - 1))
-    kinds = ["overlap", "dup_col", "unsorted", "negative_doc", "zero_coeff", "zero_base"]
-    kind = draw(st.sampled_from(kinds))
+    kind = kind or draw(st.sampled_from(CORRUPTIONS))
     if kind == "overlap":
         t = draw(st.integers(0, f.num_terms - 1))
         memberships[t] = memberships[t] + ((m, draw(st.integers(1, 3))),)
@@ -477,15 +481,47 @@ def _corrupt(draw, f):
     return replace(f, metaterms=tuple(metaterms), memberships=tuple(memberships))
 
 
+def _row(t, docs):
+    return PostingList(t, tuple(docs), tuple(d % 5 + 1 for d in docs))
+
+
+# Terms 0 and 1 share one meta-term over docs 3, 10, 17 and 24, and every
+# term's residual row is over four times as long as its cells, even with a
+# column or a membership added: expand_term splices the cells into it.
+_SPLICED = Factorization(
+    (MetaTerm(0, (3, 10, 17, 24), (1, 2, 1, 1)),),
+    (((0, 1),), ((0, 3),), ()),
+    (
+        _row(0, [d for d in range(0, 120, 2) if d not in (10, 24)]),
+        _row(1, [d for d in range(1, 120, 2) if d not in (3, 17)]),
+        _row(2, range(0, 120, 3)),
+    ),
+    3,
+    120,
+)
+
+
 @st.composite
 def malformed_factorizations_and_queries(draw):
-    if draw(st.booleans()):
+    """(f, the form the reference reads, queries): a corrupted or free-form
+    f, in the singleton form or, in the second corrupted case, with the
+    greedy's non-empty residual rows kept next to its corrupt memberships."""
+    kind = draw(st.sampled_from(["singleton", "residual", "free-form"]))
+    if kind == "singleton":
         V = draw(st.one_of(small_matrices(), correlated_matrices()))
         f = singleton_form(factor(V, FactorParams(min_cols=draw(st.integers(2, 4)))))
         if not f.metaterms:
             f = singleton_form(factor(matrix_from_cells({0: {0: 1, 2: 3}, 1: {0: 2, 2: 6}, 2: {1: 5}})))
         for _ in range(draw(st.integers(1, 2))):
             f = _corrupt(draw, f)
+    elif kind == "residual":
+        V = draw(st.one_of(small_matrices(), correlated_matrices()))
+        f = refine_partial(factor_whole_rows(V), FactorParams(min_cols=draw(st.integers(2, 4))))
+        if not f.metaterms or not any(f.residual):
+            f = _SPLICED
+        for _ in range(draw(st.integers(1, 2))):
+            f = _corrupt(draw, f)
+        return f, singleton_form(f), draw(_query_lists(f.num_terms))
     else:
         # free-form: any columns (negative, repeated, unordered), any
         # non-negative base entries and coefficients, and a base one entry
@@ -502,14 +538,25 @@ def malformed_factorizations_and_queries(draw):
         )
         residual = tuple(PostingList(t, (), ()) for t in range(len(memberships)))
         f = Factorization(tuple(metaterms), memberships, residual, len(memberships), num_docs)
-    return f, draw(_query_lists(f.num_terms))
+    return f, f, draw(_query_lists(f.num_terms))
 
 
 @settings(max_examples=400, deadline=None)
 @given(malformed_factorizations_and_queries())
 def test_malformed_query_path_matches_reference(fq):
-    f, queries = fq
-    _assert_query_path_matches_reference(f, f, queries)
+    f, ref, queries = fq
+    _assert_query_path_matches_reference(f, ref, queries)
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_corrupt_memberships_next_to_residual_rows_match_reference(kind, data):
+    # expand_term splices the memberships' cells into the residual row: it
+    # raises or returns what the reference does on the singleton form
+    f = _corrupt(data.draw, _SPLICED, kind)
+    assert f.metaterms and all(f.residual)
+    _assert_query_path_matches_reference(f, singleton_form(f), data.draw(_query_lists(f.num_terms)))
 
 
 @settings(max_examples=300, deadline=None)
