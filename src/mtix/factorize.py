@@ -404,6 +404,12 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
 _MIN_LIFT = 2
 
 
+def _min_lift(cfg: CodecConfig) -> int:
+    """The min_lift factor() runs stage 2 with under `cfg`: _MIN_LIFT, or 0
+    when doc gaps or payloads are coded in vbyte."""
+    return 0 if "vbyte" in (cfg.doc_gap, cfg.payload) else _MIN_LIFT
+
+
 def factor(
     matrix: TermDocMatrix, params: FactorParams = FactorParams(), cfg: CodecConfig = CodecConfig()
 ) -> Factorization:
@@ -416,8 +422,7 @@ def factor(
     nothing and the dissolve pass takes it back. vbyte spends at least a
     byte on every gap and payload, so such a bicluster still saves bytes.
     """
-    min_lift = 0 if "vbyte" in (cfg.doc_gap, cfg.payload) else _MIN_LIFT
-    return _dissolve(matrix, refine_partial(factor_whole_rows(matrix), params, min_lift), cfg)
+    return _dissolve(matrix, refine_partial(factor_whole_rows(matrix), params, _min_lift(cfg)), cfg)
 
 
 _GAMMA = code_lengths("gamma")  # each list's head is gamma(count + 1)
@@ -669,12 +674,11 @@ def expand_term(f: Factorization, t: int) -> PostingList:
     its meta-term memberships' cells; a term with no membership gets its
     residual row itself.
 
-    The cells are merged in a dict and sorted. A residual row more than
-    four times as long as them stays out of the dict: each cell finds its
-    place in the row by bisection, the row is copied in slices between
-    them, and only the cells are checked. A cell covered twice raises
-    InvariantError (the cover must be element-disjoint), naming the lowest
-    such doc.
+    The memberships' cells are merged in a dict, sorted and checked; each
+    finds its place in the residual row by bisection, and the row, already
+    a PostingList, is copied in slices between them. A cell covered twice
+    raises InvariantError (the cover must be element-disjoint), naming the
+    lowest such doc.
     """
     if not 0 <= t < f.num_terms:
         raise KeyError(t)
@@ -693,13 +697,8 @@ def expand_term(f: Factorization, t: int) -> PostingList:
         mt = f.metaterms[m]
         cells.update(zip(mt.cols, _scaled(mt.base, k)))
         size += min(len(mt.cols), len(mt.base))  # what zip pairs up
-    # Per cell, a splice costs about four times what the dict and sort do.
-    splice = len(residual) > 4 * size
-    if not splice:
-        cells.update(zip(residual.docs, residual.payloads))
-        size += len(residual)
     docs = sorted(cells)
-    spots = list(map(bisect_left, repeat(residual.docs), docs)) if splice else []
+    spots = list(map(bisect_left, repeat(residual.docs), docs))
     if len(cells) < size or any(map(ne, spots, map(bisect_right, repeat(residual.docs), docs))):
         cols = (d for m, _ in memberships for d, _ in zip(f.metaterms[m].cols, f.metaterms[m].base))
         docs = sorted(chain(residual.docs, cols))
@@ -708,21 +707,19 @@ def expand_term(f: Factorization, t: int) -> PostingList:
     payloads = list(map(cells.__getitem__, docs))
     del cells  # not held while the columns are built: it sets the peak on long lists
     merged = PostingList._from_columns(t, docs, payloads)
-    if not splice:
-        return merged
     return PostingList(t, _splice(residual.docs, merged.docs, spots), _splice(residual.payloads, merged.payloads, spots))
 
 
-def _splice(long: Sequence[int], short: Sequence[int], spots: list[int]) -> tuple[int, ...]:
-    """long with short[i] placed before long[spots[i]], spots ascending:
-    long is copied in slices between short's items."""
+def _splice(row: Sequence[int], cells: Sequence[int], spots: list[int]) -> tuple[int, ...]:
+    """row with cells[i] placed before row[spots[i]], spots ascending: row
+    is copied in slices between the cells."""
     out: list[int] = []
     start = 0
-    for at, x in zip(spots, short):
-        out += long[start:at]
+    for at, x in zip(spots, cells):
+        out += row[start:at]
         out.append(x)
         start = at
-    out += long[start:]
+    out += row[start:]
     return tuple(out)
 
 

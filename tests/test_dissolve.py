@@ -4,7 +4,7 @@ directly coded one, under the codecs it is written with."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import query_reference as reference
 from mtix import (
@@ -15,13 +15,14 @@ from mtix import (
     factor,
     factor_whole_rows,
     ingest_tsv,
+    matrix_from_cells,
     reconstruct,
     refine_partial,
     stats,
     top_k,
     total_size,
 )
-from mtix.factorize import _MIN_LIFT, _Cover, _dissolve
+from mtix.factorize import _MIN_LIFT, _Cover, _dissolve, _min_lift
 from mtix.synth import planted_matrix, random_matrix, whole_row_multiple_instance, zipf_corpus
 from conftest import singleton_form
 from test_factorize import correlated_matrices, small_matrices, small_planted_matrices, sparse_id_matrices
@@ -106,7 +107,7 @@ def test_factor_is_never_larger_than_direct(V, cfg, min_cols):
 
 # vbyte spends a byte or more on any gap and payload, so a chance-level
 # bicluster still saves bytes there
-VBYTE_CFGS = [cfg for cfg in CFGS if "vbyte" in (cfg.doc_gap, cfg.payload)]
+VBYTE_CFGS = [cfg for cfg in CFGS if _min_lift(cfg) == 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -116,8 +117,36 @@ def test_factor_skips_no_pair_under_vbyte_streams(V, cfg, min_cols):
     assert factor(V, p, cfg) == _dissolve(V, refine_partial(factor_whole_rows(V), p), cfg)
 
 
+@pytest.mark.parametrize(
+    "codes", [("vbyte",) * 3, ("vbyte", "gamma", "gamma"), ("gamma", "vbyte", "gamma"), ("delta", "vbyte", "vbyte")]
+)
+def test_min_lift_loses_bytes_under_vbyte_streams(tmp_path, codes):
+    # why factor() skips no pair under a vbyte doc-gap or payload code: on
+    # zipf text, stage 2 at _MIN_LIFT leaves a larger index there
+    cfg = CodecConfig(*codes)
+    assert _min_lift(cfg) == 0
+    V = _zipf_matrix(tmp_path, 60, 100, 1)
+    skipping = _dissolve(V, refine_partial(factor_whole_rows(V), FactorParams(), _MIN_LIFT), cfg)
+    assert stats(V, factor(V, cfg=cfg), cfg).bytes_factored < stats(V, skipping, cfg).bytes_factored
+
+
 @settings(max_examples=200, deadline=None)
 @given(factor_inputs, st.sampled_from(CFGS), st.integers(2, 4))
+# a survivor that only the min-lift-2 greedy forms: under gamma, factor()
+# keeps a bicluster that refine_partial at min_lift 0 does not make
+@example(
+    matrix_from_cells(
+        {
+            0: {0: 2, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1},
+            1: {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 7: 1},
+            **{t: dict.fromkeys(range(5), 1) for t in (2, 3, 4)},
+            5: dict.fromkeys(range(7), 1),
+        },
+        num_docs=14,
+    ),
+    CodecConfig(),
+    2,
+)
 def test_dissolve_pass_properties(V, cfg, min_cols):
     f = factor(V, FactorParams(min_cols=min_cols), cfg)
     assert reconstruct(f).same_cells(V)
@@ -133,8 +162,7 @@ def test_dissolve_pass_properties(V, cfg, min_cols):
     assert keys == sorted(set(keys))
     assert [mt.id for mt in f.metaterms] == list(range(len(f.metaterms)))
     assert all(len(b.rows) >= 2 for b in provenance)
-    min_lift = 0 if "vbyte" in (cfg.doc_gap, cfg.payload) else _MIN_LIFT  # stage 2 as factor() runs it
-    greedy = refine_partial(factor_whole_rows(V), FactorParams(min_cols=min_cols), min_lift)
+    greedy = refine_partial(factor_whole_rows(V), FactorParams(min_cols=min_cols), _min_lift(cfg))
     greedy = {(b.rows, b.cols) for b in greedy.provenance()}
     assert {(b.rows, b.cols) for b in provenance} <= greedy
 
