@@ -19,9 +19,11 @@ third by bits:
   rows keep a constant payload ratio, extended to all rows that fit,
   applied greedily by descending gain. A row's partners are counted in
   bit-sliced counters over per-doc term bitsets when the residual is dense
-  enough for the bitsets to be cheap, else with a Counter. Under bit-level
-  doc-gap and payload codes, factor() skips a pair that shares its docs
-  only by chance (lift below _MIN_LIFT); under vbyte it skips none.
+  enough for the bitsets to be cheap, else with a Counter. Rows are read
+  by bisection into the residual PostingLists' columns; only a row read
+  often gets a dict. Under bit-level doc-gap and payload codes, factor() skips a pair
+  that shares its docs only by chance (lift below _MIN_LIFT); under vbyte
+  it skips none.
 * The dissolve pass puts a meta-term's cells back into its members' direct
   lists wherever that saves bits under the codec, until none does. If the
   meta-terms left still cost more bytes than their members' rows coded
@@ -47,7 +49,7 @@ from itertools import chain, compress, islice, repeat
 from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, ne, sub
 from pathlib import Path
 from re import finditer
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from .codec import CodecConfig, code_bits, code_lengths, list_bit_lengths, unzip_pairs
 from .errors import InvariantError, ValidationError, check_int
@@ -201,13 +203,13 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     return Factorization(tuple(metaterms), tuple(memberships), tuple(residual), matrix.num_terms, matrix.num_docs)
 
 
-def _later_partners(doc_bits: _DocBits, row1: dict[int, int], t1: int, min_cols: int) -> list[int]:
-    """The residual rows t2 > t1 sharing at least min_cols docs with row1,
-    ascending, counted in a Counter. A doc's term list is ascending, so t1's
-    later partners in it are the suffix past t1."""
+def _later_partners(doc_bits: _DocBits, docs1: Sequence[int], t1: int, min_cols: int) -> list[int]:
+    """The residual rows t2 > t1 sharing at least min_cols of docs1, row
+    t1's docs, ascending, counted in a Counter. A doc's term list is
+    ascending, so t1's later partners in it are the suffix past t1."""
     terms_of_doc = doc_bits.terms_of_doc
     counts = Counter(
-        chain.from_iterable((later := terms_of_doc[d])[bisect_right(later, t1) :] for d in row1)
+        chain.from_iterable((later := terms_of_doc[d])[bisect_right(later, t1) :] for d in docs1)
     )
     return sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
 
@@ -215,7 +217,9 @@ def _later_partners(doc_bits: _DocBits, row1: dict[int, int], t1: int, min_cols:
 class _DocBits(dict):
     """Doc id -> int bitset over residual term ids (bit t set iff term t has
     a residual cell in that doc), each built the first time it is looked up;
-    `lanes` sets the bits of all num_terms term ids."""
+    `lanes` sets the bits of all num_terms term ids. With terms_of_doc,
+    they are stage 2's index over the residual rows, which it reads through
+    _Cells (see refine_partial)."""
 
     def __init__(self, terms_of_doc: dict[int, list[int]], num_terms: int):
         super().__init__()
@@ -227,12 +231,13 @@ class _DocBits(dict):
         return bits
 
 
-def _later_partners_sliced(doc_bits: _DocBits, row1: dict[int, int], t1: int, min_cols: int) -> list[int]:
+def _later_partners_sliced(doc_bits: _DocBits, docs1: Sequence[int], t1: int, min_cols: int) -> Iterator[int]:
     """_later_partners in bit-sliced counters (Rinfret, O'Neil and O'Neil,
     SIGMOD 2001): bit j of plane i is bit i of lane j's count, the docs of
-    row1 that hold term t1 + 1 + j. The L = (min_cols - 1).bit_length()
+    docs1 that hold term t1 + 1 + j. The L = (min_cols - 1).bit_length()
     planes start at 2**L - min_cols; each doc adds its bitset shifted past
     t1, and a carry out of the top plane marks a lane that reached min_cols.
+    The partners are yielded as they are read: the caller stops at its cap.
     """
     shift = t1 + 1
     depth = (min_cols - 1).bit_length()
@@ -240,7 +245,7 @@ def _later_partners_sliced(doc_bits: _DocBits, row1: dict[int, int], t1: int, mi
     lanes = doc_bits.lanes >> shift
     planes = [lanes if offset >> i & 1 else 0 for i in range(depth)]
     reached = 0
-    for bits in map(doc_bits.__getitem__, row1):
+    for bits in map(doc_bits.__getitem__, docs1):
         carry = bits >> shift
         i = 0
         while carry and i < depth:
@@ -249,11 +254,67 @@ def _later_partners_sliced(doc_bits: _DocBits, row1: dict[int, int], t1: int, mi
             carry &= plane
             i += 1
         reached |= carry
-    return [shift + lane.start() for lane in finditer("1", bin(reached)[:1:-1])]  # lane j at index j
+    for lane in finditer("1", bin(reached)[:1:-1]):  # lane j at index j
+        yield shift + lane.start()
+
+
+class _RowBits(dict):
+    """Term id -> int bitset over its residual row's doc ids, each built the
+    first time it is looked up: on the dense path, the popcount of two
+    rows' AND counts their shared docs before any is found."""
+
+    def __init__(self, rows: Sequence[PostingList]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, t: int) -> int:
+        bits = self[t] = sum(map(lshift, repeat(1), self.rows[t].docs))
+        return bits
+
+
+class _Cells(dict):
+    """Term id -> its residual row as a mapping doc -> payload, for stage
+    2's reads: first a _Bisected view of the row's columns, then, once the
+    view has been read as many times as the row has cells, a dict. A
+    bisection costs several dict reads, and a dict about one read per cell
+    to build, so a row read often pays for its dict, and a row read a few
+    times gets none."""
+
+    def __init__(self, rows: Sequence[PostingList]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, t: int) -> "_Bisected":
+        view = self[t] = _Bisected(self, t)
+        return view
+
+    def shared(self, docs: set[int], t: int) -> set[int]:
+        """The docs of `docs` that row t holds: the smaller side is looked up
+        in the larger where row t has its dict."""
+        cells = self[t]
+        return cells.keys() & docs if type(cells) is dict else docs.intersection(cells.docs)
+
+
+class _Bisected:
+    """Row t of a _Cells, read by bisection into its doc column; its last
+    allowed read puts the row's dict in its place in the _Cells."""
+
+    __slots__ = ("cells", "t", "docs", "payloads", "left")
+
+    def __init__(self, cells: _Cells, t: int):
+        row = cells.rows[t]
+        self.cells, self.t, self.docs, self.payloads = cells, t, row.docs, row.payloads
+        self.left = len(row.docs)
+
+    def __getitem__(self, d: int) -> int:
+        self.left -= 1
+        if not self.left:
+            self.cells[self.t] = dict(zip(self.docs, self.payloads))
+        return self.payloads[bisect_left(self.docs, d)]
 
 
 def _candidate_rows(
-    residual: dict[int, dict[int, int]],
+    residual: _Cells,
     doc_bits: _DocBits,
     docs: tuple[int, ...],
     base: tuple[int, ...],
@@ -295,10 +356,19 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     revalidated against already-consumed cells first. A partly consumed row
     keeps its leftover cells as its residual row, so the output total size
     never exceeds the input's; rows no bicluster touches pass through as
-    they are. Partners are counted in bit-sliced counters over the doc
-    bitsets when those take at most 16 B per residual cell, else with a
-    Counter: on a sparse residual, bitsets for every doc cost more memory
-    than they save time. Both find the same partners.
+    the same PostingList objects. Partners are counted in bit-sliced
+    counters over the doc bitsets when those take at most 16 B per residual
+    cell, else with a Counter: on a sparse residual, bitsets for every doc
+    cost more memory than they save time. Both find the same partners.
+
+    The rows are read through _Cells: by bisection into f.residual's doc
+    and payload columns, and through a {doc: payload} dict only once a row
+    has been read as many times as it has cells. A pair's shared docs are
+    the anchor's doc set intersected with the partner's row; on the dense
+    path, the popcount of the AND of the two rows' doc bitsets (_RowBits)
+    counts them first. Application records the docs each row loses, and a
+    candidate row is live while it has lost none of the candidate's
+    columns.
 
     A pair of rows of n1 and n2 residual cells shares about n1 * n2 /
     num_docs docs by chance. A pair whose s shared docs fall below min_lift
@@ -306,41 +376,53 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     collocation mining; Church and Hanks, 1990), makes no candidate, yet
     counts toward its anchor's max_candidates_per_term: otherwise each
     anchor scans further partners, and stage 2 takes longer, not less.
-    min_lift 0 skips no pair.
+    min_lift 0 skips no pair. Since s <= min(n1, n2), a pair with
+    min_lift * n > num_docs for either row fails: such an anchor counts no
+    partner, and such a partner counts toward the cap unintersected.
     """
-    residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(f.residual) if row}
-
-    # residual's keys ascend, so each doc's term list does too.
-    terms_of_doc: dict[int, list[int]] = {}
-    for t, cells in residual.items():
-        for d in cells:
+    rows = f.residual
+    terms_of_doc: dict[int, list[int]] = {}  # term ids ascend, so each doc's list does too
+    for t in compress(range(f.num_terms), rows):
+        for d in rows[t].docs:
             terms_of_doc.setdefault(d, []).append(t)
 
     # Candidate generation, one pass over residual row pairs.
     min_cols = params.min_cols
     num_docs = f.num_docs
-    num_lanes = next(reversed(residual), -1) + 1
+    num_lanes = next((t + 1 for t in range(f.num_terms - 1, -1, -1) if rows[t]), 0)
     doc_bits = _DocBits(terms_of_doc, num_lanes)
-    dense = sum(map(len, residual.values())) * 128 >= len(terms_of_doc) * num_lanes
+    dense = sum(map(len, rows)) * 128 >= len(terms_of_doc) * num_lanes
     later_partners = _later_partners_sliced if dense else _later_partners
+    residual = _Cells(rows)
+    row_bits = _RowBits(rows)
     # One tuple per distinct base (most are all ones), shared by the heap
     # and seen, which hold one per candidate.
     bases: dict[tuple[int, ...], tuple[int, ...]] = {}
     heap: list[tuple] = []
     seen: set[tuple] = set()
-    for t1, row1 in residual.items():
-        if len(row1) < min_cols:
+    for t1 in compress(range(num_lanes), rows):
+        docs1 = rows[t1].docs
+        n1 = len(docs1)
+        if n1 < min_cols or min_lift * n1 > num_docs:  # no pair of it can pass the lift test
             continue
         made = 0
-        chance = min_lift * len(row1)
-        for t2 in later_partners(doc_bits, row1, t1, min_cols):
+        chance = min_lift * n1
+        anchor = set(docs1)
+        for t2 in later_partners(doc_bits, docs1, t1, min_cols):
             if made >= params.max_candidates_per_term:
                 break
-            row2 = residual[t2]
-            shared = row1.keys() & row2.keys()
-            if len(shared) * num_docs < chance * len(row2):  # below min_lift times chance
+            docs2 = rows[t2].docs
+            n2 = len(docs2)
+            # At most min(n1, n2) docs are shared; the dense path counts them on the bitsets.
+            most = (row_bits[t1] & row_bits[t2]).bit_count() if dense else min(n1, n2)
+            if most * num_docs < chance * n2:  # below min_lift times chance, whatever it shares
                 made += 1
                 continue
+            shared = residual.shared(anchor, t2)
+            if len(shared) * num_docs < chance * n2:  # below min_lift times chance
+                made += 1
+                continue
+            row1, row2 = residual[t1], residual[t2]
             by_ratio: dict[tuple[int, int], list[int]] = {}
             for d in sorted(shared):
                 _, ratio = primitive((row1[d], row2[d]))
@@ -357,46 +439,45 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
                 if sig in seen:
                     continue
                 seen.add(sig)
-                rows, coeffs = _candidate_rows(residual, doc_bits, cols, base)
-                g_val = gain(len(rows), len(cols))
-                if len(rows) < 2 or g_val <= 0:
+                members, coeffs = _candidate_rows(residual, doc_bits, cols, base)
+                g_val = gain(len(members), len(cols))
+                if len(members) < 2 or g_val <= 0:
                     continue
-                heap.append((-g_val, rows[0], cols[0], rows, cols, base, coeffs))
+                heap.append((-g_val, members[0], cols[0], members, cols, base, coeffs))
                 made += 1
 
     # Generation ends at stage 2's memory peak: free its indexes before
     # application allocates.
-    del doc_bits, bases, seen, terms_of_doc
+    del doc_bits, bases, seen, terms_of_doc, residual, row_bits
     heapify(heap)  # no two keys are equal: (cols, base) differs
 
     # Greedy application with revalidation against consumed cells.
     metaterms = [(mt.cols, mt.base) for mt in f.metaterms]
     memberships = list(map(list, f.memberships))
+    lost: dict[int, set[int]] = {}  # term -> the docs of its row that biclusters took
     while heap:
-        _, _, _, rows, cols, base, coeffs = heappop(heap)
-        live = [(t, k) for t, k in zip(rows, coeffs) if all(map(residual[t].__contains__, cols))]
+        _, _, _, members, cols, base, coeffs = heappop(heap)
+        live = [(t, k) for t, k in zip(members, coeffs) if t not in lost or lost[t].isdisjoint(cols)]
         if len(live) < 2:
             continue
         g_val = gain(len(live), len(cols))
         if g_val <= 0:
             continue
-        if len(live) != len(rows):
+        if len(live) != len(members):
             live_rows = tuple(t for t, _ in live)
             live_coeffs = tuple(k for _, k in live)
             heappush(heap, (-g_val, live_rows[0], cols[0], live_rows, cols, base, live_coeffs))
             continue
         for t, k in live:
-            cells = residual[t]
-            for d in cols:
-                del cells[d]
+            lost.setdefault(t, set()).update(cols)
             memberships[t].append((len(metaterms), k))
         metaterms.append((cols, base))
 
-    residual_rows = list(f.residual)
-    for t, cells in residual.items():
-        if len(cells) < len(residual_rows[t]):  # a bicluster took some of its cells
-            docs = tuple(sorted(cells))
-            residual_rows[t] = PostingList(t, docs, tuple(map(cells.__getitem__, docs)))
+    residual_rows = list(rows)
+    for t, gone in lost.items():
+        row = rows[t]
+        keep = [d not in gone for d in row.docs]
+        residual_rows[t] = PostingList(t, tuple(compress(row.docs, keep)), tuple(compress(row.payloads, keep)))
     return _assemble(metaterms, memberships, residual_rows, f.num_docs)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +168,58 @@ def test_refine_partial_counts_a_skipped_pair_toward_the_cap():
     assert biclusters(1, 2) == []  # row 0's one try went to row 1
     assert biclusters(2, 2) == [((0, 2), tuple(range(4, 14)))]
     assert biclusters(1, 0) == [((0, 1), (0, 1, 2, 3))]
+
+
+def test_refine_partial_extends_to_a_row_min_lift_never_pairs():
+    # among 12 docs, rows 0 (4 cells) and 1 (5 cells) share docs 0-3 in the
+    # ratio 1:2, lift 2.4. Row 2 is 3 times their base there, and with 7
+    # cells, 2 * 7 > 12: at min_lift 2 it is never an anchor or a partner,
+    # yet the candidate's extension takes it in
+    base = {0: 1, 1: 2, 2: 1, 3: 1}
+    cells = {
+        0: dict(base),
+        1: {**{d: 2 * u for d, u in base.items()}, 8: 3},
+        2: {**{d: 3 * u for d, u in base.items()}, 4: 1, 5: 1, 6: 1},
+    }
+    V = matrix_from_cells(cells, num_docs=12)
+    f1 = factor_whole_rows(V)
+    assert f1.metaterms == ()
+    f = refine_partial(f1, FactorParams(), 2)
+    assert [(b.rows, b.cols, b.base, b.coeffs) for b in f.provenance()] == [((0, 1, 2), (0, 1, 2, 3), (1, 2, 1, 1), (1, 2, 3))]
+    assert f.residual[2].docs == (4, 5, 6) and f.residual[1].docs == (8,)
+    assert f == refine_partial(f1, FactorParams())
+    assert reconstruct(f).same_cells(V)
+
+
+def test_refine_partial_passes_untouched_rows_through_as_they_are():
+    # stats sizes a residual row that is V's own row object as V's row, so
+    # stage 2 must hand back each row no bicluster touches as that object
+    rng = random.Random(3)
+    V = random_matrix(60, 40, 0.2, payload_range=(1, 2), rng=rng)
+    f1 = factor_whole_rows(V)
+    for min_lift in (0, 2):
+        f2 = refine_partial(f1, FactorParams(min_cols=3), min_lift)
+        touched = {t for t, row in enumerate(f2.memberships) if len(row) > len(f1.memberships[t])}
+        assert f2.metaterms and touched
+        for t in range(V.num_terms):
+            assert (f2.residual[t] is f1.residual[t]) is (t not in touched)
+
+
+def test_refine_partial_memory_per_residual_cell():
+    # 2,000 x 10,000 at density 0.005, about 100k residual cells. Stage 2
+    # reads the rows' columns, with no {doc: payload} dict per row: its
+    # tracemalloc peak stays under 32 B per residual cell (about 20 B
+    # measured; a dict per row took about 63 B)
+    V = random_matrix(2000, 10_000, 0.005, rng=random.Random(1))
+    f1 = factor_whole_rows(V)
+    cells = sum(map(len, f1.residual))
+    tracemalloc.start()
+    try:
+        refine_partial(f1, FactorParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * cells, peak / cells
 
 
 def test_refine_partial_requeues_after_losing_rows_to_higher_gain():
@@ -528,12 +581,12 @@ def sparse_id_matrices(draw):
 
 
 def _residual_index(V):
-    """refine_partial's view of V's rows: term -> {doc: payload}, and the
-    doc bitsets over each doc's ascending term list."""
-    residual = {t: dict(zip(row.docs, row.payloads)) for t, row in enumerate(V.rows) if row}
+    """refine_partial's view of V's rows: term -> doc column, and the doc
+    bitsets over each doc's ascending term list."""
+    residual = {t: row.docs for t, row in enumerate(V.rows) if row}
     terms_of_doc = {}
-    for t, cells in residual.items():
-        for d in cells:
+    for t, docs in residual.items():
+        for d in docs:
             terms_of_doc.setdefault(d, []).append(t)
     return residual, _DocBits(terms_of_doc, next(reversed(residual), -1) + 1)
 
@@ -550,12 +603,12 @@ def test_partner_searches_agree(V, min_cols):
     residual, doc_bits = _residual_index(V)
     above = max(map(len, residual.values()), default=0) + 1
     for t1, row1 in residual.items():
-        want = _later_partners(doc_bits, row1, t1, min_cols)
-        assert _later_partners_sliced(doc_bits, row1, t1, min_cols) == want
-        assert _later_partners_sliced(doc_bits, row1, t1, above) == [] == _later_partners(doc_bits, row1, t1, above)
+        want = list(_later_partners(doc_bits, row1, t1, min_cols))
+        assert list(_later_partners_sliced(doc_bits, row1, t1, min_cols)) == want
+        assert list(_later_partners_sliced(doc_bits, row1, t1, above)) == [] == list(_later_partners(doc_bits, row1, t1, above))
     if residual:
         last = next(reversed(residual))
-        assert _later_partners_sliced(doc_bits, residual[last], last, 2) == [] == _later_partners(doc_bits, residual[last], last, 2)
+        assert list(_later_partners_sliced(doc_bits, residual[last], last, 2)) == [] == list(_later_partners(doc_bits, residual[last], last, 2))
 
 
 @settings(max_examples=300, deadline=None)

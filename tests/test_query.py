@@ -501,6 +501,22 @@ _SPLICED = Factorization(
 )
 
 
+# The other shape: two meta-terms over the even and the odd docs, and
+# every term's residual row far shorter than its memberships' cells, even
+# with a column or a membership added: expand_term splices many cells
+# into a short row.
+_MERGED_INTO = Factorization(
+    (
+        MetaTerm(0, tuple(d for d in range(0, 120, 2) if d not in (10, 24)), (1,) * 58),
+        MetaTerm(1, tuple(d for d in range(1, 120, 2) if d not in (3, 17)), (2,) * 58),
+    ),
+    (((0, 1),), ((0, 2), (1, 1)), ((1, 3),)),
+    (_row(0, [3, 10, 17, 24]), _row(1, [3, 10, 17, 24]), _row(2, [0, 3, 17])),
+    3,
+    120,
+)
+
+
 @st.composite
 def malformed_factorizations_and_queries(draw):
     """(f, the form the reference reads, queries): a corrupted or free-form
@@ -556,6 +572,18 @@ def test_corrupt_memberships_next_to_residual_rows_match_reference(kind, data):
     # raises or returns what the reference does on the singleton form
     f = _corrupt(data.draw, _SPLICED, kind)
     assert f.metaterms and all(f.residual)
+    _assert_query_path_matches_reference(f, singleton_form(f), data.draw(_query_lists(f.num_terms)))
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_corrupt_memberships_around_short_residual_rows_match_reference(kind, data):
+    # expand_term splices the memberships' cells into a residual row far
+    # shorter than they are: it raises or returns what the reference does
+    # on the singleton form
+    f = _corrupt(data.draw, _MERGED_INTO, kind)
+    assert all(f.residual)
     _assert_query_path_matches_reference(f, singleton_form(f), data.draw(_query_lists(f.num_terms)))
 
 
