@@ -17,13 +17,14 @@ third by bits:
 * Stage 2 (refine_partial) mines the residual rows (the cells no meta-term
   covers) for partial-column biclusters: column subsets on which pairs of
   rows keep a constant payload ratio, extended to all rows that fit,
-  applied greedily by descending gain. A row's partners are counted in
-  bit-sliced counters over per-doc term bitsets when the residual is dense
-  enough for the bitsets to be cheap, else with a Counter. Rows are read
-  by bisection into the residual PostingLists' columns; only a row read
-  often gets a dict. Under bit-level doc-gap and payload codes, factor() skips a pair
-  that shares its docs only by chance (lift below _MIN_LIFT); under vbyte
-  it skips none.
+  applied greedily by descending gain. A row's partners, each with the
+  count of docs it shares, come from bit-sliced counters over per-doc term
+  bitsets when the residual is dense enough for the bitsets to be cheap,
+  else from a Counter. Rows are read by bisection into the residual
+  PostingLists' columns; only a row read often gets a dict. Under
+  bit-level doc-gap and payload codes, factor() skips a pair that shares
+  its docs only by chance (lift below _MIN_LIFT); under vbyte it skips
+  none.
 * The dissolve pass puts a meta-term's cells back into its members' direct
   lists wherever that saves bits under the codec, until none does. If the
   meta-terms left still cost more bytes than their members' rows coded
@@ -43,13 +44,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, islice, repeat
 from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, ne, sub
 from pathlib import Path
 from re import finditer
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .codec import CodecConfig, code_bits, code_lengths, list_bit_lengths, unzip_pairs
 from .errors import InvariantError, ValidationError, check_int
@@ -203,46 +204,54 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     return Factorization(tuple(metaterms), tuple(memberships), tuple(residual), matrix.num_terms, matrix.num_docs)
 
 
-def _later_partners(doc_bits: _DocBits, docs1: Sequence[int], t1: int, min_cols: int) -> list[int]:
-    """The residual rows t2 > t1 sharing at least min_cols of docs1, row
-    t1's docs, ascending, counted in a Counter. A doc's term list is
-    ascending, so t1's later partners in it are the suffix past t1."""
-    terms_of_doc = doc_bits.terms_of_doc
+def _later_partners(
+    terms_of_doc: dict[int, list[int]], docs1: Sequence[int], t1: int, min_cols: int
+) -> Iterator[tuple[int, int]]:
+    """(t2, s) for each residual row t2 > t1 that shares s >= min_cols of
+    docs1, row t1's docs, ascending, counted in a Counter. A doc's term
+    list is ascending, so t1's later partners in it are the suffix past t1."""
     counts = Counter(
         chain.from_iterable((later := terms_of_doc[d])[bisect_right(later, t1) :] for d in docs1)
     )
-    return sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
+    partners = sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
+    return zip(partners, map(counts.__getitem__, partners))
 
 
-class _DocBits(dict):
-    """Doc id -> int bitset over residual term ids (bit t set iff term t has
-    a residual cell in that doc), each built the first time it is looked up;
-    `lanes` sets the bits of all num_terms term ids. With terms_of_doc,
-    they are stage 2's index over the residual rows, which it reads through
-    _Cells (see refine_partial)."""
+class _Lazy(dict):
+    """A table whose value for a key is build(key), made and stored the
+    first time the key is looked up."""
 
-    def __init__(self, terms_of_doc: dict[int, list[int]], num_terms: int):
+    def __init__(self, build: Callable[[int], object]):
         super().__init__()
-        self.terms_of_doc = terms_of_doc
-        self.lanes = (1 << num_terms) - 1
+        self.build = build
 
-    def __missing__(self, d: int) -> int:
-        bits = self[d] = sum(map(lshift, repeat(1), self.terms_of_doc[d]))
-        return bits
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.build(key)
+        return value
 
 
-def _later_partners_sliced(doc_bits: _DocBits, docs1: Sequence[int], t1: int, min_cols: int) -> Iterator[int]:
+def _bits(ids: Iterable[int]) -> int:
+    """The int bitset with bit i set for each i of ids."""
+    return sum(map(lshift, repeat(1), ids))
+
+
+def _later_partners_sliced(
+    doc_bits: _Lazy, row_bits: _Lazy, lanes: int, docs1: Sequence[int], t1: int, min_cols: int
+) -> Iterator[tuple[int, int]]:
     """_later_partners in bit-sliced counters (Rinfret, O'Neil and O'Neil,
-    SIGMOD 2001): bit j of plane i is bit i of lane j's count, the docs of
-    docs1 that hold term t1 + 1 + j. The L = (min_cols - 1).bit_length()
-    planes start at 2**L - min_cols; each doc adds its bitset shifted past
-    t1, and a carry out of the top plane marks a lane that reached min_cols.
-    The partners are yielded as they are read: the caller stops at its cap.
+    SIGMOD 2001) over doc_bits, each doc's bitset of residual term ids;
+    `lanes` has every such id's bit set. Bit j of plane i is bit i of lane
+    j's count, the docs of docs1 that hold term t1 + 1 + j. The L =
+    (min_cols - 1).bit_length() planes start at 2**L - min_cols; each doc
+    adds its bitset shifted past t1, and a carry out of the top plane marks
+    a lane that reached min_cols. Each partner's count s is the popcount of
+    the AND of the two rows' doc bitsets in row_bits. The partners are
+    yielded as they are read: the caller stops at its cap.
     """
     shift = t1 + 1
     depth = (min_cols - 1).bit_length()
     offset = (1 << depth) - min_cols
-    lanes = doc_bits.lanes >> shift
+    lanes >>= shift
     planes = [lanes if offset >> i & 1 else 0 for i in range(depth)]
     reached = 0
     for bits in map(doc_bits.__getitem__, docs1):
@@ -255,67 +264,33 @@ def _later_partners_sliced(doc_bits: _DocBits, docs1: Sequence[int], t1: int, mi
             i += 1
         reached |= carry
     for lane in finditer("1", bin(reached)[:1:-1]):  # lane j at index j
-        yield shift + lane.start()
-
-
-class _RowBits(dict):
-    """Term id -> int bitset over its residual row's doc ids, each built the
-    first time it is looked up: on the dense path, the popcount of two
-    rows' AND counts their shared docs before any is found."""
-
-    def __init__(self, rows: Sequence[PostingList]):
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, t: int) -> int:
-        bits = self[t] = sum(map(lshift, repeat(1), self.rows[t].docs))
-        return bits
-
-
-class _Cells(dict):
-    """Term id -> its residual row as a mapping doc -> payload, for stage
-    2's reads: first a _Bisected view of the row's columns, then, once the
-    view has been read as many times as the row has cells, a dict. A
-    bisection costs several dict reads, and a dict about one read per cell
-    to build, so a row read often pays for its dict, and a row read a few
-    times gets none."""
-
-    def __init__(self, rows: Sequence[PostingList]):
-        super().__init__()
-        self.rows = rows
-
-    def __missing__(self, t: int) -> "_Bisected":
-        view = self[t] = _Bisected(self, t)
-        return view
-
-    def shared(self, docs: set[int], t: int) -> set[int]:
-        """The docs of `docs` that row t holds: the smaller side is looked up
-        in the larger where row t has its dict."""
-        cells = self[t]
-        return cells.keys() & docs if type(cells) is dict else docs.intersection(cells.docs)
+        t2 = shift + lane.start()
+        yield t2, (row_bits[t1] & row_bits[t2]).bit_count()
 
 
 class _Bisected:
-    """Row t of a _Cells, read by bisection into its doc column; its last
-    allowed read puts the row's dict in its place in the _Cells."""
+    """Row t of a residual table, read by bisection into its doc column;
+    its last allowed read, once it has been read as many times as it has
+    cells, puts the row's dict in its place in the table. A bisection costs
+    several dict reads, and a dict about one read per cell to build, so a
+    row read often pays for its dict, and a row read a few times gets none."""
 
-    __slots__ = ("cells", "t", "docs", "payloads", "left")
+    __slots__ = ("table", "t", "docs", "payloads", "left")
 
-    def __init__(self, cells: _Cells, t: int):
-        row = cells.rows[t]
-        self.cells, self.t, self.docs, self.payloads = cells, t, row.docs, row.payloads
+    def __init__(self, table: _Lazy, t: int, row: PostingList):
+        self.table, self.t, self.docs, self.payloads = table, t, row.docs, row.payloads
         self.left = len(row.docs)
 
     def __getitem__(self, d: int) -> int:
         self.left -= 1
         if not self.left:
-            self.cells[self.t] = dict(zip(self.docs, self.payloads))
+            self.table[self.t] = dict(zip(self.docs, self.payloads))
         return self.payloads[bisect_left(self.docs, d)]
 
 
 def _candidate_rows(
-    residual: _Cells,
-    doc_bits: _DocBits,
+    residual: _Lazy,
+    doc_bits: _Lazy,
     docs: tuple[int, ...],
     base: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -346,6 +321,11 @@ def _candidate_rows(
     return tuple(rows), tuple(coeffs)
 
 
+def _cut(row: PostingList, keep: Sequence[bool]) -> PostingList:
+    """row with only the cells that keep, a mask over its columns, marks."""
+    return PostingList(row.term, tuple(compress(row.docs, keep)), tuple(compress(row.payloads, keep)))
+
+
 def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) -> Factorization:
     """Stage 2: greedy partial-column merging over the residual rows.
 
@@ -359,26 +339,29 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     the same PostingList objects. Partners are counted in bit-sliced
     counters over the doc bitsets when those take at most 16 B per residual
     cell, else with a Counter: on a sparse residual, bitsets for every doc
-    cost more memory than they save time. Both find the same partners.
+    cost more memory than they save time. Both find the same partners, each
+    with s, the number of docs it shares with the anchor: the Counter holds
+    it, and the dense path takes the popcount of the AND of the two rows'
+    doc bitsets.
 
-    The rows are read through _Cells: by bisection into f.residual's doc
-    and payload columns, and through a {doc: payload} dict only once a row
-    has been read as many times as it has cells. A pair's shared docs are
-    the anchor's doc set intersected with the partner's row; on the dense
-    path, the popcount of the AND of the two rows' doc bitsets (_RowBits)
-    counts them first. Application records the docs each row loses, and a
-    candidate row is live while it has lost none of the candidate's
-    columns.
+    Stage 2's indexes are _Lazy tables, each entry built the first time it
+    is read: the doc bitsets, the row bitsets (dense path only) and the
+    rows, read as _Bisected views of f.residual's doc and payload columns
+    until a row has been read as many times as it has cells, and then
+    through a {doc: payload} dict. A pair's shared docs are the anchor's
+    doc set intersected with the partner's row. Application records the
+    docs each row loses, and a candidate row is live while it has lost
+    none of the candidate's columns.
 
     A pair of rows of n1 and n2 residual cells shares about n1 * n2 /
     num_docs docs by chance. A pair whose s shared docs fall below min_lift
     times that, s * num_docs < min_lift * n1 * n2 (the association ratio of
-    collocation mining; Church and Hanks, 1990), makes no candidate, yet
-    counts toward its anchor's max_candidates_per_term: otherwise each
-    anchor scans further partners, and stage 2 takes longer, not less.
-    min_lift 0 skips no pair. Since s <= min(n1, n2), a pair with
-    min_lift * n > num_docs for either row fails: such an anchor counts no
-    partner, and such a partner counts toward the cap unintersected.
+    collocation mining; Church and Hanks, 1990), is not intersected and
+    makes no candidate, yet counts toward its anchor's
+    max_candidates_per_term: otherwise each anchor scans further partners,
+    and stage 2 takes longer, not less. min_lift 0 skips no pair. Since s
+    <= n1, an anchor with min_lift * n1 > num_docs has no pair that passes,
+    and is not searched.
     """
     rows = f.residual
     terms_of_doc: dict[int, list[int]] = {}  # term ids ascend, so each doc's list does too
@@ -390,11 +373,14 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     min_cols = params.min_cols
     num_docs = f.num_docs
     num_lanes = next((t + 1 for t in range(f.num_terms - 1, -1, -1) if rows[t]), 0)
-    doc_bits = _DocBits(terms_of_doc, num_lanes)
-    dense = sum(map(len, rows)) * 128 >= len(terms_of_doc) * num_lanes
-    later_partners = _later_partners_sliced if dense else _later_partners
-    residual = _Cells(rows)
-    row_bits = _RowBits(rows)
+    doc_bits = _Lazy(lambda d: _bits(terms_of_doc[d]))
+    if sum(map(len, rows)) * 128 >= len(terms_of_doc) * num_lanes:
+        row_bits = _Lazy(lambda t: _bits(rows[t].docs))
+        partners = partial(_later_partners_sliced, doc_bits, row_bits, (1 << num_lanes) - 1)
+        del row_bits  # freed with partners
+    else:
+        partners = partial(_later_partners, terms_of_doc)
+    residual = _Lazy(lambda t: _Bisected(residual, t, rows[t]))
     # One tuple per distinct base (most are all ones), shared by the heap
     # and seen, which hold one per candidate.
     bases: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -408,47 +394,40 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
         made = 0
         chance = min_lift * n1
         anchor = set(docs1)
-        for t2 in later_partners(doc_bits, docs1, t1, min_cols):
+        for t2, s in partners(docs1, t1, min_cols):
+            if s * num_docs < chance * len(rows[t2].docs):  # below min_lift times chance
+                made += 1
+            else:
+                row1, row2 = residual[t1], residual[t2]
+                shared = row2.keys() & anchor if type(row2) is dict else anchor.intersection(row2.docs)
+                by_ratio: dict[tuple[int, int], list[int]] = {}
+                for d in sorted(shared):
+                    _, ratio = primitive((row1[d], row2[d]))
+                    by_ratio.setdefault(ratio, []).append(d)
+                # Docs were added in ascending order: the classes come by first doc.
+                for docs in by_ratio.values():
+                    if len(docs) < min_cols:
+                        continue
+                    cols = tuple(docs)
+                    _, base = primitive([row1[d] for d in cols])
+                    base = bases.setdefault(base, base)
+                    # (cols, base) fixes the extended rows, so a repeat is dropped unextended.
+                    sig = (cols, base)
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
+                    # t1 and t2 are among the members: both are multiples of base over cols.
+                    members, coeffs = _candidate_rows(residual, doc_bits, cols, base)
+                    g_val = gain(len(members), len(cols))
+                    if g_val > 0:
+                        heap.append((-g_val, members[0], cols[0], members, cols, base, coeffs))
+                        made += 1
             if made >= params.max_candidates_per_term:
                 break
-            docs2 = rows[t2].docs
-            n2 = len(docs2)
-            # At most min(n1, n2) docs are shared; the dense path counts them on the bitsets.
-            most = (row_bits[t1] & row_bits[t2]).bit_count() if dense else min(n1, n2)
-            if most * num_docs < chance * n2:  # below min_lift times chance, whatever it shares
-                made += 1
-                continue
-            shared = residual.shared(anchor, t2)
-            if len(shared) * num_docs < chance * n2:  # below min_lift times chance
-                made += 1
-                continue
-            row1, row2 = residual[t1], residual[t2]
-            by_ratio: dict[tuple[int, int], list[int]] = {}
-            for d in sorted(shared):
-                _, ratio = primitive((row1[d], row2[d]))
-                by_ratio.setdefault(ratio, []).append(d)
-            # Docs were added in ascending order: the classes come by first doc.
-            for docs in by_ratio.values():
-                if len(docs) < min_cols:
-                    continue
-                cols = tuple(docs)
-                _, base = primitive([row1[d] for d in cols])
-                base = bases.setdefault(base, base)
-                # (cols, base) fixes the extended rows, so a repeat is dropped unextended.
-                sig = (cols, base)
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                members, coeffs = _candidate_rows(residual, doc_bits, cols, base)
-                g_val = gain(len(members), len(cols))
-                if len(members) < 2 or g_val <= 0:
-                    continue
-                heap.append((-g_val, members[0], cols[0], members, cols, base, coeffs))
-                made += 1
 
     # Generation ends at stage 2's memory peak: free its indexes before
     # application allocates.
-    del doc_bits, bases, seen, terms_of_doc, residual, row_bits
+    del doc_bits, bases, seen, terms_of_doc, residual, partners
     heapify(heap)  # no two keys are equal: (cols, base) differs
 
     # Greedy application with revalidation against consumed cells.
@@ -475,9 +454,7 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
 
     residual_rows = list(rows)
     for t, gone in lost.items():
-        row = rows[t]
-        keep = [d not in gone for d in row.docs]
-        residual_rows[t] = PostingList(t, tuple(compress(row.docs, keep)), tuple(compress(row.payloads, keep)))
+        residual_rows[t] = _cut(rows[t], [d not in gone for d in rows[t].docs])
     return _assemble(metaterms, memberships, residual_rows, f.num_docs)
 
 
@@ -657,9 +634,8 @@ class _Cover:
                 if not row:
                     residual[t] = matrix.rows[t]
                 else:
-                    cells = matrix.rows[t]
-                    docs = tuple(self.docs[t])
-                    residual[t] = PostingList(t, docs, tuple(map(dict(zip(cells.docs, cells.payloads)).__getitem__, docs)))
+                    docs = set(self.docs[t])
+                    residual[t] = _cut(matrix.rows[t], [d in docs for d in matrix.rows[t].docs])
         return _assemble([(mt.cols, mt.base) for mt in f.metaterms], self.w_rows, residual, f.num_docs)
 
     def pays(self, matrix: TermDocMatrix) -> bool:

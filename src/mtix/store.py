@@ -393,7 +393,13 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     them; save_index is what checks them. nnz_w and nnz_h count the
     factorization's entries, each non-empty residual row as the one W entry
     and len(row) H entries of the single-member meta-term it stands for.
+    A factorization of another shape than matrix raises ValidationError.
     """
+    if (f.num_terms, f.num_docs) != (matrix.num_terms, matrix.num_docs):
+        raise ValidationError(
+            f"a factorization of {f.num_terms} terms x {f.num_docs} docs for a matrix of "
+            f"{matrix.num_terms} x {matrix.num_docs}"
+        )
     direct_bits = list_bit_lengths(
         ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload
     )

@@ -2,6 +2,7 @@ import hashlib
 import io
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from mtix import (
     refine_partial,
     total_size,
 )
-from mtix.factorize import _DocBits, _assemble, _later_partners, _later_partners_sliced
+from mtix.factorize import _Lazy, _assemble, _bits, _later_partners, _later_partners_sliced
 from mtix.matrix import primitive
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 from conftest import singleton_form
@@ -205,21 +206,27 @@ def test_refine_partial_passes_untouched_rows_through_as_they_are():
             assert (f2.residual[t] is f1.residual[t]) is (t not in touched)
 
 
-def test_refine_partial_memory_per_residual_cell():
-    # 2,000 x 10,000 at density 0.005, about 100k residual cells. Stage 2
-    # reads the rows' columns, with no {doc: payload} dict per row: its
-    # tracemalloc peak stays under 32 B per residual cell (about 20 B
-    # measured; a dict per row took about 63 B)
-    V = random_matrix(2000, 10_000, 0.005, rng=random.Random(1))
-    f1 = factor_whole_rows(V)
-    cells = sum(map(len, f1.residual))
-    tracemalloc.start()
-    try:
-        refine_partial(f1, FactorParams())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * cells, peak / cells
+def test_refine_partial_memory_per_residual_cell(tmp_path):
+    # Stage 2's tracemalloc peak per residual cell, on each partner search.
+    # 2,000 x 10,000 at density 0.005, about 100k residual cells, takes the
+    # Counter search; stage 2 reads the rows' columns, with no {doc:
+    # payload} dict per row, and stays under 32 B (about 20 B measured; a
+    # dict per row took about 63 B). Zipf text over 300 docs, about 19k
+    # cells, is dense enough for the bit-sliced search, whose doc and row
+    # bitsets set its peak at min_lift 0: under 400 B (about 339 B
+    # measured)
+    path = tmp_path / "zipf.tsv"
+    path.write_text("".join(f"{doc}\t{body}\n" for doc, body in zipf_corpus(300, 1000, rng=random.Random(1))), encoding="utf-8")
+    for V, bound in ((random_matrix(2000, 10_000, 0.005, rng=random.Random(1)), 32), (ingest_tsv(path), 400)):
+        f1 = factor_whole_rows(V)
+        cells = sum(map(len, f1.residual))
+        tracemalloc.start()
+        try:
+            refine_partial(f1, FactorParams())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * cells, (bound, peak / cells)
 
 
 def test_refine_partial_requeues_after_losing_rows_to_higher_gain():
@@ -581,14 +588,17 @@ def sparse_id_matrices(draw):
 
 
 def _residual_index(V):
-    """refine_partial's view of V's rows: term -> doc column, and the doc
-    bitsets over each doc's ascending term list."""
+    """refine_partial's view of V's rows: term -> doc column, and its two
+    partner searches, each bound to the tables it reads."""
     residual = {t: row.docs for t, row in enumerate(V.rows) if row}
     terms_of_doc = {}
     for t, docs in residual.items():
         for d in docs:
             terms_of_doc.setdefault(d, []).append(t)
-    return residual, _DocBits(terms_of_doc, next(reversed(residual), -1) + 1)
+    doc_bits = _Lazy(lambda d: _bits(terms_of_doc[d]))
+    row_bits = _Lazy(lambda t: _bits(residual[t]))
+    lanes = (1 << next(reversed(residual), -1) + 1) - 1
+    return residual, partial(_later_partners, terms_of_doc), partial(_later_partners_sliced, doc_bits, row_bits, lanes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -599,16 +609,19 @@ def _residual_index(V):
 def test_partner_searches_agree(V, min_cols):
     # refine_partial picks one partner search per call by density, so both
     # are called here directly, for every anchor, the last residual term
-    # among them, and also with a min_cols above every row's length
-    residual, doc_bits = _residual_index(V)
+    # among them, and also with a min_cols above every row's length; each
+    # yields every later row sharing at least min_cols docs, with the count
+    residual, counted, sliced = _residual_index(V)
     above = max(map(len, residual.values()), default=0) + 1
     for t1, row1 in residual.items():
-        want = list(_later_partners(doc_bits, row1, t1, min_cols))
-        assert list(_later_partners_sliced(doc_bits, row1, t1, min_cols)) == want
-        assert list(_later_partners_sliced(doc_bits, row1, t1, above)) == [] == list(_later_partners(doc_bits, row1, t1, above))
+        want = list(counted(row1, t1, min_cols))
+        assert list(sliced(row1, t1, min_cols)) == want
+        shares = ((t2, len(set(row1).intersection(row2))) for t2, row2 in residual.items() if t2 > t1)
+        assert want == [(t2, s) for t2, s in shares if s >= min_cols]
+        assert list(sliced(row1, t1, above)) == [] == list(counted(row1, t1, above))
     if residual:
         last = next(reversed(residual))
-        assert list(_later_partners_sliced(doc_bits, residual[last], last, 2)) == [] == list(_later_partners(doc_bits, residual[last], last, 2))
+        assert list(sliced(residual[last], last, 2)) == [] == list(counted(residual[last], last, 2))
 
 
 @settings(max_examples=300, deadline=None)

@@ -268,6 +268,15 @@ def test_stats_rejects_payload_past_64_bits():
         stats(V, factor(V), CodecConfig())
 
 
+def test_stats_rejects_a_factorization_of_another_shape():
+    # sized anyway, another matrix's factorization gives a ratio that means nothing
+    V = random_matrix(30, 40, 0.2, rng=random.Random(1))
+    for terms, docs in ((20, 40), (30, 50)):
+        other = random_matrix(terms, docs, 0.2, rng=random.Random(2))
+        with pytest.raises(ValidationError, match="a factorization of"):
+            stats(V, factor(other), CodecConfig())
+
+
 def test_stats_empty_matrix_flagged():
     V = matrix_from_cells({})
     st = stats(V, factor(V), CodecConfig())
