@@ -26,9 +26,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_codec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--codec-doc", choices=CODEC_NAMES, default="gamma", help="doc-gap codec")
-    p.add_argument("--codec-payload", choices=CODEC_NAMES, default="gamma", help="payload codec")
-    p.add_argument("--codec-coeff", choices=CODEC_NAMES, default="gamma", help="coefficient codec")
+    default = CodecConfig()
+    p.add_argument("--codec-doc", choices=CODEC_NAMES, default=default.doc_gap, help="doc-gap codec")
+    p.add_argument("--codec-payload", choices=CODEC_NAMES, default=default.payload, help="payload codec")
+    p.add_argument("--codec-coeff", choices=CODEC_NAMES, default=default.coeff, help="coefficient codec")
 
 
 def _add_factor_flags(p: argparse.ArgumentParser) -> None:
@@ -254,7 +255,7 @@ def _build_parser() -> _Parser:
         "factor",
         help="factor a corpus and export W/H triples",
         description="Factor a corpus and export W/H triples. It has no codec flags: it factors "
-        "under the default codecs (all gamma), as build and stats do without theirs.",
+        "under the default codecs, as build and stats do without theirs.",
     )
     p.add_argument("input")
     p.add_argument("out_prefix", help="writes <prefix>.h and <prefix>.w")

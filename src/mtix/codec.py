@@ -16,26 +16,31 @@ encodings):
   low-order bits of x.
 * Posting list: gamma(count + 1), then the doc gaps (g0 = doc0 + 1,
   gi = doc_i - doc_{i-1}, all >= 1) under the doc-gap codec, then the
-  payloads in posting order under the payload codec. Lists are prefix-free,
-  so concatenated lists decode unambiguously.
+  payloads in posting order under the payload codec.
+* Section of lists: three streams back to back, with no padding between
+  them: every list's gamma(count + 1), then every list's key gaps, then
+  every list's values, each stream in list order. A one-list section is
+  that list's bits. Each stream is prefix-free, so it decodes
+  unambiguously, and the counts say how many gaps and values each list
+  takes.
 
 Lists are coded a whole list at a time (the block-at-a-time idea of Lemire
 and Boytsov, SPE 2015), with Python's C-level string and int routines doing
 the per-bit work. There are three list kernels:
 
-* encode (`encode_lists`): one format() per code word (small values take
-  theirs from a table of the same words) and one join per list; a
-  section's lists are packed back to back and flushed to bytes in bounded,
-  byte-aligned chunks.
-* decode (`decode_lists`): a section's lists are read in sequence, each
-  from the bit after the one before, out of '0'/'1' text made of one
-  bounded window of the section at a time. Under all-gamma coding one
-  regex findall splits a whole window into code words; under other codec
-  pairs one findall splits each run of words under one codec, over a span
-  sized from the run's count. A word cut off at a window's end is carried
-  over into the next window, and int(word, 2) turns words into values
-  (vbyte words after one join of each run's 7-bit groups); gamma words
-  of values below _TABLE_SIZE are looked up in a table instead.
+* encode (`encode_streams`, `encode_lists`): one format() per code word
+  (small values take theirs from a table of the same words) and one join
+  per list and stream; each stream is flushed to bytes in bounded,
+  byte-aligned chunks, and the three are joined at the end.
+* decode (`decode_lists`): a section's three streams are read side by
+  side, each out of '0'/'1' text made of one bounded window of that
+  stream at a time, under every codec alike: one regex findall splits a
+  whole window into code words, a word cut off at the window's end is
+  carried over into the next window, and the words of values below
+  _TABLE_SIZE are looked up in a table of the codec's words; the others
+  go through int(word, 2) (vbyte words after one join of the window's
+  7-bit groups). Each list takes its count's worth of the gap and value
+  streams' values.
 * size (`list_bit_lengths`, `code_bits`): code lengths in closed form from
   each value's bit length, with nothing encoded.
 
@@ -70,7 +75,7 @@ CODEC_IDS = {name: i for i, name in enumerate(CODEC_NAMES)}
 class CodecConfig:
     """Codec selection for the three encoded streams of an index."""
 
-    doc_gap: str = "gamma"
+    doc_gap: str = "delta"
     payload: str = "gamma"
     coeff: str = "gamma"
 
@@ -151,12 +156,7 @@ def _vbyte_format(values: Iterable[int]) -> list[str]:
 
 
 def _gamma_parse(words: list[str]) -> list[int]:
-    """Values of gamma words: those below _TABLE_SIZE, as the table's own
-    int objects, from the word -> value table; the misses by int(word, 2)."""
-    values = list(map(_word_values("gamma").get, words))
-    for i in compress(count(), map(is_, values, repeat(None))):
-        values[i] = int(words[i], 2)
-    return values
+    return list(map(int, words, repeat(2, len(words))))
 
 
 def _delta_parse(words: list[str]) -> list[int]:
@@ -207,6 +207,17 @@ def _word_table(codec: str) -> list[str]:
 def _word_values(codec: str) -> dict[str, int]:
     """The inverse of _word_table for the values 1 .. _TABLE_SIZE - 1."""
     return dict(zip(_word_table(codec)[1:], range(1, _TABLE_SIZE)))
+
+
+def _parse(words: list[str], codec: str) -> list[int]:
+    """Values of `codec` words: those of the table's words, as the table's
+    own int objects, from the word -> value table; the misses by the
+    codec's parse."""
+    values = list(map(_word_values(codec).get, words))
+    misses = list(compress(count(), map(is_, values, repeat(None))))
+    for i, x in zip(misses, _PARSE[codec]([words[i] for i in misses])):
+        values[i] = x
+    return values
 
 
 def _words(values: Sequence[int], codec: str, top: int) -> list[str]:
@@ -323,12 +334,13 @@ def _gaps(keys: Sequence[int]) -> Iterator[int]:
     return map(sub, keys, chain((-1,), keys))
 
 
-def _list_bits(keys: Sequence[int], values: Sequence[int], gap_codec: str, val_codec: str) -> str:
-    """One list as a '0'/'1' string: gamma(count+1), the key gaps, the values."""
+def _list_parts(keys: Sequence[int], values: Sequence[int], gap_codec: str, val_codec: str) -> tuple[str, str, str]:
+    """One list's bits in each of the three streams, as '0'/'1' strings:
+    gamma(count + 1), the key gaps, the values."""
     if len(keys) != len(values):
         raise ValidationError(f"{len(keys)} keys for {len(values)} values")
     if not keys:
-        return "1"  # gamma(1): count 0
+        return "1", "", ""  # gamma(1): count 0
     gaps = list(_gaps(keys))
     top_gap, top_value = max(gaps), max(values)
     if min(gaps) < 1:
@@ -337,10 +349,11 @@ def _list_bits(keys: Sequence[int], values: Sequence[int], gap_codec: str, val_c
         raise ValidationError(f"value {min(values)} must be >= 1")
     if top_gap > MAX_VALUE or top_value > MAX_VALUE:
         raise ValidationError(_LIST_VALUE_RANGE)
-    words = _words((len(keys) + 1,), "gamma", len(keys) + 1)
-    words += _words(gaps, gap_codec, top_gap)
-    words += _words(values, val_codec, top_value)
-    return "".join(words)
+    return (
+        _words((len(keys) + 1,), "gamma", len(keys) + 1)[0],
+        "".join(_words(gaps, gap_codec, top_gap)),
+        "".join(_words(values, val_codec, top_value)),
+    )
 
 
 def _flush(out: bytearray, bits: str) -> str:
@@ -351,226 +364,212 @@ def _flush(out: bytearray, bits: str) -> str:
     return bits[n:]
 
 
+def encode_streams(
+    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
+) -> tuple[bytes, tuple[int, int], list[int]]:
+    """Bit-pack (keys, values) lists as three streams back to back: every
+    list's gamma(count + 1), then every key gap, then every value.
+
+    Returns the blob, zero-padded to a whole byte; the bits where the gap
+    and value streams start; and each list's bit offset were the lists laid
+    end to end, so that consecutive offsets differ by a list's length.
+    """
+    outs = (bytearray(), bytearray(), bytearray())
+    pending: tuple[list[str], ...] = ([], [], [])
+    offsets = []
+    total = held = 0
+    for keys, values in lists:
+        parts = _list_parts(keys, values, gap_codec, val_codec)
+        offsets.append(total)
+        total += (size := sum(map(len, parts)))
+        held += size
+        for stream, part in zip(pending, parts):
+            stream.append(part)
+        if held >= _FLUSH_BITS:
+            for out, stream in zip(outs, pending):
+                stream[:] = [_flush(out, "".join(stream))]
+            held = 0
+    # The gap and value streams' bytes follow, shifted a chunk at a time.
+    out, rest = outs[0], "".join(pending[0])
+    starts = []
+    for data, stream in zip(outs[1:], pending[1:]):
+        starts.append(8 * len(out) + len(rest))
+        for i in range(0, len(data), _FLUSH_BITS >> 3):
+            rest = _flush(out, rest + _bit_string(data[i : i + (_FLUSH_BITS >> 3)]))
+        data.clear()
+        rest = _flush(out, rest + "".join(stream))
+    _flush(out, rest + "0" * (-len(rest) % 8))
+    return bytes(out), (starts[0], starts[1]), offsets
+
+
 def encode_lists(
     lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
 ) -> tuple[bytes, list[int]]:
-    """Bit-pack (keys, values) lists back to back.
-
-    Returns the blob, zero-padded to a whole byte, and each list's starting
-    bit offset.
-    """
-    out = bytearray()
-    offsets = []
-    total = 0
-    pending: list[str] = []
-    held = 0
-    for keys, values in lists:
-        bits = _list_bits(keys, values, gap_codec, val_codec)
-        offsets.append(total)
-        total += len(bits)
-        pending.append(bits)
-        held += len(bits)
-        if held >= _FLUSH_BITS:
-            rest = _flush(out, "".join(pending))
-            pending = [rest]
-            held = len(rest)
-    _flush(out, "".join(pending) + "0" * (-held % 8))
-    return bytes(out), offsets
+    """encode_streams' blob and list offsets, for a caller that keeps no
+    stream starts: decode_lists finds them."""
+    blob, _, offsets = encode_streams(lists, gap_codec, val_codec)
+    return blob, offsets
 
 
-# Sections are turned into '0'/'1' text and tokenised this many bytes at a
-# time, so a decoder holds a bounded window of a section, never all of it.
+# Streams are turned into '0'/'1' text and tokenised this many bytes at a
+# time, so a decoder holds a bounded window of each stream, never all of it.
 _WINDOW_BYTES = 2048
 
+# Before a window's last _MAX_CODE_LEN tokens (which may hold a word cut
+# off at its end), a token that starts no code word comes only after this
+# run of zeros: 64 under gamma, and under delta the 6 that start gamma(b)
+# for b >= 64. A vbyte window is searched whole.
+_JUNK_RUN = {"gamma": "0" * 64, "delta": "0" * 6, "vbyte": ""}
 
-class _BitWindow:
-    """The bits of a blob as '0'/'1' text, one bounded window at a time.
 
-    bits[pos:] are the bits not yet read; bits[0] is bit `base` of the blob.
+class _Stream:
+    """Bits [start, end) of a blob: code words under one codec, read as
+    '0'/'1' text one bounded window at a time.
+
+    bits[pos:] are the bits not yet read; bits[0] is bit `base` of the
+    blob. buf[i:] are the values of the words read but not yet taken.
     """
 
-    __slots__ = ("blob", "bits", "base", "pos", "next_byte", "bits_per_word")
+    __slots__ = ("blob", "codec", "name", "end", "next_bit", "bits", "base", "pos", "buf", "i")
 
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
+    def __init__(self, blob: bytes, codec: str, start: int, end: int, name: str = "") -> None:
+        self.blob, self.codec, self.name, self.end = blob, codec, name, end
+        self.next_bit = self.base = start
         self.bits = ""
-        self.base = self.pos = self.next_byte = 0
-        # per codec, the bits per word of the last run read: sizes the next
-        self.bits_per_word = dict.fromkeys(CODEC_NAMES, 8)
-
-    def more(self) -> bool:
-        """Carry the unread bits over into the blob's next window; False
-        if the blob has no bytes left."""
-        start = self.next_byte
-        if start >= len(self.blob):
-            return False
-        self.next_byte = start + _WINDOW_BYTES
-        self.base += self.pos
-        self.bits = self.bits[self.pos :] + _bit_string(self.blob[start : self.next_byte])
-        self.pos = 0
-        return True
+        self.pos = self.i = 0
+        self.buf: list[int] = []
 
     def bits_left(self) -> int:
-        return 8 * len(self.blob) - self.base - self.pos
+        return self.end - self.base - self.pos
 
-    def stuck(self, codec: str) -> NoReturn:
-        """Raise for the unread bits, which start no `codec` code word."""
-        _no_word(codec, self.base + self.pos, len(self.bits) - self.pos)
+    def words(self) -> list[str]:
+        """The whole code words in the stream's next window, read. The
+        unread bits are carried over into the window."""
+        codec, start = self.codec, self.next_bit
+        self.base += self.pos
+        self.bits = self.bits[self.pos :]
+        self.pos = 0
+        if start < self.end:
+            self.next_bit = stop = min(self.end, start + 8 * _WINDOW_BYTES)
+            skip = start & 7
+            self.bits += _bit_string(self.blob[start >> 3 : (stop + 7) >> 3])[skip : skip + stop - start]
+        bits = self.bits
+        tokens = _WORD_RE[codec].findall(bits)
+        # The tokens tile the text. The first junk token starts a word cut
+        # off at the end, or no word at all.
+        end = len(tokens)
+        first = 0 if _JUNK_RUN[codec] in bits else max(0, end - _MAX_CODE_LEN[codec])
+        for junk in _JUNK[codec]:
+            try:
+                end = tokens.index(junk, first, end)
+            except ValueError:
+                pass
+        self.pos = len(bits) - sum(map(len, tokens[end:]))
+        del tokens[end:]
+        if not tokens:
+            _no_word(codec, self.base, len(bits))
+        return tokens
 
+    def read(self) -> list[int]:
+        """The values of the words in the next window, read ahead."""
+        words = self.words()
+        buf = self.buf = _parse(words, self.codec)
+        self.i = 0
+        if self.codec == "vbyte" and 0 in buf:  # no list value: read no further
+            z = buf.index(0)
+            if not z:
+                raise CorruptionError(f"decoded a zero {self.name}")
+            self.pos -= sum(map(len, words[z:]))
+            del buf[z:]
+        return buf
 
-# A gamma word has at most 63 leading zeros.
-_NO_GAMMA = "0" * 64
-
-
-def _gamma_window(src: _BitWindow) -> list[int]:
-    """The values of the whole gamma words in the next window, read."""
-    if not src.more():
-        src.stuck("gamma")
-    bits = src.bits
-    tokens = _WORD_RE["gamma"].findall(bits)
-    # The tokens tile the text. A junk token "0" starts 64 zeros or a word
-    # cut off at the end; without such zeros, the first one is among the
-    # last word's tokens, which are at most as many as its bits.
-    first = 0 if _NO_GAMMA in bits else max(0, len(tokens) - _MAX_CODE_LEN["gamma"])
-    try:
-        first = tokens.index("0", first)
-    except ValueError:
-        src.pos = len(bits)
-    else:
-        src.pos = len(bits) - sum(map(len, tokens[first:]))
-        del tokens[first:]
-    if not tokens:
-        src.stuck("gamma")
-    return _gamma_parse(tokens)
-
-
-def _head(src: _BitWindow) -> int:
-    """The next list's count, read from its gamma(count + 1) header."""
-    if len(src.bits) - src.pos < _MAX_CODE_LEN["gamma"]:
-        src.more()
-    match = _WORD_RE["gamma"].match(src.bits, src.pos)
-    if not match or match.group() == "0":
-        src.stuck("gamma")
-    src.pos = match.end()
-    return int(match.group(), 2) - 1
-
-
-def _take(src: _BitWindow, codec: str, k: int) -> list[str]:
-    """The next `k` code words under `codec`, read.
-
-    Each pass tokenises a span sized from the words still wanted and keeps
-    its whole words; a span that comes up short is followed by a larger one
-    from the first bit not kept.
-    """
-    if not k:
-        return []
-    if k > src.bits_left():  # every code word is at least one bit
-        raise TruncationError("bit stream ended mid-value")
-    regex, junk, longest = _WORD_RE[codec], _JUNK[codec], _MAX_CODE_LEN[codec]
-    per_word = src.bits_per_word[codec]
-    start = src.base + src.pos
-    words: list[str] = []
-    while len(words) < k:
-        span = min((k - len(words)) * per_word + longest, 8 * _WINDOW_BYTES)
-        if len(src.bits) - src.pos < span:
-            src.more()
-        bits, pos = src.bits, src.pos
-        end = min(len(bits), pos + span)
-        tokens = regex.findall(bits, pos, end)[: k - len(words)]
-        # keep the whole words: those before a bit that starts no word, or
-        # before the first bit of a word cut off at `end`
-        for token in junk:
-            if token in tokens:
-                del tokens[tokens.index(token) :]
-        src.pos = pos = pos + sum(map(len, tokens))
-        words += tokens
-        if len(words) < k:
-            # no word starts at pos though a whole one would fit before
-            # `end`, or the blob ends: else `end` cut a word, so look further
-            if end - pos >= longest or end == len(bits) and src.next_byte >= len(src.blob):
-                src.stuck(codec)
-            per_word *= 2
-    src.bits_per_word[codec] = -(-(src.base + src.pos - start) // k)
-    return words
-
-
-def _check_end(bits_left: int, count: int, what: str) -> None:
-    """The lists must end in the blob's final byte."""
-    if bits_left >= 8:
-        raise CorruptionError(
-            f"{what} {count - 1} does not end at the end of the section"
-            if count
-            else f"{what} section holds {bits_left} bits but no {what}"
-        )
-
-
-def _gamma_lists(src: _BitWindow, count: int, what: str) -> Iterator[tuple[list[int], list[int]]]:
-    """decode_lists when every code word is gamma: the lists are sliced
-    from the values of whole windows."""
-    buf: list[int] = []  # values read ahead
-    i = 0
-    for index in range(count):
-        if i == len(buf):
-            buf, i = _gamma_window(src), 0
-        mid = i + buf[i]  # the header is count + 1
-        stop = 2 * mid - i - 1
-        while stop > len(buf):
-            if stop - len(buf) > src.bits_left():
+    def take(self, k: int) -> list[int]:
+        """The next `k` values."""
+        i, buf = self.i, self.buf
+        if i + k <= len(buf):
+            self.i = i + k
+            return buf[i : i + k]
+        out = buf[i:]
+        while len(out) < k:
+            if k - len(out) > self.bits_left():  # every code word is at least one bit
                 raise TruncationError("bit stream ended mid-value")
-            del buf[:i]
-            mid, stop, i = mid - i, stop - i, 0
-            buf += _gamma_window(src)
-        gaps, values = buf[i + 1 : mid], buf[mid:stop]
-        i = stop
-        if index == count - 1:
-            unread = sum(_GAMMA_LEN[x.bit_length()] for x in buf[i:])
-            _check_end(src.bits_left() + unread, count, what)
-        if gaps:
-            gaps[0] -= 1  # g0 = key0 + 1
-        yield list(accumulate(gaps)), values
+            buf = self.read()
+            self.i = i = min(len(buf), k - len(out))
+            out += buf[:i]
+        return out
 
 
-def _mixed_lists(
-    src: _BitWindow, count: int, gap_codec: str, val_codec: str, what: str
-) -> Iterator[tuple[list[int], list[int]]]:
-    """decode_lists under any codec pair: each run of code words under one
-    codec (the gamma count header, the gaps, the values) is read as one
-    run, adjacent runs under the same codec as one."""
-    for index in range(count):
-        n = _head(src)
-        if gap_codec == val_codec:
-            gaps = _PARSE[gap_codec](_take(src, gap_codec, 2 * n))
-            values = gaps[n:]
-            del gaps[n:]
-        else:
-            gaps = _PARSE[gap_codec](_take(src, gap_codec, n))
-            values = _PARSE[val_codec](_take(src, val_codec, n))
-        if gap_codec == "vbyte" and 0 in gaps:
-            raise CorruptionError("decoded a zero gap")
-        if val_codec == "vbyte" and 0 in values:
-            raise CorruptionError("decoded a zero payload")
-        if index == count - 1:
-            _check_end(src.bits_left(), count, what)
-        if gaps:
-            gaps[0] -= 1  # g0 = key0 + 1
-        yield list(accumulate(gaps)), values
+def _stream_starts(blob: bytes, count: int, gap_codec: str) -> list[int]:
+    """Where the gap and value streams of `count` lists start: past the
+    count words, and past as many gap words as they count."""
+    starts = []
+    at, k = 0, count
+    for codec in ("gamma", gap_codec):
+        src = _Stream(blob, codec, at, 8 * len(blob))
+        n = 0
+        while k:
+            if k > src.bits_left():
+                raise TruncationError("bit stream ended mid-value")
+            at = src.base + src.pos
+            words = src.words()[:k]
+            at += sum(map(len, words))
+            k -= len(words)
+            n += sum(_parse(words, "gamma")) - len(words) if codec == "gamma" else 0
+        starts.append(at)
+        k = n
+    return starts
+
+
+def _lists(streams: tuple[_Stream, _Stream, _Stream], count: int, what: str) -> Iterator[tuple[list[int], list[int]]]:
+    """decode_lists' lists, read from the three streams side by side: the
+    counts a window at a time, and each list's gaps and values after the
+    one before's."""
+    heads, gaps, values = streams
+    take_gaps, take_values = gaps.take, values.take
+    index = 0
+    while index < count:
+        i = heads.i
+        counts = heads.buf[i : i + count - index] if i < len(heads.buf) else heads.read()[: count - index]
+        heads.i += len(counts)
+        for n in counts:
+            keys = take_gaps(n - 1)
+            vals = take_values(n - 1)
+            index += 1
+            if index == count:
+                # each stream ends where the next starts, the last in the blob's final byte
+                for src, slack in zip(streams, (1, 1, 8)):
+                    if src.i < len(src.buf) or src.bits_left() >= slack:
+                        where = "the section" if slack == 8 else f"its {src.name} stream"
+                        raise CorruptionError(f"{what} {count - 1} does not end at the end of {where}")
+            if keys:
+                keys[0] -= 1  # g0 = key0 + 1
+            yield list(accumulate(keys)), vals
 
 
 def decode_lists(
-    blob: bytes, count: int, gap_codec: str, val_codec: str, what: str = "list"
+    blob: bytes, count: int, gap_codec: str, val_codec: str, what: str = "list", starts: Sequence[int] | None = None
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """Decode the `count` lists `encode_lists` packed into `blob`.
+    """Decode the `count` lists `encode_streams` packed into `blob`.
 
-    The lists are read in sequence, each from the bit after the one before,
-    and the last must end in the blob's final byte. Yields (keys, values)
-    one list at a time, holding a bounded window of the blob's bits.
+    `starts` are where the gap and value streams start, as encode_streams
+    returns them; without them they are found by reading the counts and
+    skipping the gaps. The streams are read side by side, each list from
+    the words after the one before's; each stream must end where the next
+    starts, and the last in the blob's final byte. Yields (keys, values)
+    one list at a time, holding a bounded window of each stream.
     """
-    src = _BitWindow(blob)
-    if not count:
-        _check_end(src.bits_left(), count, what)
-    if gap_codec == val_codec == "gamma":
-        return _gamma_lists(src, count, what)
-    return _mixed_lists(src, count, gap_codec, val_codec, what)
+    size = 8 * len(blob)
+    gap_at, val_at = _stream_starts(blob, count, gap_codec) if starts is None else starts
+    if not 0 <= gap_at <= val_at <= size:
+        raise CorruptionError(f"{what} streams start out of bounds")
+    if not count and size:
+        raise CorruptionError(f"{what} section holds {size} bits but no {what}")
+    streams = (
+        _Stream(blob, "gamma", 0, gap_at, "count"),
+        _Stream(blob, gap_codec, gap_at, val_at, "gap"),
+        _Stream(blob, val_codec, val_at, size, "value"),
+    )
+    return _lists(streams, count, what)
 
 
 def code_lengths(codec: str) -> Sequence[int]:

@@ -204,17 +204,38 @@ def factor_whole_rows(matrix: TermDocMatrix) -> Factorization:
     return Factorization(tuple(metaterms), tuple(memberships), tuple(residual), matrix.num_terms, matrix.num_docs)
 
 
-def _later_partners(
-    terms_of_doc: dict[int, list[int]], docs1: Sequence[int], t1: int, min_cols: int
-) -> Iterator[tuple[int, int]]:
-    """(t2, s) for each residual row t2 > t1 that shares s >= min_cols of
-    docs1, row t1's docs, ascending, counted in a Counter. A doc's term
-    list is ascending, so t1's later partners in it are the suffix past t1."""
-    counts = Counter(
-        chain.from_iterable((later := terms_of_doc[d])[bisect_right(later, t1) :] for d in docs1)
-    )
+def _later_partners(later: dict[int, list[int]], docs1: Sequence[int], min_cols: int) -> Iterator[tuple[int, int]]:
+    """(t2, s) for each residual row t2 past an anchor that shares s >=
+    min_cols of docs1, the anchor's docs, ascending, counted in a Counter.
+    later[d] holds doc d's residual terms past the anchor, whole, if it
+    has any."""
+    counts = Counter(chain.from_iterable(map(later.get, docs1, repeat(()))))
     partners = sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
     return zip(partners, map(counts.__getitem__, partners))
+
+
+def _stacked_partners(found: list[int], t1: int) -> Iterator[tuple[int, int]]:
+    """Anchor t1's (t2, s) partners as refine_partial stacked them in found
+    from the last anchor back: an anchor pushes its partners' t2 and s, their
+    count and itself, so t1's are on top if it has any. They are popped."""
+    if not found or found[-1] != t1:
+        return iter(())
+    start = len(found) - 2 - 2 * found[-2]
+    partners = found[start:-2]
+    del found[start:]
+    return zip(partners[::2], partners[1::2])
+
+
+def _classes(row1: _Bisected | dict, anchor: set[int], row2: _Bisected | dict, min_cols: int) -> list[list[int]]:
+    """The docs two residual rows share (anchor is row1's doc set), in
+    classes by the ratio of their payloads, the classes of at least
+    min_cols docs, by first doc."""
+    shared = row2.keys() & anchor if type(row2) is dict else anchor.intersection(row2.docs)
+    by_ratio: dict[tuple[int, int], list[int]] = {}
+    for d in sorted(shared):
+        _, ratio = primitive((row1[d], row2[d]))
+        by_ratio.setdefault(ratio, []).append(d)
+    return [docs for docs in by_ratio.values() if len(docs) >= min_cols]
 
 
 class _Lazy(dict):
@@ -342,7 +363,13 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     cost more memory than they save time. Both find the same partners, each
     with s, the number of docs it shares with the anchor: the Counter holds
     it, and the dense path takes the popcount of the AND of the two rows'
-    doc bitsets.
+    doc bitsets. The Counter search runs from the last anchor back, as the
+    per-doc term lists are built, so that it counts each doc's terms past
+    the anchor as a whole list. It keeps only the partners that can matter
+    to the ascending pass that makes candidates: those that share a ratio
+    class of min_cols docs with the anchor, and those below the lift test
+    before the anchor's last such partner, which count toward its cap. They
+    wait for that pass in one flat list.
 
     Stage 2's indexes are _Lazy tables, each entry built the first time it
     is read: the doc bitsets, the row bitsets (dense path only) and the
@@ -364,22 +391,48 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     and is not searched.
     """
     rows = f.residual
-    terms_of_doc: dict[int, list[int]] = {}  # term ids ascend, so each doc's list does too
-    for t in compress(range(f.num_terms), rows):
-        for d in rows[t].docs:
-            terms_of_doc.setdefault(d, []).append(t)
-
-    # Candidate generation, one pass over residual row pairs.
     min_cols = params.min_cols
     num_docs = f.num_docs
     num_lanes = next((t + 1 for t in range(f.num_terms - 1, -1, -1) if rows[t]), 0)
-    doc_bits = _Lazy(lambda d: _bits(terms_of_doc[d]))
-    if sum(map(len, rows)) * 128 >= len(terms_of_doc) * num_lanes:
-        row_bits = _Lazy(lambda t: _bits(rows[t].docs))
-        partners = partial(_later_partners_sliced, doc_bits, row_bits, (1 << num_lanes) - 1)
-        del row_bits  # freed with partners
-    else:
-        partners = partial(_later_partners, terms_of_doc)
+
+    # Each doc's residual terms, built from the last row back, so that each
+    # list descends. On a sparse residual the Counter search runs as they
+    # are built, when a doc's list holds the terms past the anchor whole,
+    # and stacks the partners it keeps in found for the ascending pass to
+    # pop. A partner that shares no ratio class of min_cols docs makes
+    # nothing, and one below the lift only counts toward the cap: the first
+    # are dropped, and so are the second after an anchor's last partner kept.
+    with_cells = bytearray(num_docs)  # 1 for each doc with a residual cell
+    for row in rows:
+        for d in row.docs:
+            with_cells[d] = 1
+    dense = sum(map(len, rows)) * 128 >= (num_docs - with_cells.count(0)) * num_lanes
+    del with_cells
+    found: list[int] = []  # the lists' own int objects, which the tables below key on
+    later: dict[int, list[int]] = {}
+    for t in range(num_lanes - 1, -1, -1):
+        docs = rows[t].docs
+        if not dense and min_cols <= len(docs) and min_lift * len(docs) <= num_docs:  # an anchor, as below
+            size = kept = len(found)  # kept: found's length after the last partner that makes a class
+            chance = min_lift * len(docs)
+            anchor, row1 = set(docs), _Bisected({}, t, rows[t])  # views that no table keeps
+            for t2, s in _later_partners(later, docs, min_cols):
+                if s * num_docs < chance * len(rows[t2]):
+                    found += (t2, s)
+                elif _classes(row1, anchor, _Bisected({}, t2, rows[t2]), min_cols):
+                    found += (t2, s)
+                    kept = len(found)
+            del found[kept:]
+            if kept > size:
+                found += ((kept - size) >> 1, t)
+        for d in docs:
+            later.setdefault(d, []).append(t)
+
+    # Candidate generation, one pass over the anchors' partners.
+    doc_bits = _Lazy(lambda d: _bits(later[d]))
+    row_bits = _Lazy(lambda t: _bits(rows[t].docs))  # read on the dense path only
+    sliced = partial(_later_partners_sliced, doc_bits, row_bits, (1 << num_lanes) - 1)
+    del row_bits  # freed with sliced
     residual = _Lazy(lambda t: _Bisected(residual, t, rows[t]))
     # One tuple per distinct base (most are all ones), shared by the heap
     # and seen, which hold one per candidate.
@@ -392,22 +445,14 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
         if n1 < min_cols or min_lift * n1 > num_docs:  # no pair of it can pass the lift test
             continue
         made = 0
-        chance = min_lift * n1
         anchor = set(docs1)
-        for t2, s in partners(docs1, t1, min_cols):
+        chance = min_lift * n1
+        for t2, s in sliced(docs1, t1, min_cols) if dense else _stacked_partners(found, t1):
             if s * num_docs < chance * len(rows[t2].docs):  # below min_lift times chance
                 made += 1
             else:
-                row1, row2 = residual[t1], residual[t2]
-                shared = row2.keys() & anchor if type(row2) is dict else anchor.intersection(row2.docs)
-                by_ratio: dict[tuple[int, int], list[int]] = {}
-                for d in sorted(shared):
-                    _, ratio = primitive((row1[d], row2[d]))
-                    by_ratio.setdefault(ratio, []).append(d)
-                # Docs were added in ascending order: the classes come by first doc.
-                for docs in by_ratio.values():
-                    if len(docs) < min_cols:
-                        continue
+                row1 = residual[t1]
+                for docs in _classes(row1, anchor, residual[t2], min_cols):
                     cols = tuple(docs)
                     _, base = primitive([row1[d] for d in cols])
                     base = bases.setdefault(base, base)
@@ -427,7 +472,7 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
 
     # Generation ends at stage 2's memory peak: free its indexes before
     # application allocates.
-    del doc_bits, bases, seen, terms_of_doc, residual, partners
+    del doc_bits, bases, seen, later, found, residual, sliced
     heapify(heap)  # no two keys are equal: (cols, base) differs
 
     # Greedy application with revalidation against consumed cells.

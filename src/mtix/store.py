@@ -1,10 +1,11 @@
 """Binary index persistence and size statistics.
 
-File layout, format version 5 (header integers little-endian, fixed width):
+File layout, format version 6 (header integers little-endian, fixed width):
 
     magic "MTIX" | u8 version | u8 x3 codec ids (doc-gap, payload, coeff)
     u32 CRC32 (zlib) of every other byte of the file
     u64 num_terms | u64 num_docs | u64 num_metaterms
+    u64 stream starts x4 (H gaps, H values, W gaps, W values)
     u64 section offsets x4 (doc-table, lexicon, H-section, W-section)
 
 Each section starts with a `u64 count`:
@@ -30,22 +31,28 @@ W entry per member, so any factorization save_index accepts loads back
 equal; one that would not, it rejects before writing. Overlapping
 memberships round-trip as they are: reconstruct is what rejects them.
 
-H lists and W rows are bit-packed back to back by the codec's list kernels
-and zero-padded to a byte. No list offset is stored: each list starts with
-its gamma-coded length, so a section decodes in sequence, one list after
-the other. Loading checks magic, version and section offsets, then the
+A section's lists are bit-packed by the codec's list kernels as three
+streams back to back, with no padding between them: every list's
+gamma(count + 1), then every key gap under the doc-gap codec, then every
+value (H: payloads, W: coefficients) under its codec; the section is
+zero-padded to a byte. A stream start is a bit offset from the first bit
+after the section's count word; the counts start there. No list offset is
+stored: the counts say how many gaps and values each list takes, so the
+three streams decode side by side, one list after the other. Loading
+checks magic, version and section offsets, then the
 CRC, then the structure: each name table's count must match the header,
 its inflated length must hold two vbytes per name, its stream must
 inflate to exactly that length and end at the next section's offset, and
 its names must decode; each H and W section's lists must end in its final
-byte. Malformed or corrupted file content raises an MtixError subclass.
+byte, and its counts and gaps where the next stream starts. Malformed or
+corrupted file content raises an MtixError subclass.
 Deflate expands at most 1032:1 and a stated length past that is
 rejected before inflating. Front coding multiplies the inflated bytes
 again (a name of a few bytes can repeat all of the name before it), so a
 table whose names would hold more than 1032 code points per byte of the
 file is rejected before any name is built. A crafted file thus cannot make
 load inflate more than 1032 bytes, or build names of more than 1032 code
-points, per table and per byte of its own size. Files of versions 1 to 4
+points, per table and per byte of its own size. Files of versions 1 to 5
 are not read. A loaded index holds one int object per doc id, which the
 meta-terms' columns and the direct lists share.
 
@@ -75,7 +82,7 @@ from .codec import (
     CodecConfig,
     decode_lists,
     decode_vbytes,
-    encode_lists,
+    encode_streams,
     encode_vbytes,
     list_bit_lengths,
     unzip_pairs,
@@ -85,8 +92,8 @@ from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, PostingList, TermDocMatrix, nnz, shared_ints
 
 MAGIC = b"MTIX"
-VERSION = 5
-_HEADER = struct.Struct("<4s4BI3Q4Q")  # magic, version, 3 codec ids, CRC32, counts, offsets
+VERSION = 6
+_HEADER = struct.Struct("<4s4BI3Q4Q4Q")  # magic, version, 3 codec ids, CRC32, counts, stream starts, offsets
 _CRC_AT = 8  # byte offset of the CRC32 in the header
 _U64 = struct.Struct("<Q")
 _NAME_LEVEL = 9  # deflate level of the name tables
@@ -185,17 +192,23 @@ def _section_lists(f: Factorization, residual: Iterable[PostingList]) -> tuple[I
     return h, map(unzip_pairs, f.memberships)
 
 
+def _encoded_sections(f: Factorization, cfg: CodecConfig) -> tuple[tuple, tuple]:
+    """encode_streams' (blob, stream starts, list offsets) of the H
+    section's lists (the meta-terms, then the direct lists) and of the W
+    rows, exactly as saved."""
+    h_lists, w_lists = _section_lists(f, f.residual)
+    return encode_streams(h_lists, cfg.doc_gap, cfg.payload), encode_streams(w_lists, cfg.doc_gap, cfg.coeff)
+
+
 def encoded_section_parts(
     f: Factorization, cfg: CodecConfig
 ) -> tuple[bytes, bytes, bytes, list[int]]:
-    """(b"", H blob, W blob, W bit offsets): the H section's lists (the
-    meta-terms, then the direct lists) and the W rows exactly as saved, and
-    where each W row starts. The first item was the H offset table, which
+    """(b"", H blob, W blob, W bit offsets): the H and W sections' streams
+    as saved, after their count words, and each W row's offset were the
+    rows laid end to end. The first item was the H offset table, which
     format 3 dropped; it stays, empty, so that the tuple keeps the shape
     perfbench reads."""
-    h_lists, w_lists = _section_lists(f, f.residual)
-    h_blob, _ = encode_lists(h_lists, cfg.doc_gap, cfg.payload)
-    w_blob, w_offsets = encode_lists(w_lists, cfg.doc_gap, cfg.coeff)
+    (h_blob, _, _), (w_blob, _, w_offsets) = _encoded_sections(f, cfg)
     return b"", h_blob, w_blob, w_offsets
 
 
@@ -237,7 +250,7 @@ def save_index(
     if len(doc_names) != f.num_docs:
         raise ValidationError(f"{len(doc_names)} doc names for {f.num_docs} docs")
 
-    _, h_blob, w_blob, _ = encoded_section_parts(f, cfg)
+    (h_blob, h_starts, _), (w_blob, w_starts, _) = _encoded_sections(f, cfg)
     sections = (
         _name_table(doc_names, "doc-table"),
         _name_table(lexicon, "lexicon"),
@@ -247,7 +260,7 @@ def save_index(
     codec_ids = (CODEC_IDS[c] for c in (cfg.doc_gap, cfg.payload, cfg.coeff))
     offsets = accumulate(map(len, sections[:-1]), initial=_HEADER.size)
     counts = (f.num_terms, f.num_docs, len(f.metaterms))
-    header = _HEADER.pack(MAGIC, VERSION, *codec_ids, 0, *counts, *offsets)  # CRC32 0 until filled in
+    header = _HEADER.pack(MAGIC, VERSION, *codec_ids, 0, *counts, *h_starts, *w_starts, *offsets)  # CRC32 0 until filled in
     blob = bytearray().join((header, *sections))
     struct.pack_into("<I", blob, _CRC_AT, _checksum(blob))
     with open(path, "wb") as fh:
@@ -300,7 +313,7 @@ def index_sections(path: str | Path) -> dict[str, int]:
 def load_index(path: str | Path) -> LoadedIndex:
     """Exact inverse of save_index."""
     data = memoryview(Path(path).read_bytes())
-    _, _, id_gap, id_pay, id_coeff, crc, num_terms, num_docs, num_meta, off_doc, off_lex, off_h, off_w = _checked_header(data, len(data))
+    _, _, id_gap, id_pay, id_coeff, crc, num_terms, num_docs, num_meta, *starts, off_doc, off_lex, off_h, off_w = _checked_header(data, len(data))
     if crc != _checksum(data):
         raise CorruptionError("checksum mismatch: the index file is corrupt")
     for cid in (id_gap, id_pay, id_coeff):
@@ -326,7 +339,7 @@ def load_index(path: str | Path) -> LoadedIndex:
     doc_ids = list(range(num_docs))  # num_docs is bounded: the doc table is read
     metaterms = []
     residual = []
-    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list")
+    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list", starts[:2])
     for mid, (cols, base) in enumerate(islice(h_lists, num_meta)):
         # keys are strictly ascending, so the last is the largest
         if cols and cols[-1] >= num_docs:
@@ -338,7 +351,7 @@ def load_index(path: str | Path) -> LoadedIndex:
         residual.append(PostingList(t, shared_ints(doc_ids, docs), tuple(payloads)))
 
     memberships = []
-    w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row")
+    w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row", starts[2:])
     for t, (ids, coeffs) in enumerate(w_lists):
         if ids and ids[-1] >= num_meta:
             raise CorruptionError(f"W row {t} references meta-term beyond count")

@@ -5,8 +5,9 @@ codec.encode_lists and codec.decode_lists against. Not used by mtix; it codes
 one value at a time with bit arithmetic and takes nothing from mtix.codec's
 word tables on purpose.
 
-write_lists and read_lists use them to code consecutive lists in the list
-format: gamma(count + 1), the key gaps, then the values.
+write_lists and read_lists use them to code lists in the section format:
+three streams back to back, every list's gamma(count + 1), then every key
+gap, then every value.
 
 vbyte_decode is mtix.codec.vbyte_decode as it was before it became a
 one-value call of codec.decode_vbytes, kept verbatim so that test_codec can
@@ -212,33 +213,55 @@ def get_value(r: BitReader, codec: str) -> int:
 
 def write_lists(
     lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
-) -> tuple[bytes, list[int]]:
-    """(keys, values) lists back to back: the blob and each list's bit offset."""
+) -> tuple[bytes, tuple[int, int], list[int]]:
+    """(keys, values) lists as three streams back to back: every list's
+    count, then every key gap, then every value. Returns the blob, the bit
+    offsets where the gap and value streams start, and each list's bit
+    offset were the lists laid end to end."""
+    lists = [(list(keys), list(values)) for keys, values in lists]
     w = BitWriter()
-    offsets = []
-    for keys, values in lists:
-        offsets.append(w.bit_length)
-        put_value(w, len(keys) + 1, "gamma")
-        prev = -1
-        for key in keys:
-            put_value(w, key - prev, gap_codec)
-            prev = key
-        for value in values:
-            put_value(w, value, val_codec)
-    return w.getvalue(), offsets
+    sizes = [0] * len(lists)
+    starts = []
+    for stream in range(3):
+        if stream:
+            starts.append(w.bit_length)
+        for i, (keys, values) in enumerate(lists):
+            before = w.bit_length
+            if stream == 0:
+                put_value(w, len(keys) + 1, "gamma")
+            elif stream == 1:
+                prev = -1
+                for key in keys:
+                    put_value(w, key - prev, gap_codec)
+                    prev = key
+            else:
+                for value in values:
+                    put_value(w, value, val_codec)
+            sizes[i] += w.bit_length - before
+    return w.getvalue(), (starts[0], starts[1]), list(accumulate(sizes, initial=0))[:-1]
 
 
 def read_lists(
     data: bytes, count: int, gap_codec: str, val_codec: str
-) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
-    """`count` lists read back to back from `data`, and each one's bit offset."""
+) -> tuple[list[tuple[list[int], list[int]]], tuple[int, int], list[int]]:
+    """`count` lists read from their three streams, one stream after the
+    other, as write_lists returns them."""
     r = BitReader(data)
-    lists = []
-    offsets = []
-    for _ in range(count):
-        offsets.append(r.pos)
-        n = get_value(r, "gamma") - 1
-        gaps = [get_value(r, gap_codec) for _ in range(n)]
-        values = [get_value(r, val_codec) for _ in range(n)]
-        lists.append((list(accumulate(gaps, initial=-1))[1:], values))
-    return lists, offsets
+    sizes = [0] * count
+    counts = []
+    for i in range(count):
+        before = r.pos
+        counts.append(get_value(r, "gamma") - 1)
+        sizes[i] += r.pos - before
+    starts = []
+    parts: list[list[list[int]]] = []
+    for codec in (gap_codec, val_codec):
+        starts.append(r.pos)
+        part = []
+        for i, n in enumerate(counts):
+            before = r.pos
+            part.append([get_value(r, codec) for _ in range(n)])
+            sizes[i] += r.pos - before
+        parts.append(part)
+    lists = [(list(accumulate(gaps, initial=-1))[1:], values) for gaps, values in zip(*parts)]
+    return lists, (starts[0], starts[1]), list(accumulate(sizes, initial=0))[:-1]

@@ -28,11 +28,12 @@ from mtix.codec import (
     MAX_VALUE,
     _TABLE_SIZE,
     _WINDOW_BYTES,
-    _gamma_parse,
+    _parse,
     code_bits,
     decode_lists,
     decode_vbytes,
     encode_lists,
+    encode_streams,
     encode_vbytes,
     list_bit_lengths,
     unzip_pairs,
@@ -76,19 +77,36 @@ def test_delta_examples():
     assert delta_decode("00100001") == (9, 8)
 
 
-def test_gamma_parse_through_the_word_table():
+_WORD = {
+    "gamma": gamma_encode,
+    "delta": delta_encode,
+    "vbyte": lambda x: "".join(format(b, "08b") for b in vbyte_encode(x)),
+}
+
+
+def _assert_parse_through_the_word_table(codec):
     # every value the table holds and as many past it, both sides of its
     # edge, the largest value, and windows that mix hits and misses
+    word = _WORD[codec]
     values = [*range(1, 1 << 13), _TABLE_SIZE - 1, _TABLE_SIZE, MAX_VALUE]
-    words = [gamma_encode(x) for x in values]
-    assert _gamma_parse(words) == [int(w, 2) for w in words] == values
+    words = [word(x) for x in values]
+    assert _parse(words, codec) == values
     mixed = [_TABLE_SIZE, 1, MAX_VALUE, _TABLE_SIZE - 1, 5000, 2, 2, 1 << 40, 300]
-    assert _gamma_parse([gamma_encode(x) for x in mixed]) == mixed
-    assert _gamma_parse([gamma_encode(x) for x in reversed(mixed)]) == mixed[::-1]
-    assert _gamma_parse([]) == []
+    assert _parse([word(x) for x in mixed], codec) == mixed
+    assert _parse([word(x) for x in reversed(mixed)], codec) == mixed[::-1]
+    assert _parse([], codec) == []
     # values in the table come back as its own objects
-    again = _gamma_parse(words[255:_TABLE_SIZE - 1])
-    assert all(map(operator.is_, again, _gamma_parse(words[255:_TABLE_SIZE - 1])))
+    again = _parse(words[255:_TABLE_SIZE - 1], codec)
+    assert all(map(operator.is_, again, _parse(words[255:_TABLE_SIZE - 1], codec)))
+
+
+def test_gamma_parse_through_the_word_table():
+    _assert_parse_through_the_word_table("gamma")
+
+
+@pytest.mark.parametrize("codec", ["delta", "vbyte"])
+def test_parse_through_the_word_table(codec):
+    _assert_parse_through_the_word_table(codec)
 
 
 def test_zero_rejected_by_bit_codecs():
@@ -334,26 +352,47 @@ _JUNK_BITS = {"gamma": "0" * 128, "delta": "0" * 128, "vbyte": "1" * 88}
 
 @pytest.mark.parametrize("gap_codec,val_codec", list(product(CODEC_NAMES, repeat=2)))
 def test_decode_lists_corruption_raises_mtix_error(gap_codec, val_codec):
-    # three lists, then empty lists, so that junk in the second list is
-    # followed by far more words than any one code word has bits
+    # three lists, then empty lists, so that junk in the second list's
+    # count is followed by far more words than any one code word has bits
     lists = [([0, 5], [3, 1]), ([2], [7]), ([1, 4, 9], [1, 1, 2])] + [([], [])] * 300
     count = len(lists)
-    blob, offsets = encode_lists(lists, gap_codec, val_codec)
+    blob, (gap_at, val_at), _ = encode_streams(lists, gap_codec, val_codec)
     bits = _bits_of(blob)
     end = sum(list_bit_lengths(lists, gap_codec, val_codec))
-    assert list(decode_lists(blob, count, gap_codec, val_codec)) == lists
-    with pytest.raises(MtixError):  # cut off after the third list's header
-        list(decode_lists(_bytes_of(bits[: offsets[2] + len(gamma_encode(4))]), count, gap_codec, val_codec))
+    for starts in (None, (gap_at, val_at)):
+        assert list(decode_lists(blob, count, gap_codec, val_codec, starts=starts)) == lists
+    heads = len(gamma_encode(3) + gamma_encode(2) + gamma_encode(4))
+    with pytest.raises(MtixError):  # cut off after the third list's count
+        list(decode_lists(_bytes_of(bits[:heads]), count, gap_codec, val_codec))
+    with pytest.raises(MtixError):  # cut off in the first list's values
+        list(decode_lists(_bytes_of(bits[: val_at + 1]), count, gap_codec, val_codec, starts=(gap_at, val_at)))
     with pytest.raises(TruncationError, match="^bit stream ended mid-value$"):  # one list more than present
-        list(decode_lists(blob, count + 1, gap_codec, val_codec))
-    # junk where the second list's header or first value starts
-    value_at = offsets[1] + len(gamma_encode(2)) + code_bits([3], gap_codec)
-    for at, codec in ((offsets[1], "gamma"), (value_at, val_codec)):
-        junk = _bytes_of(bits[:at] + _JUNK_BITS[codec] + bits[at:end])
+        list(decode_lists(blob, count + 1, gap_codec, val_codec, starts=(gap_at, val_at)))
+    # junk where the second list's count, first gap or first value starts;
+    # the streams after it start that much later
+    first_gap = gap_at + code_bits([1, 5], gap_codec)
+    first_value = val_at + code_bits([3, 1], val_codec)
+    for at, codec, later in ((len(gamma_encode(3)), "gamma", (1, 1)), (first_gap, gap_codec, (0, 1)), (first_value, val_codec, (0, 0))):
+        junk = _JUNK_BITS[codec]
+        starts = (gap_at + later[0] * len(junk), val_at + later[1] * len(junk))
+        data = _bytes_of(bits[:at] + junk + bits[at:end])
         with pytest.raises(CorruptionError, match=f"^no {codec} code word at bit {at}$"):
-            list(decode_lists(junk, count, gap_codec, val_codec))
+            list(decode_lists(data, count, gap_codec, val_codec, starts=starts))
+        if codec == "gamma":  # found by reading the counts as well
+            with pytest.raises(CorruptionError, match=f"^no gamma code word at bit {at}$"):
+                list(decode_lists(data, count, gap_codec, val_codec))
+    # each stream must end where the next starts, the last in the final byte
     with pytest.raises(CorruptionError, match=f"^list {count - 1} does not end at the end of the section$"):
         list(decode_lists(blob + b"\x00", count, gap_codec, val_codec))
+    with pytest.raises(CorruptionError, match=f"^list {count - 2} does not end at the end of its count stream$"):
+        list(decode_lists(blob, count - 1, gap_codec, val_codec, starts=(gap_at, val_at)))
+    gaps = _WORD[gap_codec](1) + _WORD[gap_codec](5)  # two gaps for a list of one
+    data = _bytes_of(gamma_encode(2) + gaps + _WORD[val_codec](3))
+    with pytest.raises(CorruptionError, match="^list 0 does not end at the end of its gap stream$"):
+        list(decode_lists(data, 1, gap_codec, val_codec, starts=(3, 3 + len(gaps))))
+    for starts in ((val_at, gap_at), (gap_at, 8 * len(blob) + 1), (-1, val_at)):
+        with pytest.raises(CorruptionError, match="^list streams start out of bounds$"):
+            list(decode_lists(blob, count, gap_codec, val_codec, starts=starts))
 
 
 def test_truncated_posting_list_stream():
@@ -481,80 +520,121 @@ _WIDTHS_LIST = _list_from_gaps(zip(_WIDTHS, reversed(_WIDTHS)))
 @given(st.lists(kernel_lists, max_size=5))
 @example([_TABLE_LIST, _WIDTHS_LIST])
 def test_list_kernels_match_reference(gap_codec, val_codec, lists):
-    blob, offsets = encode_lists(lists, gap_codec, val_codec)
-    assert (blob, offsets) == reference.write_lists(lists, gap_codec, val_codec)
-    decoded = list(decode_lists(blob, len(offsets), gap_codec, val_codec))
-    assert reference.read_lists(blob, len(lists), gap_codec, val_codec) == (decoded, offsets)
+    encoded = encode_streams(lists, gap_codec, val_codec)
+    assert encoded == reference.write_lists(lists, gap_codec, val_codec)
+    blob, starts, offsets = encoded
+    assert encode_lists(lists, gap_codec, val_codec) == (blob, offsets)
+    decoded = list(decode_lists(blob, len(offsets), gap_codec, val_codec, starts=starts))
+    assert list(decode_lists(blob, len(offsets), gap_codec, val_codec)) == decoded
+    assert reference.read_lists(blob, len(lists), gap_codec, val_codec) == (decoded, starts, offsets)
     assert decoded == lists
 
 
-# Window edges fall every 8 * _WINDOW_BYTES bits from the start of a blob.
+# Window edges fall every 8 * _WINDOW_BYTES bits from the start of each stream.
 _EDGE = 8 * _WINDOW_BYTES
 _PAIRS = list(product(CODEC_NAMES, repeat=2))
+_STREAMS = ("count", "gap", "value")
 
 
-def _fill(nbits, gap_codec, val_codec):
-    """Lists that code to exactly `nbits` bits: one-posting lists of 64-bit
-    words, then empty lists, which code to one bit each."""
-    one = ([MAX_VALUE - 1], [MAX_VALUE])
-    size = list_bit_lengths([one], gap_codec, val_codec)[0]
-    return [one] * (nbits // size) + [([], [])] * (nbits % size)
+def _stream_bits(lists, gap_codec, val_codec):
+    """The bits of the lists' words in each stream: counts, gaps, values."""
+    gaps = [k - p for keys, _ in lists for p, k in zip([-1, *keys], keys)]
+    return (
+        code_bits([len(keys) + 1 for keys, _ in lists], "gamma"),
+        code_bits(gaps, gap_codec),
+        code_bits([v for _, values in lists for v in values], val_codec),
+    )
+
+
+def _fill(nbits, stream, gap_codec, val_codec):
+    """Lists whose words in `stream` come to `nbits` bits (less than a
+    byte short under vbyte): empty lists, one count bit each, or lists of
+    one posting whose gaps (values) are 64-bit words and then 1s."""
+    if stream == "count":
+        return [([], [])] * nbits
+    codec = gap_codec if stream == "gap" else val_codec
+    wide, one = code_bits([MAX_VALUE], codec), code_bits([1], codec)
+    words = [MAX_VALUE] * (nbits // wide) + [1] * (nbits % wide // one)
+    return [([x - 1], [1]) if stream == "gap" else ([0], [x]) for x in words]
 
 
 def _assert_decodes(lists, gap_codec, val_codec):
-    blob, offsets = encode_lists(lists, gap_codec, val_codec)
-    assert list(decode_lists(blob, len(offsets), gap_codec, val_codec)) == lists
-    return offsets
+    blob, starts, offsets = encode_streams(lists, gap_codec, val_codec)
+    for given in (starts, None):
+        assert list(decode_lists(blob, len(offsets), gap_codec, val_codec, starts=given)) == lists
 
 
 @pytest.mark.parametrize("gap_codec,val_codec", _PAIRS)
 def test_decode_lists_across_window_edges(gap_codec, val_codec):
     rng = random.Random(12)
     long_list = _list_from_gaps((rng.randint(1, 1 << 20), rng.randint(1, 1 << 20)) for _ in range(3000))
-    assert list_bit_lengths([long_list], gap_codec, val_codec)[0] > 2 * _EDGE
-    # lists longer than a window, with empty lists around them
-    _assert_decodes([([], []), long_list, ([], []), long_list, ([], [])], gap_codec, val_codec)
-    # a list that ends exactly at the first window edge, then lists after it
-    filler = _fill(_EDGE, gap_codec, val_codec)
-    offsets = _assert_decodes(filler + [([], []), ([3], [5]), long_list], gap_codec, val_codec)
-    assert offsets[len(filler)] == _EDGE
+    # lists longer than a window of gaps and of values, among more empty
+    # lists than a window of counts holds
+    lists = [([], [])] * _EDGE + [long_list, ([], []), long_list, ([], [])]
+    assert min(_stream_bits(lists, gap_codec, val_codec)) > _EDGE
+    assert min(_stream_bits([long_list], gap_codec, val_codec)[1:]) > 2 * _EDGE
+    _assert_decodes(lists, gap_codec, val_codec)
+    # in each stream, lists that end exactly at its first window edge, then lists after them
+    for i, stream in enumerate(_STREAMS):
+        filler = _fill(_EDGE, stream, gap_codec, val_codec)
+        assert _stream_bits(filler, gap_codec, val_codec)[i] == _EDGE
+        _assert_decodes(filler + [([], []), ([3], [5]), long_list], gap_codec, val_codec)
     # no lists at all
     assert list(decode_lists(b"", 0, gap_codec, val_codec)) == []
+    assert list(decode_lists(b"", 0, gap_codec, val_codec, starts=(0, 0))) == []
 
 
 @pytest.mark.parametrize("gap_codec,val_codec", _PAIRS)
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 120), st.integers(1, MAX_VALUE), st.integers(MAX_VALUE >> 1, MAX_VALUE))
 def test_decode_lists_word_straddles_window_edge(gap_codec, val_codec, before, gap, value):
-    # a list that starts `before` bits ahead of the edge and carries a
-    # 64-bit value: some word of it straddles the edge
-    filler = _fill(_EDGE - before, gap_codec, val_codec)
-    last = ([gap - 1, gap - 1 + MAX_VALUE], [value, value])
-    offsets = _assert_decodes(filler + [last, ([0], [1])], gap_codec, val_codec)
-    assert offsets[-2] <= _EDGE < offsets[-1]
+    # in the gap stream, then in the value stream, a list whose words there
+    # start about `before` bits ahead of the stream's edge, all but its
+    # first gap 64-bit: some word of it straddles the edge
+    last = ([gap - 1, gap - 1 + MAX_VALUE, gap - 1 + 2 * MAX_VALUE], [value] * 3)
+    for i, stream in enumerate(_STREAMS[1:], 1):
+        filler = _fill(_EDGE - before, stream, gap_codec, val_codec)
+        _assert_decodes(filler + [last, ([0], [1])], gap_codec, val_codec)
+        at, end = (_stream_bits(lists, gap_codec, val_codec)[i] for lists in (filler, filler + [last]))
+        assert at <= _EDGE < end
 
 
-@pytest.mark.parametrize("gap_codec,val_codec", [("gamma", "gamma"), ("delta", "delta")])
+@pytest.mark.parametrize("gap_codec,val_codec", _PAIRS)
+@pytest.mark.parametrize("before", [0, 1, 12, 22])
+def test_decode_lists_count_straddles_window_edge(gap_codec, val_codec, before):
+    # the 23-bit count of a list of 3000 postings, `before` bits ahead of
+    # the counts' edge
+    filler = _fill(_EDGE - before, "count", gap_codec, val_codec)
+    last = _list_from_gaps([(1, 1)] * 3000)
+    _assert_decodes(filler + [last, ([0], [1])], gap_codec, val_codec)
+    assert len(gamma_encode(3001)) == 23
+
+
+@pytest.mark.parametrize("gap_codec,val_codec", [("gamma", "gamma"), ("delta", "delta"), ("delta", "gamma")])
 def test_decode_lists_holds_a_bounded_window(gap_codec, val_codec):
-    # a section of 4 MB or more: one list whose length is a whole number of
-    # bytes, repeated, so nothing big has to be encoded; wide words keep the
-    # word count, and so the test's time, down
+    # a section of 4 MB or more: eight copies of one list code to a whole
+    # number of bytes in each stream, so the section is each stream's bytes
+    # repeated, and nothing big has to be encoded; wide words keep the word
+    # count, and so the test's time, down
     rng = random.Random(5)
     one = _list_from_gaps((rng.randint(1, 1 << 60), rng.randint(1, 1 << 60)) for _ in range(200))
-    lists = [one] + _fill(-list_bit_lengths([one], gap_codec, val_codec)[0] % 8, gap_codec, val_codec)
-    chunk, _ = encode_lists(lists, gap_codec, val_codec)
+    lists = [one] * 8
+    chunk, (gap_at, val_at), _ = encode_streams(lists, gap_codec, val_codec)
+    assert gap_at % 8 == val_at % 8 == 0 and 8 * len(chunk) == sum(_stream_bits(lists, gap_codec, val_codec))
     copies = -(-(4 << 20) // len(chunk))
-    blob = chunk * copies
-    tracemalloc.start()
-    try:
-        decoded = 0
-        for keys, values in decode_lists(blob, len(lists) * copies, gap_codec, val_codec):
-            decoded += len(keys)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert decoded == copies * sum(len(keys) for keys, _ in lists)
-    assert peak < 1 << 20
+    parts = (chunk[: gap_at // 8], chunk[gap_at // 8 : val_at // 8], chunk[val_at // 8 :])
+    blob = b"".join(part * copies for part in parts)
+    for starts in ((gap_at * copies, val_at * copies), None):
+        tracemalloc.start()
+        try:
+            decoded = 0
+            for keys, values in decode_lists(blob, len(lists) * copies, gap_codec, val_codec, starts=starts):
+                decoded += len(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded == copies * sum(len(keys) for keys, _ in lists)
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("gap_codec,val_codec", [("gamma", "gamma"), ("delta", "delta")])

@@ -1,8 +1,12 @@
 import hashlib
 import io
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +30,7 @@ from mtix import (
     refine_partial,
     total_size,
 )
+import mtix
 from mtix.factorize import _Lazy, _assemble, _bits, _later_partners, _later_partners_sliced
 from mtix.matrix import primitive
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
@@ -227,6 +232,38 @@ def test_refine_partial_memory_per_residual_cell(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < bound * cells, (bound, peak / cells)
+
+
+# Stage 2's tracemalloc peak per residual cell at min_lift 2, as factor()
+# runs it, measured in a fresh interpreter: objects freed before and kept
+# for reuse (the tuple free lists) would hide part of the peak, by as much
+# as the bound's margin.
+_FRESH_PEAK = """
+import random, sys, tracemalloc
+from mtix import FactorParams, ingest_tsv
+from mtix.factorize import factor_whole_rows, refine_partial
+f1 = factor_whole_rows(ingest_tsv(sys.argv[1]))
+tracemalloc.start()
+refine_partial(f1, FactorParams(), 2)
+print(tracemalloc.get_traced_memory()[1] / sum(map(len, f1.residual)))
+"""
+
+
+def test_refine_partial_memory_per_residual_cell_dense_at_min_lift(tmp_path):
+    # Zipf text over 1,000 docs of 20-60 words from 4,000, about 32k
+    # cells, takes the bit-sliced search and has many rows of a few cells:
+    # under 62 B (about 58.6 B measured). A search that built each anchor's
+    # row bitset before its first partner, not once one is found, takes
+    # about 66 B.
+    path = tmp_path / "zipf.tsv"
+    docs = zipf_corpus(1000, 4000, doc_len=(20, 60), rng=random.Random(1))
+    path.write_text("".join(f"{doc}\t{body}\n" for doc, body in docs), encoding="utf-8")
+    src = str(Path(mtix.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_PEAK, str(path)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert float(out) < 62, out
 
 
 def test_refine_partial_requeues_after_losing_rows_to_higher_gain():
@@ -499,8 +536,8 @@ def test_factor_golden_digest(corpus, params, digest, tmp_path):
     assert _digest(refine_partial(factor_whole_rows(V), GOLDEN_PARAMS[params])) == digest
 
 
-# factor() on the same corpora: the greedy, then the dissolve pass under the
-# default codecs. Under them stage 2 skips pairs below twice chance, so the
+# factor() on the same corpora: the greedy, then the dissolve pass under
+# all-gamma codes. Under them stage 2 skips pairs below twice chance, so the
 # greedy finds 316 and 307 meta-terms on zipf (403 and 444 at min_lift 0,
 # as pinned above), 13 and 18 on planted (43 and 58) and 2 and 1 on random
 # (17 and 34). The pass keeps none and 3 of them on zipf, none on random,
@@ -518,7 +555,8 @@ FACTOR_DIGESTS = [
 
 @pytest.mark.parametrize("corpus, params, digest", FACTOR_DIGESTS, ids=[f"{c}-{p}" for c, p, _ in FACTOR_DIGESTS])
 def test_factor_digest(corpus, params, digest, tmp_path):
-    assert _digest(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params])) == digest
+    cfg = CodecConfig("gamma", "gamma", "gamma")
+    assert _digest(factor(_golden_corpus(corpus, tmp_path), GOLDEN_PARAMS[params], cfg)) == digest
 
 
 # factor() under all-vbyte, where the dissolve pass keeps 399 of zipf's 403
@@ -588,17 +626,21 @@ def sparse_id_matrices(draw):
 
 
 def _residual_index(V):
-    """refine_partial's view of V's rows: term -> doc column, and its two
-    partner searches, each bound to the tables it reads."""
+    """refine_partial's view of V's rows: term -> doc column, each doc's
+    terms past an anchor, and its two partner searches, each bound to the
+    tables it reads. The Counter search reads a doc's list as its terms
+    past the anchor: the caller adds each anchor to its docs' lists after
+    searching from it, from the last anchor back."""
     residual = {t: row.docs for t, row in enumerate(V.rows) if row}
     terms_of_doc = {}
     for t, docs in residual.items():
         for d in docs:
             terms_of_doc.setdefault(d, []).append(t)
+    later = {d: [] for d in terms_of_doc}
     doc_bits = _Lazy(lambda d: _bits(terms_of_doc[d]))
     row_bits = _Lazy(lambda t: _bits(residual[t]))
     lanes = (1 << next(reversed(residual), -1) + 1) - 1
-    return residual, partial(_later_partners, terms_of_doc), partial(_later_partners_sliced, doc_bits, row_bits, lanes)
+    return residual, later, partial(_later_partners, later), partial(_later_partners_sliced, doc_bits, row_bits, lanes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -611,17 +653,19 @@ def test_partner_searches_agree(V, min_cols):
     # are called here directly, for every anchor, the last residual term
     # among them, and also with a min_cols above every row's length; each
     # yields every later row sharing at least min_cols docs, with the count
-    residual, counted, sliced = _residual_index(V)
+    residual, later, counted, sliced = _residual_index(V)
     above = max(map(len, residual.values()), default=0) + 1
-    for t1, row1 in residual.items():
-        want = list(counted(row1, t1, min_cols))
+    for t1 in sorted(residual, reverse=True):
+        row1 = residual[t1]
+        want = list(counted(row1, min_cols))
         assert list(sliced(row1, t1, min_cols)) == want
         shares = ((t2, len(set(row1).intersection(row2))) for t2, row2 in residual.items() if t2 > t1)
         assert want == [(t2, s) for t2, s in shares if s >= min_cols]
-        assert list(sliced(row1, t1, above)) == [] == list(counted(row1, t1, above))
-    if residual:
-        last = next(reversed(residual))
-        assert list(sliced(residual[last], last, 2)) == [] == list(counted(residual[last], last, 2))
+        assert list(sliced(row1, t1, above)) == [] == list(counted(row1, above))
+        if t1 == max(residual):
+            assert want == [] == list(counted(row1, 2)) == list(sliced(row1, t1, 2))
+        for d in row1:
+            later[d].append(t1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -167,7 +167,7 @@ def test_corrupt_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
-    for version in (1, 2, 3, 4, 99):
+    for version in (1, 2, 3, 4, 5, 99):
         bad.write_bytes(data[:4] + bytes([version]) + data[5:])
         with pytest.raises(FormatError, match=f"^unsupported version {version}$"):
             load_index(bad)
@@ -231,6 +231,27 @@ def test_stats_same_after_reload(tmp_path, corpus, cfg):
     g = load_index(path).factorization
     assert g == f and not any(map(operator.is_, g.residual, V.rows))
     assert stats(V, g, cfg) == stats(V, f, cfg)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_codec_codes_direct_in_fewer_bytes_than_all_gamma(tmp_path, seed):
+    # The default codes doc gaps in delta: on inputs shaped like the bench
+    # workloads (Zipf text, and random and planted triples over 20,000
+    # docs), V coded directly takes 2-10% fewer bytes than under all-gamma.
+    # On small dense inputs gamma can win: 300 docs of Zipf text take about
+    # 2% more bytes under delta.
+    rng = random.Random(seed)
+    path = tmp_path / "zipf.tsv"
+    path.write_text("".join(f"{doc}\t{body}\n" for doc, body in zipf_corpus(1000, 5000, rng=rng)), encoding="utf-8")
+    inputs = (
+        ingest_tsv(path),
+        random_matrix(200, 20_000, 0.005, rng=rng),
+        planted_matrix(num_groups=20, noise_rows=200, num_docs=20_000, rng=rng)[0],
+    )
+    gamma = CodecConfig("gamma", "gamma", "gamma")
+    for V in inputs:
+        f = factor_whole_rows(V)
+        assert stats(V, f, CodecConfig()).bytes_direct < stats(V, f, gamma).bytes_direct
 
 
 def test_stats_all_singleton_overhead():
@@ -303,14 +324,14 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 
 
 # sha256 of save_index output for one seeded planted matrix, one digest per
-# all-same-codec config: format v5 must not move by a single byte. Deflate's
+# all-same-codec config: format v6 must not move by a single byte. Deflate's
 # output is fixed only for one zlib build, so the digest is of the file with
 # its name tables inflated (conftest.inflated_image); H and W count byte
 # for byte, and load_index checks the CRC and offsets of the file itself.
 PINNED_DIGESTS = {
-    "gamma": "74fe5e29a9f9db61da1db81bf8dc9244f4f4effd7774a07db00c8e35ab12a7ff",
-    "delta": "d1556747460657f6680ef7b2029ba12d5a8a9bda5f6e653b97c7667162e61f01",
-    "vbyte": "93a8e1e49a3fb87eedfe6fea54d98e3a851709cae54aee03ac1396de48130d72",
+    "gamma": "db26fdfc44b014824f526c933760abdad78e3da7ddf509b418e0d205e70cbbe1",
+    "delta": "8d9ebbb26b61a4dc4737be94174470ba4090e4d717a5cfa241cbbeea25793a5b",
+    "vbyte": "c97024805d339ee9883cc711c8f3c3a05e786433287de0425b3979f1c5512085",
 }
 
 
@@ -352,7 +373,7 @@ def test_stats_closed_form_matches_encoded_lengths(V):
         assert st_.bytes_direct == len(direct)
 
 
-FUZZ_CFGS = [CodecConfig(), CodecConfig("vbyte", "delta", "vbyte")]
+FUZZ_CFGS = [CodecConfig(), CodecConfig("vbyte", "vbyte", "vbyte"), CodecConfig("vbyte", "delta", "vbyte")]
 
 
 def _fuzz_index(tmp_path, cfg):
@@ -403,7 +424,7 @@ def test_bit_flip_never_loads_different_content(tmp_path, cfg):
         assert (idx.factorization, idx.lexicon, idx.doc_names, idx.cfg) == saved
 
 
-_DOC_TABLE_AT = 9  # the header field of the doc table's offset; the lexicon's follows
+_DOC_TABLE_AT = 13  # the header field of the doc table's offset; the lexicon's follows
 
 
 def _inflated(data):
@@ -682,6 +703,16 @@ V4_FILE = bytes.fromhex(
 )
 
 
+# A genuine format v5 file (terms "0" "1" "2" over docs "0" "1"): its H
+# and W lists one after the other, each its count, gaps and values.
+V5_FILE = bytes.fromhex(
+    "4d544958050101019ff7f9050300000000000000020000000000000000000000000000004400000000000000"
+    "620000000000000083000000000000008e000000000000000200000000000000060000000000000078da6360"
+    "606434300400009e00640300000000000000090000000000000078da6360606064643430340200013c009700"
+    "000000000000005a49f80300000000000000e0"
+)
+
+
 def test_v3_file_is_rejected(tmp_path):
     path = tmp_path / "v3.idx"
     path.write_bytes(V3_FILE)
@@ -695,6 +726,15 @@ def test_v4_file_is_rejected(tmp_path):
     with pytest.raises(FormatError, match="^unsupported version 4$"):
         load_index(path)
     with pytest.raises(FormatError, match="^unsupported version 4$"):
+        index_sections(path)
+
+
+def test_v5_file_is_rejected(tmp_path):
+    path = tmp_path / "v5.idx"
+    path.write_bytes(V5_FILE)
+    with pytest.raises(FormatError, match="^unsupported version 5$"):
+        load_index(path)
+    with pytest.raises(FormatError, match="^unsupported version 5$"):
         index_sections(path)
 
 
@@ -870,36 +910,45 @@ def test_name_tables_on_bench_inputs(tmp_path, workload):
         assert lexicon <= 0.7 * v4_lexicon
 
 
-def _with_h_lists(data, words):
-    """`data` with its H section's lists replaced by the gamma code words
-    of `words`, the W section moved after them, re-signed."""
-    *_, off_h, off_w = _HEADER.unpack_from(data)
-    bits = "".join(map(gamma_encode, words))
+_H_STARTS_AT = 9  # the header field where the H section's gap stream starts; its value stream's follows
+
+
+def _with_h_lists(data, counts, gaps, values):
+    """`data` with its H section's streams replaced by the gamma code words
+    of `counts` (each list's count + 1), `gaps` and `values`, the stream
+    starts set to match and the W section moved after them, re-signed."""
+    fields = list(_HEADER.unpack_from(data))
+    *_, off_h, off_w = fields
+    streams = ["".join(map(gamma_encode, words)) for words in (counts, gaps, values)]
+    bits = "".join(streams)
     bits += "0" * (-len(bits) % 8)
     h = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    fields[_H_STARTS_AT : _H_STARTS_AT + 2] = [len(streams[0]), len(streams[0]) + len(streams[1])]
+    fields[-1] = off_h + 8 + len(h)
     data = bytearray(data[: off_h + 8] + h + data[off_w:])
-    struct.pack_into("<Q", data, _HEADER.size - 8, off_h + 8 + len(h))
+    _HEADER.pack_into(data, 0, *fields)
     return data
 
 
 @pytest.mark.parametrize(
     "term_1, error, message",
     [
-        ([3, 2, 1, 1000, 997], None, None),  # as saved
-        ([2, 2, 1, 1000, 997], CorruptionError, "^H list 1 does not end at the end of the section$"),
-        ([4, 2, 1, 1000, 997], TruncationError, "^bit stream ended mid-value$"),
-        ([3, 2, 3, 1000, 997], CorruptionError, "^direct list of term 1 references doc beyond num_docs$"),
+        ((3, [2, 1], [1000, 997]), None, None),  # as saved
+        ((2, [2, 1], [1000, 997]), CorruptionError, "^H list 1 does not end at the end of its gap stream$"),
+        ((4, [2, 1], [1000, 997]), TruncationError, "^bit stream ended mid-value$"),
+        ((3, [2, 3], [1000, 997]), CorruptionError, "^direct list of term 1 references doc beyond num_docs$"),
     ],
     ids=["as-saved", "count-one-short", "count-one-over", "doc-past-the-end"],
 )
 def test_direct_list_corruption(tmp_path, term_1, error, message):
     # no multi-row meta-term: the H section is the two terms' direct lists,
-    # each gamma(count + 1), the doc gaps, the payloads
+    # their gamma(count + 1), then their doc gaps, then their payloads
     V = matrix_from_cells({0: {0: 1000, 3: 999}, 1: {1: 1000, 2: 997}})
     f = factor(V)
     path = tmp_path / "d.idx"
-    save_index(f, V.lexicon, CodecConfig(), path, V.doc_names)
-    data = _with_h_lists(path.read_bytes(), [3, 1, 3, 1000, 999] + term_1)
+    save_index(f, V.lexicon, CodecConfig("gamma", "gamma", "gamma"), path, V.doc_names)
+    count, gaps, payloads = term_1
+    data = _with_h_lists(path.read_bytes(), [3, count], [1, 3, *gaps], [1000, 999, *payloads])
     if error is None:
         assert data == path.read_bytes()
         return
