@@ -214,30 +214,6 @@ def _later_partners(later: dict[int, list[int]], docs1: Sequence[int], min_cols:
     return zip(partners, map(counts.__getitem__, partners))
 
 
-def _stacked_partners(found: list[int], t1: int) -> Iterator[tuple[int, int]]:
-    """Anchor t1's (t2, s) partners as refine_partial stacked them in found
-    from the last anchor back: an anchor pushes its partners' t2 and s, their
-    count and itself, so t1's are on top if it has any. They are popped."""
-    if not found or found[-1] != t1:
-        return iter(())
-    start = len(found) - 2 - 2 * found[-2]
-    partners = found[start:-2]
-    del found[start:]
-    return zip(partners[::2], partners[1::2])
-
-
-def _classes(row1: _Bisected | dict, anchor: set[int], row2: _Bisected | dict, min_cols: int) -> list[list[int]]:
-    """The docs two residual rows share (anchor is row1's doc set), in
-    classes by the ratio of their payloads, the classes of at least
-    min_cols docs, by first doc."""
-    shared = row2.keys() & anchor if type(row2) is dict else anchor.intersection(row2.docs)
-    by_ratio: dict[tuple[int, int], list[int]] = {}
-    for d in sorted(shared):
-        _, ratio = primitive((row1[d], row2[d]))
-        by_ratio.setdefault(ratio, []).append(d)
-    return [docs for docs in by_ratio.values() if len(docs) >= min_cols]
-
-
 class _Lazy(dict):
     """A table whose value for a key is build(key), made and stored the
     first time the key is looked up."""
@@ -365,11 +341,9 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     it, and the dense path takes the popcount of the AND of the two rows'
     doc bitsets. The Counter search runs from the last anchor back, as the
     per-doc term lists are built, so that it counts each doc's terms past
-    the anchor as a whole list. It keeps only the partners that can matter
-    to the ascending pass that makes candidates: those that share a ratio
-    class of min_cols docs with the anchor, and those below the lift test
-    before the anchor's last such partner, which count toward its cap. They
-    wait for that pass in one flat list.
+    the anchor as a whole list, and splits each partner's shared docs into
+    ratio classes there, once; the ascending pass that makes candidates
+    pops them anchor by anchor.
 
     Stage 2's indexes are _Lazy tables, each entry built the first time it
     is read: the doc bitsets, the row bitsets (dense path only) and the
@@ -395,41 +369,56 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     num_docs = f.num_docs
     num_lanes = next((t + 1 for t in range(f.num_terms - 1, -1, -1) if rows[t]), 0)
 
+    def anchors(n: int) -> bool:  # whether a row of n cells has a pair that can pass the lift test
+        return min_cols <= n and min_lift * n <= num_docs
+
+    def classes(table: _Lazy, t1: int, partners: Iterable[tuple[int, int]]) -> Iterator[list[list[int]] | None]:
+        # For each of anchor t1's (t2, s) partners: None if the pair is below
+        # min_lift times chance, else the docs they share, in classes by the
+        # ratio of their payloads, the classes of at least min_cols docs, by
+        # first doc. The rows are read through table.
+        anchor = set(rows[t1].docs)
+        chance = min_lift * len(anchor)
+        for t2, s in partners:
+            if s * num_docs < chance * len(rows[t2].docs):
+                yield None
+                continue
+            row1, row2 = table[t1], table[t2]
+            by_ratio: dict[tuple[int, int], list[int]] = {}
+            for d in sorted(row2.keys() & anchor if type(row2) is dict else anchor.intersection(row2.docs)):
+                _, ratio = primitive((row1[d], row2[d]))
+                by_ratio.setdefault(ratio, []).append(d)
+            yield [docs for docs in by_ratio.values() if len(docs) >= min_cols]
+
     # Each doc's residual terms, built from the last row back, so that each
     # list descends. On a sparse residual the Counter search runs as they
     # are built, when a doc's list holds the terms past the anchor whole,
-    # and stacks the partners it keeps in found for the ascending pass to
-    # pop. A partner that shares no ratio class of min_cols docs makes
-    # nothing, and one below the lift only counts toward the cap: the first
-    # are dropped, and so are the second after an anchor's last partner kept.
+    # and stacks each anchor's partners' classes in found for the ascending
+    # pass to pop, less the partners that make nothing: those that pass the
+    # lift test but share no class, and those below it after the last
+    # partner that makes a class, which would only count toward the cap.
     with_cells = bytearray(num_docs)  # 1 for each doc with a residual cell
     for row in rows:
         for d in row.docs:
             with_cells[d] = 1
     dense = sum(map(len, rows)) * 128 >= (num_docs - with_cells.count(0)) * num_lanes
     del with_cells
-    found: list[int] = []  # the lists' own int objects, which the tables below key on
+    found: list[tuple[int, list]] = []  # (anchor, its partners' classes), the last anchor on top
     later: dict[int, list[int]] = {}
     for t in range(num_lanes - 1, -1, -1):
         docs = rows[t].docs
-        if not dense and min_cols <= len(docs) and min_lift * len(docs) <= num_docs:  # an anchor, as below
-            size = kept = len(found)  # kept: found's length after the last partner that makes a class
-            chance = min_lift * len(docs)
-            anchor, row1 = set(docs), _Bisected({}, t, rows[t])  # views that no table keeps
-            for t2, s in _later_partners(later, docs, min_cols):
-                if s * num_docs < chance * len(rows[t2]):
-                    found += (t2, s)
-                elif _classes(row1, anchor, _Bisected({}, t2, rows[t2]), min_cols):
-                    found += (t2, s)
-                    kept = len(found)
-            del found[kept:]
-            if kept > size:
-                found += ((kept - size) >> 1, t)
+        if not dense and anchors(len(docs)):
+            views = _Lazy(lambda t2: _Bisected(views, t2, rows[t2]))  # freed with the anchor
+            kept = [c for c in classes(views, t, _later_partners(later, docs, min_cols)) if c != []]
+            while kept and kept[-1] is None:
+                kept.pop()
+            if kept:
+                found.append((t, kept))
         for d in docs:
             later.setdefault(d, []).append(t)
 
     # Candidate generation, one pass over the anchors' partners.
-    doc_bits = _Lazy(lambda d: _bits(later[d]))
+    doc_bits = _Lazy(lambda d: _bits(reversed(later[d])))  # lowest bit first: the running sum stays short
     row_bits = _Lazy(lambda t: _bits(rows[t].docs))  # read on the dense path only
     sliced = partial(_later_partners_sliced, doc_bits, row_bits, (1 << num_lanes) - 1)
     del row_bits  # freed with sliced
@@ -441,18 +430,19 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
     seen: set[tuple] = set()
     for t1 in compress(range(num_lanes), rows):
         docs1 = rows[t1].docs
-        n1 = len(docs1)
-        if n1 < min_cols or min_lift * n1 > num_docs:  # no pair of it can pass the lift test
+        if not anchors(len(docs1)):
             continue
+        if dense:
+            partners = classes(residual, t1, sliced(docs1, t1, min_cols))
+        else:
+            partners = found.pop()[1] if found and found[-1][0] == t1 else ()
         made = 0
-        anchor = set(docs1)
-        chance = min_lift * n1
-        for t2, s in sliced(docs1, t1, min_cols) if dense else _stacked_partners(found, t1):
-            if s * num_docs < chance * len(rows[t2].docs):  # below min_lift times chance
+        for pair_classes in partners:
+            if pair_classes is None:  # below the lift test
                 made += 1
             else:
                 row1 = residual[t1]
-                for docs in _classes(row1, anchor, residual[t2], min_cols):
+                for docs in pair_classes:
                     cols = tuple(docs)
                     _, base = primitive([row1[d] for d in cols])
                     base = bases.setdefault(base, base)
@@ -461,7 +451,7 @@ def refine_partial(f: Factorization, params: FactorParams, min_lift: int = 0) ->
                     if sig in seen:
                         continue
                     seen.add(sig)
-                    # t1 and t2 are among the members: both are multiples of base over cols.
+                    # t1 and its partner are among the members: both are multiples of base over cols.
                     members, coeffs = _candidate_rows(residual, doc_bits, cols, base)
                     g_val = gain(len(members), len(cols))
                     if g_val > 0:
