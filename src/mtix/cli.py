@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .codec import CODEC_NAMES, CodecConfig
+from .codec import GAP_CODEC_NAMES, CodecConfig
 from .errors import InvariantError, MtixError, ValidationError, utf8_error
 from .factorize import FactorParams, Factorization, export_factors, factor, factor_whole_rows, total_size
 from .matrix import TermDocMatrix, export_triples, ingest_triples, ingest_tsv, nnz, read_triples
@@ -26,10 +26,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_codec_flags(p: argparse.ArgumentParser) -> None:
+    # rice is a choice of every flag, so that CodecConfig, which takes it
+    # for doc gaps only, is what rejects it elsewhere, as an input error
     default = CodecConfig()
-    p.add_argument("--codec-doc", choices=CODEC_NAMES, default=default.doc_gap, help="doc-gap codec")
-    p.add_argument("--codec-payload", choices=CODEC_NAMES, default=default.payload, help="payload codec")
-    p.add_argument("--codec-coeff", choices=CODEC_NAMES, default=default.coeff, help="coefficient codec")
+    p.add_argument("--codec-doc", choices=GAP_CODEC_NAMES, default=default.doc_gap, help="doc-gap codec")
+    p.add_argument("--codec-payload", choices=GAP_CODEC_NAMES, default=default.payload, help="payload codec (not rice)")
+    p.add_argument("--codec-coeff", choices=GAP_CODEC_NAMES, default=default.coeff, help="coefficient codec (not rice)")
 
 
 def _add_factor_flags(p: argparse.ArgumentParser) -> None:

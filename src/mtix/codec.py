@@ -14,6 +14,12 @@ encodings):
   Code length is exactly 2*floor(log2 x) + 1 bits.
 * delta(x), x >= 1: gamma(floor(log2 x) + 1), then the floor(log2 x)
   low-order bits of x.
+* rice(g), g >= 1, key gaps only: (g - 1) >> k zeros, a one, then the k
+  low-order bits of g - 1; ((g - 1) >> k) + 1 + k bits. A list of n gaps
+  of keys below a universe N takes k = floor(log2 b) (0 when b is 0) for
+  b = (69 (N - n + 1) + 50 n) // (100 n), 0.69 (N - n + 1) / n rounded,
+  the Golomb parameter of geometric gaps of that density (rice_k); so no
+  parameter is stored.
 * Posting list: gamma(count + 1), then the doc gaps (g0 = doc0 + 1,
   gi = doc_i - doc_{i-1}, all >= 1) under the doc-gap codec, then the
   payloads in posting order under the payload codec.
@@ -22,7 +28,9 @@ encodings):
   every list's values, each stream in list order. A one-list section is
   that list's bits. Each stream is prefix-free, so it decodes
   unambiguously, and the counts say how many gaps and values each list
-  takes.
+  takes. Under rice the gaps are one stream per k, k ascending, each
+  holding its lists' gaps in list order, and the section starts with the
+  streams' lengths in bits, one vbyte per k up to rice_k(1, N).
 
 Lists are coded a whole list at a time (the block-at-a-time idea of Lemire
 and Boytsov, SPE 2015), with Python's C-level string and int routines doing
@@ -31,18 +39,21 @@ the per-bit work. There are three list kernels:
 * encode (`encode_streams`, `encode_lists`): one format() per code word
   (small values take theirs from a table of the same words) and one join
   per list and stream; each stream is flushed to bytes in bounded,
-  byte-aligned chunks, and the three are joined at the end.
-* decode (`decode_lists`): a section's three streams are read side by
-  side, each out of '0'/'1' text made of one bounded window of that
-  stream at a time, under every codec alike: one regex findall splits a
-  whole window into code words, a word cut off at the window's end is
-  carried over into the next window, and the words of values below
-  _TABLE_SIZE are looked up in a table of the codec's words; the others
-  go through int(word, 2) (vbyte words after one join of the window's
-  7-bit groups). Each list takes its count's worth of the gap and value
-  streams' values.
+  byte-aligned chunks, and the streams are joined at the end, behind the
+  rice table when there is one.
+* decode (`decode_lists`): a section's streams are read side by side, each
+  out of '0'/'1' text made of one bounded window of that stream at a time,
+  under every codec alike: one regex findall splits a whole window into
+  code words, a word cut off at the window's end is carried over into the
+  next window, and the words of values below _TABLE_SIZE are looked up in
+  a table of the codec's words; the others go through int(word, 2) (vbyte
+  words after one join of the window's 7-bit groups). A rice stream is
+  read with its k's one pattern, and a small table of its k's words. Each
+  list takes its count's worth of the values, and of the gaps of its gap
+  stream: the one stream, or its rice k's.
 * size (`list_bit_lengths`, `code_bits`): code lengths in closed form from
-  each value's bit length, with nothing encoded.
+  each value's bit length (rice: from each gap and the list's k), with
+  nothing encoded.
 
 The string-level scalar codecs (gamma_/delta_encode/decode) are one-value
 calls of the same code-word rules, and the byte-level vbyte_encode/decode
@@ -59,7 +70,7 @@ import functools
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, repeat
-from operator import is_, sub
+from operator import is_, rshift, sub
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import CorruptionError, TruncationError, ValidationError
@@ -67,22 +78,25 @@ from .errors import CorruptionError, TruncationError, ValidationError
 MAX_VALUE = (1 << 64) - 1
 MAX_VBYTE_LEN = 10  # ceil(64 / 7)
 
-CODEC_NAMES = ("vbyte", "gamma", "delta")
-CODEC_IDS = {name: i for i, name in enumerate(CODEC_NAMES)}
+CODEC_NAMES = ("vbyte", "gamma", "delta")  # the codes of any value
+GAP_CODEC_NAMES = (*CODEC_NAMES, "rice")  # and those of key gaps
+CODEC_IDS = {name: i for i, name in enumerate(GAP_CODEC_NAMES)}
 
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Codec selection for the three encoded streams of an index."""
+    """Codec selection for the three encoded streams of an index; rice
+    codes doc gaps only."""
 
-    doc_gap: str = "delta"
+    doc_gap: str = "rice"
     payload: str = "gamma"
     coeff: str = "gamma"
 
     def __post_init__(self) -> None:
-        for name in (self.doc_gap, self.payload, self.coeff):
-            if name not in CODEC_NAMES:
-                raise ValidationError(f"unknown codec {name!r}; expected one of {CODEC_NAMES}")
+        for name, names in ((self.doc_gap, GAP_CODEC_NAMES), (self.payload, CODEC_NAMES), (self.coeff, CODEC_NAMES)):
+            if name not in names:
+                what = "codes key gaps only" if name in GAP_CODEC_NAMES else "is unknown"
+                raise ValidationError(f"codec {name!r} {what}; expected one of {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +145,72 @@ _WORD_RE = {
     "vbyte": re.compile(f"(?:1[01]{{7}}){{0,{MAX_VBYTE_LEN - 1}}}0[01]{{7}}|[01]"),
 }
 _JUNK = {"gamma": frozenset("0"), "delta": frozenset("0"), "vbyte": frozenset("01")}
+
+
+def rice_k(n: int, universe: int) -> int:
+    """The rice parameter of a list of n >= 1 key gaps whose keys lie below
+    `universe`: floor(log2 b) for b = round(0.69 (universe - n + 1) / n),
+    or 0 when b is 0. It falls as n grows, so rice_k(1, universe) is the
+    largest."""
+    b = (69 * (universe - n + 1) + 50 * n) // (100 * n)
+    return b.bit_length() - 1 if b > 0 else 0
+
+
+def gap_lengths(codec: str, top: int, k: int = 0) -> list[int]:
+    """The bits of the code word of each key gap up to `top` under `codec`,
+    by the gap, one run per bit length (rice: per quotient, of parameter
+    k)."""
+    if codec == "rice":
+        lengths = [0]
+        for q in range(((top - 1) >> k) + 1):
+            lengths += [q + 1 + k] * (1 << k)
+        return lengths
+    lengths = [_CODE_LEN[codec][0]]
+    for b in range(1, top.bit_length() + 1):
+        lengths += [_CODE_LEN[codec][b]] * (1 << (b - 1))
+    return lengths
+
+
+@functools.cache
+def _rice_pattern(k: int) -> re.Pattern[str]:
+    """One rice(k) word: zeros, a one, then k bits. Where a run of zeros or
+    a one starts no whole word, it is a token of its own, so the tokens
+    tile a text; that happens only at its end, and costs no backtracking
+    into the run more than once."""
+    return re.compile(f"0*1[01]{{{k}}}|0+|1[01]*")
+
+
+def _rice_format(gaps: Sequence[int], k: int, table: Sequence[str] = ("",)) -> list[str]:
+    """rice(k) words of `gaps`; those of the gaps below len(table) from it."""
+    size, top = len(table), 1 << k
+    if max(gaps, default=0) < size:
+        return list(map(table.__getitem__, gaps))
+    return [table[g] if g < size else "0" * ((g - 1) >> k) + bin((g - 1) & (top - 1) | top)[2:] for g in gaps]
+
+
+def _rice_parse(words: list[str], k: int) -> list[int]:
+    # int(word, 2) is (1 << k) | r, and a word is q + 1 + k bits long
+    return [int(w, 2) + ((len(w) - 2 - k) << k) + 1 for w in words]
+
+
+# The rice(k) words of the first eight quotients come from a table, for k up
+# to this: all these tables together hold 8 (2^9 - 1) = 4,088 words, fewer
+# than one table of another codec (_TABLE_SIZE - 1).
+_RICE_TABLE_K = 8
+
+
+@functools.cache
+def _rice_table(k: int) -> list[str]:
+    """The rice(k) words of the gaps 1 .. 8 << k, each at its gap; none
+    past _RICE_TABLE_K."""
+    return ["", *_rice_format(range(1, (8 << k) + 1), k)] if k <= _RICE_TABLE_K else [""]
+
+
+@functools.cache
+def _rice_values(k: int) -> dict[str, int]:
+    """The inverse of _rice_table(k)."""
+    return dict(zip(_rice_table(k)[1:], count(1)))
+
 
 # Code words of the values below this come from a table built on first use.
 _TABLE_SIZE = 1 << 12
@@ -209,13 +289,20 @@ def _word_values(codec: str) -> dict[str, int]:
     return dict(zip(_word_table(codec)[1:], range(1, _TABLE_SIZE)))
 
 
-def _parse(words: list[str], codec: str) -> list[int]:
-    """Values of `codec` words: those of the table's words, as the table's
-    own int objects, from the word -> value table; the misses by the
-    codec's parse."""
-    values = list(map(_word_values(codec).get, words))
+def _parse(words: list[str], codec: str, k: int = 0) -> list[int]:
+    """Values of `codec` words (rice: of parameter k): those of the table's
+    words, as the table's own int objects, from the word -> value table;
+    the misses by the codec's parse."""
+    if codec == "rice":
+        table = _rice_values(k)
+        if not table:
+            return _rice_parse(words, k)
+        parse: Callable[[list[str]], list[int]] = functools.partial(_rice_parse, k=k)
+    else:
+        table, parse = _word_values(codec), _PARSE[codec]
+    values = list(map(table.get, words))
     misses = list(compress(count(), map(is_, values, repeat(None))))
-    for i, x in zip(misses, _PARSE[codec]([words[i] for i in misses])):
+    for i, x in zip(misses, parse([words[i] for i in misses])):
         values[i] = x
     return values
 
@@ -334,13 +421,26 @@ def _gaps(keys: Sequence[int]) -> Iterator[int]:
     return map(sub, keys, chain((-1,), keys))
 
 
-def _list_parts(keys: Sequence[int], values: Sequence[int], gap_codec: str, val_codec: str) -> tuple[str, str, str]:
+def _universe(gap_codec: str, universe: int | None) -> int:
+    """The keys' universe that rice gaps are coded against; any other gap
+    code needs none."""
+    if universe is None:
+        if gap_codec == "rice":
+            raise ValidationError("rice gaps need the universe their keys lie below")
+        return 0
+    return universe
+
+
+def _list_parts(
+    keys: Sequence[int], values: Sequence[int], gap_codec: str, val_codec: str, universe: int
+) -> tuple[int, tuple[str, str, str]]:
     """One list's bits in each of the three streams, as '0'/'1' strings:
-    gamma(count + 1), the key gaps, the values."""
+    gamma(count + 1), the key gaps, the values; and the list's gap stream,
+    its rice parameter (0 under another gap code)."""
     if len(keys) != len(values):
         raise ValidationError(f"{len(keys)} keys for {len(values)} values")
     if not keys:
-        return "1", "", ""  # gamma(1): count 0
+        return 0, ("1", "", "")  # gamma(1): count 0
     gaps = list(_gaps(keys))
     top_gap, top_value = max(gaps), max(values)
     if min(gaps) < 1:
@@ -349,9 +449,17 @@ def _list_parts(keys: Sequence[int], values: Sequence[int], gap_codec: str, val_
         raise ValidationError(f"value {min(values)} must be >= 1")
     if top_gap > MAX_VALUE or top_value > MAX_VALUE:
         raise ValidationError(_LIST_VALUE_RANGE)
-    return (
+    k = 0
+    if gap_codec == "rice":
+        if keys[-1] >= universe:
+            raise ValidationError(f"key {keys[-1]} outside the universe of {universe} keys")
+        k = rice_k(len(keys), universe)
+        gap_words = _rice_format(gaps, k, _rice_table(k))
+    else:
+        gap_words = _words(gaps, gap_codec, top_gap)
+    return k, (
         _words((len(keys) + 1,), "gamma", len(keys) + 1)[0],
-        "".join(_words(gaps, gap_codec, top_gap)),
+        "".join(gap_words),
         "".join(_words(values, val_codec, top_value)),
     )
 
@@ -365,26 +473,31 @@ def _flush(out: bytearray, bits: str) -> str:
 
 
 def encode_streams(
-    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
+    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str, universe: int | None = None
 ) -> tuple[bytes, tuple[int, int], list[int]]:
     """Bit-pack (keys, values) lists as three streams back to back: every
-    list's gamma(count + 1), then every key gap, then every value.
+    list's gamma(count + 1), then every key gap, then every value. Under
+    rice the gaps are one stream per parameter k, and the blob starts with
+    the table of their lengths; `universe` is what the keys lie below.
 
     Returns the blob, zero-padded to a whole byte; the bits where the gap
     and value streams start; and each list's bit offset were the lists laid
     end to end, so that consecutive offsets differ by a list's length.
     """
-    outs = (bytearray(), bytearray(), bytearray())
-    pending: tuple[list[str], ...] = ([], [], [])
+    universe = _universe(gap_codec, universe)
+    gap_streams = rice_k(1, universe) + 1 if gap_codec == "rice" else 1
+    outs = [bytearray() for _ in range(gap_streams + 2)]
+    pending: list[list[str]] = [[] for _ in outs]
     offsets = []
     total = held = 0
     for keys, values in lists:
-        parts = _list_parts(keys, values, gap_codec, val_codec)
+        k, (head, gaps, vals) = _list_parts(keys, values, gap_codec, val_codec, universe)
         offsets.append(total)
-        total += (size := sum(map(len, parts)))
+        total += (size := len(head) + len(gaps) + len(vals))
         held += size
-        for stream, part in zip(pending, parts):
-            stream.append(part)
+        pending[0].append(head)
+        pending[1 + k].append(gaps)
+        pending[-1].append(vals)
         if held >= _FLUSH_BITS:
             for out, stream in zip(outs, pending):
                 stream[:] = [_flush(out, "".join(stream))]
@@ -399,20 +512,23 @@ def encode_streams(
         data.clear()
         rest = _flush(out, rest + "".join(stream))
     _flush(out, rest + "0" * (-len(rest) % 8))
-    return bytes(out), (starts[0], starts[1]), offsets
+    table = encode_vbytes(map(sub, starts[1:], starts)) if gap_codec == "rice" else b""  # each gap stream's length
+    return table + out, (starts[0] + 8 * len(table), starts[-1] + 8 * len(table)), offsets
 
 
 def encode_lists(
-    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
+    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str, universe: int | None = None
 ) -> tuple[bytes, list[int]]:
     """encode_streams' blob and list offsets, for a caller that keeps no
     stream starts: decode_lists finds them."""
-    blob, _, offsets = encode_streams(lists, gap_codec, val_codec)
+    blob, _, offsets = encode_streams(lists, gap_codec, val_codec, universe)
     return blob, offsets
 
 
 # Streams are turned into '0'/'1' text and tokenised this many bytes at a
 # time, so a decoder holds a bounded window of each stream, never all of it.
+# A section holds up to one rice stream per k, each with a window of half
+# of that.
 _WINDOW_BYTES = 2048
 
 # Before a window's last _MAX_CODE_LEN tokens (which may hold a word cut
@@ -424,35 +540,45 @@ _JUNK_RUN = {"gamma": "0" * 64, "delta": "0" * 6, "vbyte": ""}
 
 class _Stream:
     """Bits [start, end) of a blob: code words under one codec, read as
-    '0'/'1' text one bounded window at a time.
+    '0'/'1' text one bounded window at a time. A rice stream holds the
+    gaps of parameter k of keys below `universe`.
 
     bits[pos:] are the bits not yet read; bits[0] is bit `base` of the
     blob. buf[i:] are the values of the words read but not yet taken.
     """
 
-    __slots__ = ("blob", "codec", "name", "end", "next_bit", "bits", "base", "pos", "buf", "i")
+    __slots__ = ("blob", "codec", "name", "end", "next_bit", "bits", "base", "pos", "buf", "i", "k", "top_q")
 
-    def __init__(self, blob: bytes, codec: str, start: int, end: int, name: str = "") -> None:
+    def __init__(self, blob: bytes, codec: str, start: int, end: int, name: str = "", k: int = 0, universe: int = 0) -> None:
         self.blob, self.codec, self.name, self.end = blob, codec, name, end
         self.next_bit = self.base = start
         self.bits = ""
         self.pos = self.i = 0
         self.buf: list[int] = []
+        self.k = k
+        self.top_q = (universe - 1) >> k  # rice: the quotient of a gap as large as the universe
 
     def bits_left(self) -> int:
         return self.end - self.base - self.pos
 
+    def _window(self) -> None:
+        """Add the stream's next window to the unread text."""
+        start = self.next_bit
+        if start < self.end:
+            self.next_bit = stop = min(self.end, start + (_WINDOW_BYTES << 2 if self.codec == "rice" else _WINDOW_BYTES << 3))
+            skip = start & 7
+            self.bits += _bit_string(self.blob[start >> 3 : (stop + 7) >> 3])[skip : skip + stop - start]
+
     def words(self) -> list[str]:
         """The whole code words in the stream's next window, read. The
         unread bits are carried over into the window."""
-        codec, start = self.codec, self.next_bit
+        codec = self.codec
         self.base += self.pos
         self.bits = self.bits[self.pos :]
         self.pos = 0
-        if start < self.end:
-            self.next_bit = stop = min(self.end, start + 8 * _WINDOW_BYTES)
-            skip = start & 7
-            self.bits += _bit_string(self.blob[start >> 3 : (stop + 7) >> 3])[skip : skip + stop - start]
+        if codec == "rice":
+            return self._rice_words()
+        self._window()
         bits = self.bits
         tokens = _WORD_RE[codec].findall(bits)
         # The tokens tile the text. The first junk token starts a word cut
@@ -470,10 +596,42 @@ class _Stream:
             _no_word(codec, self.base, len(bits))
         return tokens
 
+    def _rice_words(self) -> list[str]:
+        """words() of a rice stream. A word may be longer than a window, so
+        windows are added until the text holds a one with k bits after it,
+        each window searched once for it. A quotient past that of a gap as
+        large as the universe is corrupt, found before the text holds more
+        zeros than that. (A later word's gap past the universe puts its
+        list's last key past it, which _lists rejects.)"""
+        k = self.k
+        # the carried bits are a word cut off at the end: zeros, then a one
+        # with fewer than k bits after it, if any
+        lo = max(0, len(self.bits) - k)
+        while True:
+            self._window()
+            bits = self.bits
+            one = bits.find("1", lo)
+            if (len(bits) if one < 0 else one) > self.top_q:
+                raise CorruptionError(f"no rice code word at bit {self.base}")
+            if 0 <= one < len(bits) - k:
+                break
+            if self.next_bit >= self.end:
+                raise TruncationError("bit stream ended mid-value")
+            lo = len(bits) if one < 0 else one
+        tokens = _rice_pattern(k).findall(bits)
+        # The tokens tile the text; a word cut off at its end is one or two
+        # tokens with no one k bits before their end.
+        end = len(tokens)
+        while len(tokens[end - 1]) <= k or tokens[end - 1][-k - 1] == "0":
+            end -= 1
+        self.pos = len(bits) - sum(map(len, tokens[end:]))
+        del tokens[end:]
+        return tokens
+
     def read(self) -> list[int]:
         """The values of the words in the next window, read ahead."""
         words = self.words()
-        buf = self.buf = _parse(words, self.codec)
+        buf = self.buf = _parse(words, self.codec, self.k)
         self.i = 0
         if self.codec == "vbyte" and 0 in buf:  # no list value: read no further
             z = buf.index(0)
@@ -499,12 +657,13 @@ class _Stream:
         return out
 
 
-def _stream_starts(blob: bytes, count: int, gap_codec: str) -> list[int]:
+def _stream_starts(blob: bytes, count: int, gap_codec: str, head: int = 0, gap_bits: int | None = None) -> list[int]:
     """Where the gap and value streams of `count` lists start: past the
-    count words, and past as many gap words as they count."""
+    count words from bit `head`, and past as many gap words as they count,
+    or `gap_bits` bits when the gap streams' lengths are stored."""
     starts = []
-    at, k = 0, count
-    for codec in ("gamma", gap_codec):
+    at, k = head, count
+    for codec in ("gamma", gap_codec)[: 1 if gap_bits is not None else 2]:
         src = _Stream(blob, codec, at, 8 * len(blob))
         n = 0
         while k:
@@ -517,64 +676,107 @@ def _stream_starts(blob: bytes, count: int, gap_codec: str) -> list[int]:
             n += sum(_parse(words, "gamma")) - len(words) if codec == "gamma" else 0
         starts.append(at)
         k = n
+    if gap_bits is not None:
+        starts.append(at + gap_bits)
     return starts
 
 
-def _lists(streams: tuple[_Stream, _Stream, _Stream], count: int, what: str) -> Iterator[tuple[list[int], list[int]]]:
-    """decode_lists' lists, read from the three streams side by side: the
-    counts a window at a time, and each list's gaps and values after the
-    one before's."""
-    heads, gaps, values = streams
-    take_gaps, take_values = gaps.take, values.take
+class _Lazy(dict):
+    """A table whose value for a key is build(key), made and stored the
+    first time the key is looked up."""
+
+    def __init__(self, build: Callable[[int], object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.build(key)
+        return value
+
+
+def _lists(
+    streams: list[_Stream], count: int, what: str, universe: int | None
+) -> Iterator[tuple[list[int], list[int]]]:
+    """decode_lists' lists, read from the streams side by side: the counts
+    a window at a time, and each list's gaps (from its own rice k's stream,
+    when the gaps are several streams) and values after the one before's.
+    Rice keys must lie below their universe."""
+    heads, *gaps, values = streams
+    take_values = values.take
+    # each count's gap stream: its own rice k's, or the one stream
+    take_gaps = _Lazy(lambda n: gaps[rice_k(n - 1, universe) if n > 1 and len(gaps) > 1 else 0].take)
     index = 0
     while index < count:
         i = heads.i
         counts = heads.buf[i : i + count - index] if i < len(heads.buf) else heads.read()[: count - index]
         heads.i += len(counts)
         for n in counts:
-            keys = take_gaps(n - 1)
+            keys = take_gaps[n](n - 1)
             vals = take_values(n - 1)
             index += 1
             if index == count:
                 # each stream ends where the next starts, the last in the blob's final byte
-                for src, slack in zip(streams, (1, 1, 8)):
-                    if src.i < len(src.buf) or src.bits_left() >= slack:
-                        where = "the section" if slack == 8 else f"its {src.name} stream"
+                for src in streams:
+                    if src.i < len(src.buf) or src.bits_left() >= (8 if src is values else 1):
+                        where = "the section" if src is values else f"its {src.name} stream"
                         raise CorruptionError(f"{what} {count - 1} does not end at the end of {where}")
             if keys:
                 keys[0] -= 1  # g0 = key0 + 1
-            yield list(accumulate(keys)), vals
+                keys = list(accumulate(keys))
+                if universe is not None and keys[-1] >= universe:
+                    raise CorruptionError(f"{what} {index - 1} has a key past its universe of {universe}")
+            yield keys, vals
 
 
 def decode_lists(
-    blob: bytes, count: int, gap_codec: str, val_codec: str, what: str = "list", starts: Sequence[int] | None = None
+    blob: bytes,
+    count: int,
+    gap_codec: str,
+    val_codec: str,
+    what: str = "list",
+    starts: Sequence[int] | None = None,
+    universe: int | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
-    """Decode the `count` lists `encode_streams` packed into `blob`.
+    """Decode the `count` lists `encode_streams` packed into `blob`; rice
+    gaps need the `universe` they were coded against.
 
     `starts` are where the gap and value streams start, as encode_streams
     returns them; without them they are found by reading the counts and
-    skipping the gaps. The streams are read side by side, each list from
-    the words after the one before's; each stream must end where the next
-    starts, and the last in the blob's final byte. Yields (keys, values)
-    one list at a time, holding a bounded window of each stream.
+    skipping the gaps (rice: by the table of the gap streams' lengths).
+    The streams are read side by side, each list from the words after the
+    one before's; each stream must end where the next starts, and the last
+    in the blob's final byte. Yields (keys, values) one list at a time,
+    holding a bounded window of each stream.
     """
+    universe = _universe(gap_codec, universe)
     size = 8 * len(blob)
-    gap_at, val_at = _stream_starts(blob, count, gap_codec) if starts is None else starts
-    if not 0 <= gap_at <= val_at <= size:
+    rice = gap_codec == "rice"
+    head, lengths = 0, ()
+    if rice:  # the table of the gap streams' lengths, one per k
+        lengths, head = decode_vbytes(blob, rice_k(1, universe) + 1)
+        head *= 8
+    if starts is None:
+        starts = _stream_starts(blob, count, gap_codec, head, sum(lengths) if rice else None)
+    gap_at, val_at = starts
+    if not head <= gap_at <= val_at <= size:
         raise CorruptionError(f"{what} streams start out of bounds")
-    if not count and size:
-        raise CorruptionError(f"{what} section holds {size} bits but no {what}")
-    streams = (
-        _Stream(blob, "gamma", 0, gap_at, "count"),
-        _Stream(blob, gap_codec, gap_at, val_at, "gap"),
-        _Stream(blob, val_codec, val_at, size, "value"),
-    )
-    return _lists(streams, count, what)
+    if not count and size > head:
+        raise CorruptionError(f"{what} section holds {size - head} bits but no {what}")
+    if rice:
+        bounds = list(accumulate(lengths, initial=gap_at))
+        if bounds[-1] != val_at:
+            raise CorruptionError(f"{what} gap streams take {bounds[-1] - gap_at} bits, not {val_at - gap_at}")
+        gaps = [_Stream(blob, "rice", *bounds[k : k + 2], "gap", k, universe) for k in range(len(lengths))]
+    else:
+        gaps = [_Stream(blob, gap_codec, gap_at, val_at, "gap")]
+    streams = [_Stream(blob, "gamma", head, gap_at, "count"), *gaps, _Stream(blob, val_codec, val_at, size, "value")]
+    return _lists(streams, count, what, universe if rice else None)
 
 
 def code_lengths(codec: str) -> Sequence[int]:
     """The bits of one `codec` code word, indexed by the coded value's bit
-    length: the table code_bits and list_bit_lengths sum from."""
+    length: the table code_bits and list_bit_lengths sum from. rice has
+    none: its lengths hang on the gap itself."""
     return _CODE_LEN[codec]
 
 
@@ -586,18 +788,38 @@ def code_bits(values: Iterable[int], codec: str) -> int:
         raise ValidationError("value wider than 64 bits") from None
 
 
+def _rice_bits(keys: Sequence[int], universe: int) -> int:
+    """Bits of the rice gap words of a list's keys, in closed form: each
+    gap's (g - 1) >> k, plus k + 1."""
+    n = len(keys)
+    if not n:
+        return 0
+    k = rice_k(n, universe)
+    if not k:  # unary: the gaps add up to the last key plus one
+        return keys[-1] + 1
+    # g - 1 is each key less the key before it plus one (0 before the
+    # first): the differences of each key less its index
+    y = list(map(sub, keys, range(n)))
+    return n * (k + 1) + sum(map(rshift, map(sub, y, chain((0,), y)), repeat(k, n)))
+
+
 def list_bit_lengths(
-    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
+    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str, universe: int | None = None
 ) -> list[int]:
-    """Each list's encoded length in bits, as `encode_lists` would write it."""
-    gap_len = _CODE_LEN[gap_codec].__getitem__
+    """Each list's encoded length in bits, as `encode_lists` would write it
+    (rice: against `universe`)."""
     val_len = _CODE_LEN[val_codec].__getitem__
     bit_length = int.bit_length
+    if gap_codec == "rice":
+        gap_bits = functools.partial(_rice_bits, universe=_universe(gap_codec, universe))
+    else:
+        gap_len = _CODE_LEN[gap_codec].__getitem__
+
+        def gap_bits(keys: Sequence[int]) -> int:
+            return sum(map(gap_len, map(bit_length, _gaps(keys))))
     try:
         return [
-            _GAMMA_LEN[(len(keys) + 1).bit_length()]
-            + sum(map(gap_len, map(bit_length, _gaps(keys))))
-            + sum(map(val_len, map(bit_length, values)))
+            _GAMMA_LEN[(len(keys) + 1).bit_length()] + gap_bits(keys) + sum(map(val_len, map(bit_length, values)))
             for keys, values in lists
         ]
     except IndexError:  # a bit length past the tables: wider than 64 bits

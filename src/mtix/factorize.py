@@ -44,15 +44,15 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, compress, islice, repeat
 from operator import and_, attrgetter, ge, itemgetter, lshift, lt, mul, ne, sub
 from pathlib import Path
 from re import finditer
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
-from .codec import CodecConfig, code_bits, code_lengths, list_bit_lengths, unzip_pairs
+from .codec import CodecConfig, _Lazy, code_bits, code_lengths, gap_lengths, list_bit_lengths, rice_k, unzip_pairs
 from .errors import InvariantError, ValidationError, check_int
 from .matrix import Lexicon, PostingList, TermDocMatrix, primitive
 
@@ -212,19 +212,6 @@ def _later_partners(later: dict[int, list[int]], docs1: Sequence[int], min_cols:
     counts = Counter(chain.from_iterable(map(later.get, docs1, repeat(()))))
     partners = sorted(compress(counts, map(ge, counts.values(), repeat(min_cols))))
     return zip(partners, map(counts.__getitem__, partners))
-
-
-class _Lazy(dict):
-    """A table whose value for a key is build(key), made and stored the
-    first time the key is looked up."""
-
-    def __init__(self, build: Callable[[int], object]):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key: int) -> object:
-        value = self[key] = self.build(key)
-        return value
 
 
 def _bits(ids: Iterable[int]) -> int:
@@ -522,7 +509,12 @@ _GAMMA = code_lengths("gamma")  # each list's head is gamma(count + 1)
 _FIRST = itemgetter(0)  # a member's term, a W entry's meta-term id
 
 
-def _gap_bits_added(cost: Sequence[int], docs: Sequence[int], cols: Sequence[int]) -> int:
+def _gap_bits(cost: dict[int, int], keys: Sequence[int]) -> int:
+    """Bits of the key gaps of `keys`; cost[g] is the code length of gap g."""
+    return sum(map(cost.__getitem__, map(sub, keys, chain((-1,), keys))))
+
+
+def _gap_bits_added(cost: dict[int, int], docs: Sequence[int], cols: Sequence[int]) -> int:
     """Bits the doc gaps of `docs` grow by when `cols`, ascending and
     disjoint from them, are merged in, one at a time; cost[g] is the code
     length of gap g.
@@ -557,9 +549,20 @@ class _Cover:
     def __init__(self, f: Factorization, cfg: CodecConfig):
         self.f = f
         self.cfg = cfg
-        self.gap = code_lengths(cfg.doc_gap)
         self.coeff = code_lengths(cfg.coeff)
-        self.min_cell = self.gap[1] + code_lengths(cfg.payload)[1]  # the shortest H cell: gap 1, value 1
+        self.min_value = code_lengths(cfg.payload)[1]
+        rice = cfg.doc_gap == "rice"
+        # the rice parameter of an H list and of a W row of n keys (0 under
+        # another gap code), and the code length of each key gap, by the
+        # gap, under each parameter
+        self.h_k = _Lazy(lambda n: rice_k(n, f.num_docs) if rice and n else 0)
+        self.w_k = _Lazy(lambda n: rice_k(n, len(f.metaterms)) if rice and n else 0)
+        top = max(f.num_docs, len(f.metaterms))
+        self.cost = _Lazy(lambda k: gap_lengths(cfg.doc_gap, top, k))
+        # term -> parameter -> the gap bits of its direct list, and of its W
+        # row, each kept until the list changes
+        self.h_sums: dict[int, dict[int, int]] = {}
+        self.w_sums: dict[int, dict[int, int]] = {}
         self.w_rows: list[Sequence[tuple[int, int]]] = list(f.memberships)
         self.docs: list[Sequence[int]] = list(map(attrgetter("docs"), f.residual))
         self.members: list[list[tuple[int, int]] | None] = [[] for _ in f.metaterms]
@@ -568,42 +571,51 @@ class _Cover:
                 self.members[m].append((t, k))
         self.h: dict[int, tuple[int, int]] = {}  # meta-term -> its H list's (gap, value) bits
 
-    @cached_property
-    def gap_cost(self) -> list[int]:
-        """The code length of each doc gap that can occur, by the gap: one
-        run per bit length."""
-        cost = [self.gap[0]]
-        for b in range(1, self.f.num_docs.bit_length() + 1):
-            cost += [self.gap[b]] * (1 << (b - 1))
-        return cost
-
     def _h_bits(self, m: int) -> tuple[int, int]:
         if m not in self.h:
-            mt = self.f.metaterms[m]
-            gaps = map(sub, mt.cols, chain((-1,), mt.cols))
-            self.h[m] = (code_bits(gaps, self.cfg.doc_gap), code_bits(mt.base, self.cfg.payload))
+            cols = self.f.metaterms[m].cols
+            gap_bits = _gap_bits(self.cost[self.h_k[len(cols)]], cols)
+            self.h[m] = (gap_bits, code_bits(self.f.metaterms[m].base, self.cfg.payload))
         return self.h[m]
+
+    def _gap_sum(self, sums: dict[int, dict[int, int]], t: int, k: int, keys: Sequence[int]) -> int:
+        """The bits of the gaps of term t's `keys` under parameter k, from or
+        into `sums`."""
+        by_k = sums.setdefault(t, {})
+        if k not in by_k:
+            by_k[k] = _gap_bits(self.cost[k], keys)
+        return by_k[k]
 
     def _w_saved(self, t: int, m: int, k: int) -> int:
         """Bits term t's W row loses with its entry (m, k): the count word,
         the entry's id gap and coefficient, and its two neighbours' gaps
-        merged into one."""
+        merged into one. Where that changes the row's rice parameter, its
+        other gaps are costed again."""
         row = self.w_rows[t]
         n = len(row)
         j = bisect_left(row, (m,))
-        gap = self.gap
+        bits = _GAMMA[(n + 1).bit_length()] - _GAMMA[n.bit_length()] + self.coeff[k.bit_length()]
+        if n == 1:  # the row empties
+            return bits + self.cost[self.w_k[1]][m + 1]
+        k0, k1 = self.w_k[n], self.w_k[n - 1]
+        cost = self.cost[k1]
         prev = row[j - 1][0] if j else -1
-        bits = _GAMMA[(n + 1).bit_length()] - _GAMMA[n.bit_length()] + gap[(m - prev).bit_length()] + self.coeff[k.bit_length()]
+        bits += cost[m - prev]
         if j + 1 < n:
-            after = row[j + 1][0]
-            bits += gap[(after - m).bit_length()] - gap[(after - prev).bit_length()]
+            nxt = row[j + 1][0]
+            bits += cost[nxt - m] - cost[nxt - prev]
+        if k1 != k0:  # the row's rice parameter changes: its gaps are costed again
+            ids = list(map(_FIRST, row))
+            bits += self._gap_sum(self.w_sums, t, k0, ids) - self._gap_sum(self.w_sums, t, k1, ids)
         return bits
 
     def saving(self, m: int) -> int:
         """Bits the file loses when meta-term m is dissolved: its H list and
         its members' W entries go, and its cells join its members' direct
         lists. The shift of the later ids in other W rows is left out: it
-        can only shorten their gaps, so the saving is never overstated."""
+        can only shorten their gaps, so the saving is never overstated,
+        but under rice fewer meta-terms can also move those rows' parameter
+        either way. pays() sizes the file that results exactly."""
         mt = self.f.metaterms[m]
         c = len(mt.cols)
         gap_bits, base_bits = self._h_bits(m)
@@ -615,8 +627,11 @@ class _Cover:
             docs = self.docs[t]
             if docs:
                 n = len(docs)
+                k0, k1 = self.h_k[n], self.h_k[n + c]
                 saved -= _GAMMA[(n + c + 1).bit_length()] - _GAMMA[(n + 1).bit_length()] + cells
-                saved -= _gap_bits_added(self.gap_cost, docs, mt.cols)
+                saved -= _gap_bits_added(self.cost[k1], docs, mt.cols)
+                if k1 != k0:  # the list's rice parameter changes: its own gaps are costed again
+                    saved -= self._gap_sum(self.h_sums, t, k1, docs) - self._gap_sum(self.h_sums, t, k0, docs)
             else:  # gamma(1), an empty list, becomes k * base over m's columns
                 saved -= head - 1 + gap_bits + cells
         return saved
@@ -638,7 +653,8 @@ class _Cover:
     def _shape_bound(self, m: int) -> int:
         """r - (r - 1) times the shortest H list of meta-term m's width."""
         r, c = len(self.members[m]), len(self.f.metaterms[m].cols)
-        return r - (r - 1) * (_GAMMA[(c + 1).bit_length()] + c * self.min_cell)
+        min_cell = self.cost[self.h_k[c]][1] + self.min_value  # gap 1, value 1
+        return r - (r - 1) * (_GAMMA[(c + 1).bit_length()] + c * min_cell)
 
     def dissolve(self, m: int) -> list[int]:
         """Put meta-term m's cells back into its members' direct lists;
@@ -649,10 +665,12 @@ class _Cover:
             row = self.w_rows[t]
             j = bisect_left(row, (m,))
             row = self.w_rows[t] = row[:j] + row[j + 1 :]
+            self.w_sums.pop(t, None)
             if row:  # else no meta-term reads t again, and result() takes its row of V
                 others += map(_FIRST, row)
                 docs = self.docs[t] = [*self.docs[t], *cols]
                 docs.sort()  # two ascending runs: one merge
+                self.h_sums.pop(t, None)
         self.members[m] = None
         return others
 
@@ -689,7 +707,8 @@ class _Cover:
         cfg = self.cfg
 
         def direct_bits(rows: list[PostingList]) -> int:
-            return sum(list_bit_lengths(((row.docs, row.payloads) for row in rows), cfg.doc_gap, cfg.payload))
+            lists = ((row.docs, row.payloads) for row in rows)
+            return sum(list_bit_lengths(lists, cfg.doc_gap, cfg.payload, f.num_docs))
 
         def h_excess(terms: Sequence[int]) -> int:
             """The H bits of the meta-terms of `terms` and their residual
@@ -713,7 +732,8 @@ class _Cover:
                 bound_x += self._shape_bound(m)
             else:
                 opened.update(dict.fromkeys(map(_FIRST, members)))
-        w += sum(list_bit_lengths(map(unzip_pairs, map(f.memberships.__getitem__, opened)), cfg.doc_gap, cfg.coeff))
+        w_lists = map(unzip_pairs, map(f.memberships.__getitem__, opened))
+        w += sum(list_bit_lengths(w_lists, cfg.doc_gap, cfg.coeff, len(f.metaterms)))
         w -= len(opened)
 
         # Whatever the other lists' bits, ceil((D + x) / 8) - ceil(D / 8)

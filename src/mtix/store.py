@@ -1,6 +1,6 @@
 """Binary index persistence and size statistics.
 
-File layout, format version 6 (header integers little-endian, fixed width):
+File layout, format version 7 (header integers little-endian, fixed width):
 
     magic "MTIX" | u8 version | u8 x3 codec ids (doc-gap, payload, coeff)
     u32 CRC32 (zlib) of every other byte of the file
@@ -15,6 +15,10 @@ Each section starts with a `u64 count`:
     H-section: count | the meta-terms' (doc gap, base value) lists, then one
                direct (doc gap, payload) list per term, in term order
     W-section: count | the per-term (meta-term id gap, coefficient) lists
+
+Under rice doc gaps, an H or W section's count word is followed by its
+table of rice gap-stream lengths (codec.encode_streams): one vbyte per k
+from 0 to rice_k(1, N), N being num_docs for H and num_metaterms for W.
 
 The two name tables are front-coded, then deflated (zlib, level 9). The
 inflated bytes hold, one vbyte each (codec.encode_vbytes), every name's
@@ -35,10 +39,12 @@ A section's lists are bit-packed by the codec's list kernels as three
 streams back to back, with no padding between them: every list's
 gamma(count + 1), then every key gap under the doc-gap codec, then every
 value (H: payloads, W: coefficients) under its codec; the section is
-zero-padded to a byte. A stream start is a bit offset from the first bit
-after the section's count word; the counts start there. No list offset is
-stored: the counts say how many gaps and values each list takes, so the
-three streams decode side by side, one list after the other. Loading
+zero-padded to a byte. Under rice the gaps are one stream per k, and each
+list's gaps are in the stream of its own k, which its count and N give.
+A stream start is a bit offset from the first bit after the section's
+count word; the counts start there, or after the rice table. No list
+offset is stored: the counts say how many gaps and values each list takes,
+so the streams decode side by side, one list after the other. Loading
 checks magic, version and section offsets, then the
 CRC, then the structure: each name table's count must match the header,
 its inflated length must hold two vbytes per name, its stream must
@@ -52,14 +58,14 @@ again (a name of a few bytes can repeat all of the name before it), so a
 table whose names would hold more than 1032 code points per byte of the
 file is rejected before any name is built. A crafted file thus cannot make
 load inflate more than 1032 bytes, or build names of more than 1032 code
-points, per table and per byte of its own size. Files of versions 1 to 5
+points, per table and per byte of its own size. Files of versions 1 to 6
 are not read. A loaded index holds one int object per doc id, which the
 meta-terms' columns and the direct lists share.
 
 Saving identical inputs yields byte-identical files under one zlib build
 (zlib's output is fixed for one level and one version of the library).
-Size statistics count the encoded content of the H/W sections
-(everything after each section's count word), so an empty index reports
+Size statistics count the encoded lists of the H/W sections (everything
+after each section's count word and rice table), so an empty index reports
 zero bytes; they are computed from closed-form code lengths, without
 encoding anything.
 """
@@ -79,6 +85,7 @@ from typing import Iterable, Iterator, Sequence
 from .codec import (
     CODEC_IDS,
     CODEC_NAMES,
+    GAP_CODEC_NAMES,
     CodecConfig,
     decode_lists,
     decode_vbytes,
@@ -92,7 +99,7 @@ from .factorize import Factorization, MetaTerm
 from .matrix import Lexicon, PostingList, TermDocMatrix, nnz, shared_ints
 
 MAGIC = b"MTIX"
-VERSION = 6
+VERSION = 7
 _HEADER = struct.Struct("<4s4BI3Q4Q4Q")  # magic, version, 3 codec ids, CRC32, counts, stream starts, offsets
 _CRC_AT = 8  # byte offset of the CRC32 in the header
 _U64 = struct.Struct("<Q")
@@ -197,7 +204,10 @@ def _encoded_sections(f: Factorization, cfg: CodecConfig) -> tuple[tuple, tuple]
     section's lists (the meta-terms, then the direct lists) and of the W
     rows, exactly as saved."""
     h_lists, w_lists = _section_lists(f, f.residual)
-    return encode_streams(h_lists, cfg.doc_gap, cfg.payload), encode_streams(w_lists, cfg.doc_gap, cfg.coeff)
+    return (
+        encode_streams(h_lists, cfg.doc_gap, cfg.payload, f.num_docs),
+        encode_streams(w_lists, cfg.doc_gap, cfg.coeff, len(f.metaterms)),
+    )
 
 
 def encoded_section_parts(
@@ -316,10 +326,10 @@ def load_index(path: str | Path) -> LoadedIndex:
     _, _, id_gap, id_pay, id_coeff, crc, num_terms, num_docs, num_meta, *starts, off_doc, off_lex, off_h, off_w = _checked_header(data, len(data))
     if crc != _checksum(data):
         raise CorruptionError("checksum mismatch: the index file is corrupt")
-    for cid in (id_gap, id_pay, id_coeff):
-        if cid >= len(CODEC_NAMES):
+    for cid, names in ((id_gap, GAP_CODEC_NAMES), (id_pay, CODEC_NAMES), (id_coeff, CODEC_NAMES)):
+        if cid >= len(names):
             raise FormatError(f"unknown codec id {cid}")
-    cfg = CodecConfig(CODEC_NAMES[id_gap], CODEC_NAMES[id_pay], CODEC_NAMES[id_coeff])
+    cfg = CodecConfig(GAP_CODEC_NAMES[id_gap], CODEC_NAMES[id_pay], CODEC_NAMES[id_coeff])
 
     doc_names, pos = _read_names(data, off_doc, off_lex, num_docs, "doc-table")
     if pos != off_lex:
@@ -339,7 +349,7 @@ def load_index(path: str | Path) -> LoadedIndex:
     doc_ids = list(range(num_docs))  # num_docs is bounded: the doc table is read
     metaterms = []
     residual = []
-    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list", starts[:2])
+    h_lists = decode_lists(data[off_h + 8 : off_w], num_meta + num_terms, cfg.doc_gap, cfg.payload, "H list", starts[:2], num_docs)
     for mid, (cols, base) in enumerate(islice(h_lists, num_meta)):
         # keys are strictly ascending, so the last is the largest
         if cols and cols[-1] >= num_docs:
@@ -351,7 +361,7 @@ def load_index(path: str | Path) -> LoadedIndex:
         residual.append(PostingList(t, shared_ints(doc_ids, docs), tuple(payloads)))
 
     memberships = []
-    w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row", starts[2:])
+    w_lists = decode_lists(data[off_w + 8 :], num_terms, cfg.doc_gap, cfg.coeff, "W row", starts[2:], num_meta)
     for t, (ids, coeffs) in enumerate(w_lists):
         if ids and ids[-1] >= num_meta:
             raise CorruptionError(f"W row {t} references meta-term beyond count")
@@ -398,9 +408,9 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
     term's residual row as its direct list, and the W rows. A factorization
     with no meta-term thus costs bytes_direct + ceil(num_terms / 8): its
     direct lists are V's rows, and each W row is empty, a 1-bit count. The
-    header, count words, doc names and term strings are left out of both:
-    a directly coded index needs the same names and strings, so they are
-    framing, not a cost of factoring. The ratio is undefined (None) when
+    header, count words, rice tables, doc names and term strings are left
+    out of both: a directly coded index needs the same names and strings,
+    so they are framing, not a cost of factoring. The ratio is undefined (None) when
     there is nothing to encode directly. Both come from closed-form code
     lengths, so the lists are taken to be valid, as ingest and factor build
     them; save_index is what checks them. nnz_w and nnz_h count the
@@ -414,14 +424,14 @@ def stats(matrix: TermDocMatrix, f: Factorization, cfg: CodecConfig) -> IndexSta
             f"{matrix.num_terms} x {matrix.num_docs}"
         )
     direct_bits = list_bit_lengths(
-        ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload
+        ((row.docs, row.payloads) for row in matrix.rows), cfg.doc_gap, cfg.payload, f.num_docs
     )
     # A residual row that is V's own row object, as factoring leaves an
     # untouched row, is coded as that row was above: only the others are sized.
     own = list(map(is_, f.residual, chain(matrix.rows, repeat(None))))
     h_lists, w_lists = _section_lists(f, compress(f.residual, map(not_, own)))
-    h_bits = sum(list_bit_lengths(h_lists, cfg.doc_gap, cfg.payload)) + sum(compress(direct_bits, own))
-    w_bits = list_bit_lengths(w_lists, cfg.doc_gap, cfg.coeff)
+    h_bits = sum(list_bit_lengths(h_lists, cfg.doc_gap, cfg.payload, f.num_docs)) + sum(compress(direct_bits, own))
+    w_bits = list_bit_lengths(w_lists, cfg.doc_gap, cfg.coeff, len(f.metaterms))
     bytes_direct = (sum(direct_bits) + 7) // 8
     bytes_factored = (h_bits + 7) // 8 + (sum(w_bits) + 7) // 8
     return IndexStats(

@@ -7,7 +7,10 @@ word tables on purpose.
 
 write_lists and read_lists use them to code lists in the section format:
 three streams back to back, every list's gamma(count + 1), then every key
-gap, then every value.
+gap, then every value. Under rice the key gaps are one stream per
+parameter k, led by a table of their lengths; rice_k and the rice coder
+are written here from the format's rules, bit by bit, apart from
+mtix.codec's.
 
 vbyte_decode is mtix.codec.vbyte_decode as it was before it became a
 one-value call of codec.decode_vbytes, kept verbatim so that test_codec can
@@ -191,6 +194,32 @@ def _get_delta(r: BitReader) -> int:
     return (1 << n) | r.read_bits(n)
 
 
+def rice_k(n: int, universe: int) -> int:
+    """The rice parameter of n gaps of keys below universe: b is
+    0.69 (universe - n + 1) / n rounded, and k the floor of its log2."""
+    b = (69 * (universe - n + 1) + 50 * n) // (100 * n)
+    k = 0
+    while b >= 2:
+        b //= 2
+        k += 1
+    return k
+
+
+def put_rice(w: BitWriter, g: int, k: int) -> None:
+    if not 1 <= g <= MAX_VALUE:
+        raise ValidationError(f"rice: {g} outside [1, 2^64)")
+    q = (g - 1) >> k
+    for _ in range(q):
+        w.write_bits(0, 1)
+    w.write_bits(1, 1)
+    w.write_bits((g - 1) & ((1 << k) - 1), k)
+
+
+def get_rice(r: BitReader, k: int) -> int:
+    q = r.read_unary()
+    return (q << k | r.read_bits(k)) + 1
+
+
 _WRITERS: dict[str, Callable[[BitWriter, int], None]] = {
     "vbyte": _put_vbyte,
     "gamma": _put_gamma,
@@ -212,56 +241,85 @@ def get_value(r: BitReader, codec: str) -> int:
 
 
 def write_lists(
-    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str
+    lists: Iterable[tuple[Sequence[int], Sequence[int]]], gap_codec: str, val_codec: str, universe: int = 0
 ) -> tuple[bytes, tuple[int, int], list[int]]:
     """(keys, values) lists as three streams back to back: every list's
-    count, then every key gap, then every value. Returns the blob, the bit
+    count, then every key gap, then every value; under rice the gaps of
+    each k in turn, and a table of their streams' lengths (one vbyte per k
+    up to rice_k(1, universe)) before it all. Returns the blob, the bit
     offsets where the gap and value streams start, and each list's bit
     offset were the lists laid end to end."""
     lists = [(list(keys), list(values)) for keys, values in lists]
+    rice = gap_codec == "rice"
+    ks = [rice_k(len(keys), universe) if rice and keys else 0 for keys, _ in lists]
     w = BitWriter()
     sizes = [0] * len(lists)
+    for i, (keys, _) in enumerate(lists):
+        before = w.bit_length
+        put_value(w, len(keys) + 1, "gamma")
+        sizes[i] += w.bit_length - before
     starts = []
-    for stream in range(3):
-        if stream:
-            starts.append(w.bit_length)
-        for i, (keys, values) in enumerate(lists):
-            before = w.bit_length
-            if stream == 0:
-                put_value(w, len(keys) + 1, "gamma")
-            elif stream == 1:
+    for k in range(rice_k(1, universe) + 1 if rice else 1):
+        starts.append(w.bit_length)
+        for i, (keys, _) in enumerate(lists):
+            if ks[i] == k:
+                before = w.bit_length
                 prev = -1
                 for key in keys:
-                    put_value(w, key - prev, gap_codec)
+                    if rice:
+                        put_rice(w, key - prev, k)
+                    else:
+                        put_value(w, key - prev, gap_codec)
                     prev = key
-            else:
-                for value in values:
-                    put_value(w, value, val_codec)
-            sizes[i] += w.bit_length - before
-    return w.getvalue(), (starts[0], starts[1]), list(accumulate(sizes, initial=0))[:-1]
+                sizes[i] += w.bit_length - before
+    starts.append(w.bit_length)
+    for i, (_, values) in enumerate(lists):
+        before = w.bit_length
+        for value in values:
+            put_value(w, value, val_codec)
+        sizes[i] += w.bit_length - before
+    offsets = list(accumulate(sizes, initial=0))[:-1]
+    if not rice:
+        return w.getvalue(), (starts[0], starts[-1]), offsets
+    table = BitWriter()
+    for a, b in zip(starts, starts[1:]):
+        _put_vbyte(table, b - a)
+    head = table.bit_length
+    return table.getvalue() + w.getvalue(), (starts[0] + head, starts[-1] + head), offsets
 
 
 def read_lists(
-    data: bytes, count: int, gap_codec: str, val_codec: str
+    data: bytes, count: int, gap_codec: str, val_codec: str, universe: int = 0
 ) -> tuple[list[tuple[list[int], list[int]]], tuple[int, int], list[int]]:
-    """`count` lists read from their three streams, one stream after the
-    other, as write_lists returns them."""
+    """`count` lists read from their streams, one stream after the other,
+    as write_lists returns them."""
+    rice = gap_codec == "rice"
+    at = 0
+    if rice:
+        for _ in range(rice_k(1, universe) + 1):
+            at += vbyte_decode(data, at)[1]
     r = BitReader(data)
+    r.pos = 8 * at
     sizes = [0] * count
     counts = []
     for i in range(count):
         before = r.pos
         counts.append(get_value(r, "gamma") - 1)
         sizes[i] += r.pos - before
-    starts = []
-    parts: list[list[list[int]]] = []
-    for codec in (gap_codec, val_codec):
-        starts.append(r.pos)
-        part = []
+    ks = [rice_k(n, universe) if rice and n else 0 for n in counts]
+    starts = [r.pos]
+    gaps: list[list[int]] = [[] for _ in counts]
+    for k in range(rice_k(1, universe) + 1 if rice else 1):
         for i, n in enumerate(counts):
-            before = r.pos
-            part.append([get_value(r, codec) for _ in range(n)])
-            sizes[i] += r.pos - before
-        parts.append(part)
-    lists = [(list(accumulate(gaps, initial=-1))[1:], values) for gaps, values in zip(*parts)]
+            if ks[i] == k:
+                before = r.pos
+                gaps[i] = [get_rice(r, k) if rice else get_value(r, gap_codec) for _ in range(n)]
+                sizes[i] += r.pos - before
+    starts.append(r.pos)
+    values = []
+    for i, n in enumerate(counts):
+        before = r.pos
+        values.append([get_value(r, val_codec) for _ in range(n)])
+        sizes[i] += r.pos - before
+    lists = [(list(accumulate(g, initial=-1))[1:], v) for g, v in zip(gaps, values)]
     return lists, (starts[0], starts[1]), list(accumulate(sizes, initial=0))[:-1]

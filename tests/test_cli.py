@@ -16,6 +16,7 @@ from mtix import (
     index_sections,
     ingest_triples,
     ingest_tsv,
+    load_index,
     matrix_from_cells,
     nnz,
     prune,
@@ -114,6 +115,25 @@ def test_build_and_stats_factor_under_their_codec_flags(tmp_path, capsys):
     export_factors(factor(V), tmp_path / "lib.h", tmp_path / "lib.w")
     assert (tmp_path / "cli.h").read_text() == (tmp_path / "lib.h").read_text()
     assert (tmp_path / "cli.w").read_text() == (tmp_path / "lib.w").read_text()
+
+
+def test_rice_is_a_doc_gap_flag_only(tmp_path, capsys):
+    # --codec-doc rice builds the default's file; rice for payloads or
+    # coefficients is an input error (exit 2), and writes no index
+    V, _ = planted_matrix(num_groups=3, rows_per_group=3, cols_per_group=8,
+                          noise_rows=10, num_docs=60, noise_len_range=(3, 6), rng=random.Random(5))
+    triples = tmp_path / "v.triples"
+    export_triples(V, triples)
+    assert main(["build", str(triples), str(tmp_path / "rice.idx"), "--triples", "--codec-doc", "rice"]) == 0
+    assert main(["build", str(triples), str(tmp_path / "default.idx"), "--triples"]) == 0
+    assert (tmp_path / "rice.idx").read_bytes() == (tmp_path / "default.idx").read_bytes()
+    assert load_index(tmp_path / "rice.idx").cfg == CodecConfig("rice", "gamma", "gamma")
+    capsys.readouterr()
+    for flag in ("--codec-payload", "--codec-coeff"):
+        for command in (["build", str(triples), str(tmp_path / "bad.idx")], ["stats", str(triples)]):
+            assert main([*command, "--triples", flag, "rice"]) == 2
+            assert "codec 'rice' codes key gaps only" in capsys.readouterr().err
+        assert not (tmp_path / "bad.idx").exists()
 
 
 def test_verbose_metaterm_count_is_the_exported_ids(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import importlib.resources
 import operator
 import random
+import time
 import tracemalloc
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import codec_reference as reference
 
@@ -26,32 +27,42 @@ from mtix import (
 from mtix.codec import (
     CODEC_NAMES,
     MAX_VALUE,
+    _RICE_TABLE_K,
     _TABLE_SIZE,
     _WINDOW_BYTES,
     _parse,
+    _rice_format,
+    _rice_values,
     code_bits,
     decode_lists,
     decode_vbytes,
     encode_lists,
     encode_streams,
     encode_vbytes,
+    gap_lengths,
     list_bit_lengths,
+    rice_k,
     unzip_pairs,
 )
 
 
-def load_vectors():
+def _vector_rows():
     text = importlib.resources.files("mtix").joinpath("data/codec_vectors.tsv").read_text()
-    out = []
-    for line in text.splitlines():
-        if not line or line.startswith("#"):
-            continue
-        value, codec, enc = line.split("\t")
-        out.append((int(value), codec, enc))
-    return out
+    return [line.split("\t") for line in text.splitlines() if line and not line.startswith("#")]
+
+
+def load_vectors():
+    """(value, codec, encoding) of the vbyte, gamma and delta vectors."""
+    return [(int(value), codec, enc) for value, codec, enc in (row for row in _vector_rows() if row[1] != "rice")]
+
+
+def load_rice_vectors():
+    """(gap, k, bits) of the rice vectors."""
+    return [(int(value), int(k), bits) for value, _, k, bits in (row for row in _vector_rows() if row[1] == "rice")]
 
 
 VECTORS = load_vectors()
+RICE_VECTORS = load_rice_vectors()
 
 
 def test_vbyte_examples():
@@ -255,15 +266,19 @@ def test_sizing_rejects_values_past_64_bits():
             list_bit_lengths([((0, MAX_VALUE + 1), (1, 1))], codec, "gamma")
 
 
+# the doc universe of the posting lists below (rice codes against it)
+DOCS = 501
+
+
 def encode_posting_list(pl: PostingList, cfg: CodecConfig) -> bytes:
     """One posting list, coded as the only list of a section."""
-    blob, _ = encode_lists([(pl.docs, pl.payloads)], cfg.doc_gap, cfg.payload)
+    blob, _ = encode_lists([(pl.docs, pl.payloads)], cfg.doc_gap, cfg.payload, DOCS)
     return blob
 
 
 def decode_posting_list(data: bytes, cfg: CodecConfig, term: int = 0) -> PostingList:
     """The one list of a section; the pad bits after it are not checked."""
-    ((docs, payloads),) = decode_lists(data, 1, cfg.doc_gap, cfg.payload, "posting list")
+    ((docs, payloads),) = decode_lists(data, 1, cfg.doc_gap, cfg.payload, "posting list", universe=DOCS)
     return PostingList._from_columns(term, docs, payloads)
 
 
@@ -289,11 +304,11 @@ def test_encode_posting_list_matches_hand_layout():
 
 
 posting_lists = st.lists(
-    st.tuples(st.integers(0, 500), st.integers(1, 1 << 20)), max_size=30, unique_by=lambda p: p[0]
+    st.tuples(st.integers(0, DOCS - 1), st.integers(1, 1 << 20)), max_size=30, unique_by=lambda p: p[0]
 ).map(lambda pairs: tuple(sorted(pairs)))
 configs = st.builds(
     CodecConfig,
-    st.sampled_from(["vbyte", "gamma", "delta"]),
+    st.sampled_from(["vbyte", "gamma", "delta", "rice"]),
     st.sampled_from(["vbyte", "gamma", "delta"]),
 )
 
@@ -306,12 +321,13 @@ def test_posting_list_round_trip(pairs, cfg):
 
 @given(st.lists(posting_lists, max_size=6), configs)
 def test_concatenated_lists_are_prefix_free(lists, cfg):
-    blob, offsets = encode_lists(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload)
+    blob, offsets = encode_lists(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload, DOCS)
     # each list starts where the one before it ends, with no separator
-    lengths = list_bit_lengths(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload)
+    lengths = list_bit_lengths(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload, DOCS)
     assert offsets == list(accumulate(lengths, initial=0))[:-1]
-    assert len(blob) == -(-sum(lengths) // 8)
-    decoded = decode_lists(blob, len(offsets), cfg.doc_gap, cfg.payload)
+    head = decode_vbytes(blob, rice_k(1, DOCS) + 1)[1] if cfg.doc_gap == "rice" else 0
+    assert len(blob) - head == -(-sum(lengths) // 8)
+    decoded = decode_lists(blob, len(offsets), cfg.doc_gap, cfg.payload, universe=DOCS)
     assert [tuple(zip(keys, values)) for keys, values in decoded] == lists
 
 
@@ -340,8 +356,8 @@ def test_bit_flip_fuzz_never_returns_invalid_structure():
 
 @given(st.lists(posting_lists, min_size=1, max_size=6), configs)
 def test_decode_lists_round_trip(lists, cfg):
-    blob, offsets = encode_lists(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload)
-    decoded = decode_lists(blob, len(offsets), cfg.doc_gap, cfg.payload)
+    blob, offsets = encode_lists(map(unzip_pairs, lists), cfg.doc_gap, cfg.payload, DOCS)
+    decoded = decode_lists(blob, len(offsets), cfg.doc_gap, cfg.payload, universe=DOCS)
     assert [tuple(zip(keys, values)) for keys, values in decoded] == lists
 
 
@@ -650,3 +666,228 @@ def test_count_past_the_bits_left_fails_before_reading_on(gap_codec, val_codec):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# rice doc gaps
+
+
+@pytest.mark.parametrize("gap,k,bits", RICE_VECTORS)
+def test_rice_conformance_vectors(gap, k, bits):
+    # the kernel's words and parse, and the bit-by-bit reference, against
+    # the frozen words: k = 0, long quotients and 64-bit gaps among them
+    assert _rice_format([gap], k) == [bits]
+    assert _parse([bits], "rice", k) == [gap]
+    w = reference.BitWriter()
+    reference.put_rice(w, gap, k)
+    assert "".join(format(b, "08b") for b in w.getvalue())[: w.bit_length] == bits
+    r = reference.BitReader(w.getvalue(), w.bit_length)
+    assert reference.get_rice(r, k) == gap and r.pos == len(bits)
+
+
+@given(st.integers(1, MAX_VALUE), st.integers(0, 63))
+@example(1, 0)
+@example(MAX_VALUE, 63)
+def test_rice_length_law(gap, k):
+    assume((gap - 1) >> k < 1 << 12)  # the word's zeros stay few
+    (word,) = _rice_format([gap], k)
+    assert len(word) == ((gap - 1) >> k) + 1 + k
+    assert _parse([word], "rice", k) == [gap]
+
+
+def test_gap_lengths_are_the_words_lengths():
+    # the dissolve pass's tables of gap code lengths, by the gap
+    for top in (1, 2, 7, 300):
+        for k in range(5):
+            lengths = gap_lengths("rice", top, k)
+            assert lengths[1 : top + 1] == [len(word) for word in _rice_format(range(1, top + 1), k)]
+        for codec in CODEC_NAMES:
+            assert gap_lengths(codec, top)[1 : top + 1] == [code_bits([g], codec) for g in range(1, top + 1)]
+
+
+def test_rice_k_is_the_reference_rule():
+    for universe in [*range(0, 300), 1000, 20000, 1 << 40, MAX_VALUE]:
+        ns = range(1, min(universe, 300) + 1)
+        ks = [rice_k(n, universe) for n in ns]
+        assert ks == [reference.rice_k(n, universe) for n in ns]
+        assert ks == sorted(ks, reverse=True)  # it falls as a list gets denser
+    assert rice_k(1, 20000) == 13 and rice_k(100, 20000) == 7 and rice_k(10000, 20000) == 0
+
+
+def test_rice_parse_through_the_word_table():
+    # tables for k up to _RICE_TABLE_K, the words of 8 quotients each; the
+    # misses past them, and every k past the tables, by int(word, 2)
+    for k in (0, 1, 5, _RICE_TABLE_K, _RICE_TABLE_K + 1, 20):
+        gaps = [*range(1, (9 << k) + 2, max(1, (1 << k) >> 4)), 1 << (k + 6), 1 << (k + 12)]
+        assert _parse(_rice_format(gaps, k), "rice", k) == gaps
+    again = _rice_format(range(256, 1024), 8)
+    assert all(map(operator.is_, _parse(again, "rice", 8), _parse(again, "rice", 8)))
+
+
+def test_rice_decode_tables_hold_fewer_words_than_one_delta_table():
+    # loading a default index builds rice tables, not the delta table they
+    # replace: all of them together hold fewer words than that one did
+    sizes = [len(_rice_values(k)) for k in range(65)]
+    assert sum(sizes) <= _TABLE_SIZE - 1
+    assert sizes[: _RICE_TABLE_K + 1] == [8 << k for k in range(_RICE_TABLE_K + 1)] and not any(sizes[_RICE_TABLE_K + 1 :])
+
+
+@st.composite
+def rice_sections(draw):
+    """A universe and (keys, values) lists of keys below it: dense and
+    sparse lists, so that several rice parameters share a section."""
+    universe = draw(st.one_of(st.integers(0, 40), st.integers(1, 5000), st.sampled_from([1 << 40, MAX_VALUE])))
+    lists = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.integers(0, min(universe, 60)))
+        keys = sorted(draw(st.sets(st.integers(0, universe - 1), min_size=n, max_size=n))) if n else []
+        lists.append((keys, draw(st.lists(_list_values(MAX_VALUE), min_size=n, max_size=n))))
+    return universe, lists
+
+
+@settings(max_examples=150, deadline=None)
+@given(rice_sections(), st.sampled_from(CODEC_NAMES))
+@example((1000, [([*range(0, 600, 2)], [1] * 300), ([999], [5]), ([], []), ([0, 998], [2, 3])]), "gamma")
+@example((MAX_VALUE, [([0, MAX_VALUE - 1], [MAX_VALUE, 1])]), "delta")
+def test_rice_kernels_match_reference(section, val_codec):
+    universe, lists = section
+    encoded = encode_streams(lists, "rice", val_codec, universe)
+    assert encoded == reference.write_lists(lists, "rice", val_codec, universe)
+    blob, starts, offsets = encoded
+    assert encode_lists(lists, "rice", val_codec, universe) == (blob, offsets)
+    lengths = list_bit_lengths(lists, "rice", val_codec, universe)
+    assert offsets == list(accumulate(lengths, initial=0))[:-1]
+    head = decode_vbytes(blob, rice_k(1, universe) + 1)[1]
+    assert len(blob) - head == -(-sum(lengths) // 8)  # the table, then the lists' bits
+    decoded = list(decode_lists(blob, len(lists), "rice", val_codec, starts=starts, universe=universe))
+    assert list(decode_lists(blob, len(lists), "rice", val_codec, universe=universe)) == decoded
+    assert reference.read_lists(blob, len(lists), "rice", val_codec, universe) == (decoded, starts, offsets)
+    assert decoded == [(list(keys), list(values)) for keys, values in lists]
+
+
+def _rice_blob(gaps, n, universe, tail=""):
+    """A one-list section: count n, then `gaps` (a '0'/'1' string) as the
+    gap stream of the list's k, then `tail` as its values."""
+    lengths = [0] * (rice_k(1, universe) + 1)
+    lengths[rice_k(n, universe)] = len(gaps)
+    return encode_vbytes(lengths) + _bytes_of(gamma_encode(n + 1) + gaps + tail)
+
+
+@pytest.mark.parametrize("universe,n", [(1000, 500), (1000, 3), (1 << 40, 1 << 16), (MAX_VALUE, 1)])
+def test_rice_quotient_past_the_universe_is_corruption(universe, n):
+    # A gap is at most the universe, so a word's quotient is at most
+    # (universe - 1) >> k, which a run of zeros longer than a window can
+    # reach: one zero more fails at once, holding about that run and no
+    # more; exactly that many decode.
+    k = rice_k(n, universe)
+    top = (universe - 1) >> k
+    for zeros in (top + 1, (universe >> k) + 1, top + 2):
+        blob = _rice_blob("0" * zeros + "1" + "0" * k, n, universe)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(CorruptionError, match="^no rice code word at bit "):
+                list(decode_lists(blob, 1, "rice", "gamma", universe=universe))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 2
+        assert peak < 4 * (zeros + 8 * _WINDOW_BYTES) + (1 << 20)
+    gaps = "0" * top + "1" + "0" * k + ("1" + "0" * k) * (n - 1)  # key0 = top << k, then gaps of 1
+    blob = _rice_blob(gaps, n, universe, "1" * n)
+    if (top << k) + n <= universe:
+        ((keys, _),) = decode_lists(blob, 1, "rice", "gamma", universe=universe)
+        assert keys == [*range(top << k, (top << k) + n)]
+    else:  # the list's later keys pass the universe
+        with pytest.raises(CorruptionError, match=f"^list 0 has a key past its universe of {universe}$"):
+            list(decode_lists(blob, 1, "rice", "gamma", universe=universe))
+
+
+def test_rice_word_longer_than_a_window():
+    # k = 0 over a universe past a window's bits: one gap whose word is
+    # longer than a window, then gaps of 1 across its end
+    universe = 40000
+    n = 20000
+    assert rice_k(n, universe) == 0 and universe - n > 8 * _WINDOW_BYTES
+    keys = [*range(n - 1), universe - 1]
+    lists = [(keys, [1] * n), ([universe - n], [7])]
+    blob, starts, _ = encode_streams(lists, "rice", "gamma", universe)
+    for given in (starts, None):
+        assert list(decode_lists(blob, 2, "rice", "gamma", starts=given, universe=universe)) == lists
+    with pytest.raises(TruncationError, match="^bit stream ended mid-value$"):  # a gap stream that ends in a long word
+        list(decode_lists(_rice_blob("0" * 30000, n, universe, "1" * n), 1, "rice", "gamma", universe=universe))
+
+
+@pytest.mark.parametrize("val_codec", CODEC_NAMES)
+def test_rice_streams_across_window_edges(val_codec):
+    # lists of every density in one section, each k's stream longer than a
+    # window, so every stream carries words over its windows' edges
+    rng = random.Random(31)
+    universe = 50000
+    lists = []
+    for n in [1, 3, 10, 40, 200, 1500, 9000, 30000] * 4:
+        keys = sorted(rng.sample(range(universe), n))
+        lists.append((keys, [rng.randint(1, 1 << rng.randint(1, 40)) for _ in keys]))
+    blob, starts, _ = encode_streams(lists, "rice", val_codec, universe)
+    for given in (starts, None):
+        assert list(decode_lists(blob, len(lists), "rice", val_codec, starts=given, universe=universe)) == lists
+
+
+def test_rice_decode_holds_a_bounded_window():
+    # 4 MB of gaps in one k's stream: eight copies of one list code to
+    # whole bytes in each stream, so the section is each stream's bytes
+    # repeated behind a table that states the gap stream's new length
+    rng = random.Random(5)
+    universe = 1 << 60
+    one = (sorted(rng.sample(range(universe), 200)), [rng.randint(1, 1 << 60) for _ in range(200)])
+    lists = [one] * 8
+    chunk, (gap_at, val_at), _ = encode_streams(lists, "rice", "gamma", universe)
+    lengths, head = decode_vbytes(chunk, rice_k(1, universe) + 1)
+    assert gap_at % 8 == val_at % 8 == 0 and sorted(lengths)[:-1] == [0] * (len(lengths) - 1)
+    copies = -(-(4 << 20) // len(chunk))
+    parts = (chunk[head : gap_at // 8], chunk[gap_at // 8 : val_at // 8], chunk[val_at // 8 :])
+    table = encode_vbytes(x * copies for x in lengths)
+    blob = table + b"".join(part * copies for part in parts)
+    at = 8 * len(table)
+    for starts in ((at + (gap_at - 8 * head) * copies, at + (val_at - 8 * head) * copies), None):
+        tracemalloc.start()
+        try:
+            decoded = 0
+            for keys, _ in decode_lists(blob, len(lists) * copies, "rice", "gamma", starts=starts, universe=universe):
+                decoded += len(keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert decoded == copies * 8 * 200
+        assert peak < 1 << 20
+
+
+def test_rice_section_errors():
+    universe = 1000
+    lists = [([0, 5], [3, 1]), ([2], [7]), ([1, 4, 9], [1, 1, 2])] + [([], [])] * 30
+    blob, starts, _ = encode_streams(lists, "rice", "gamma", universe)
+    head = decode_vbytes(blob, rice_k(1, universe) + 1)[1]
+    with pytest.raises(ValidationError, match="^rice gaps need the universe their keys lie below$"):
+        encode_streams(lists, "rice", "gamma")
+    with pytest.raises(ValidationError, match="^rice gaps need the universe their keys lie below$"):
+        list(decode_lists(blob, len(lists), "rice", "gamma"))
+    with pytest.raises(ValidationError, match="^key 9 outside the universe of 9 keys$"):
+        encode_streams(lists, "rice", "gamma", 9)
+    for name in ("payload", "coeff"):
+        with pytest.raises(ValidationError, match="^codec 'rice' codes key gaps only"):
+            CodecConfig(**{name: "rice"})
+    # the table's lengths must add up to the gap streams' bits
+    bad = bytearray(blob)
+    bad[rice_k(3, universe)] += 1
+    with pytest.raises(CorruptionError, match="^list gap streams take"):
+        list(decode_lists(bytes(bad), len(lists), "rice", "gamma", starts=starts, universe=universe))
+    # each stream must end where the next starts: two gaps for a list of one
+    with pytest.raises(CorruptionError, match="^list 0 does not end at the end of its gap stream$"):
+        list(decode_lists(_rice_blob(("1" + "0" * rice_k(1, universe)) * 2, 1, universe, "1"), 1, "rice", "gamma", universe=universe))
+    with pytest.raises(CorruptionError, match=f"^list {len(lists) - 2} does not end at the end of its count stream$"):
+        list(decode_lists(blob, len(lists) - 1, "rice", "gamma", starts=starts, universe=universe))
+    with pytest.raises(CorruptionError, match="^list section holds 8 bits but no list$"):
+        list(decode_lists(bytes(head + 1), 0, "rice", "gamma", universe=universe))  # a table of zeros, then a byte
+    with pytest.raises(TruncationError):  # no whole table
+        list(decode_lists(blob[: head - 1], len(lists), "rice", "gamma", universe=universe))
+    assert list(decode_lists(encode_lists([], "rice", "gamma", universe)[0], 0, "rice", "gamma", universe=universe)) == []

@@ -22,15 +22,17 @@ from mtix import (
     top_k,
     total_size,
 )
+from mtix.codec import list_bit_lengths, rice_k, unzip_pairs
 from mtix.factorize import _MIN_LIFT, _Cover, _dissolve, _min_lift
 from mtix.synth import planted_matrix, random_matrix, whole_row_multiple_instance, zipf_corpus
 from conftest import singleton_form
 from test_factorize import correlated_matrices, small_matrices, small_planted_matrices, sparse_id_matrices
 
-# the three all-same configurations, and the smallest direct coding measured
-# on zipf text: doc gaps in delta, payloads and coefficients in gamma
-CFGS = [CodecConfig(c, c, c) for c in ("gamma", "delta", "vbyte")] + [CodecConfig("delta", "gamma", "gamma")]
-CFG_IDS = ["gamma", "delta", "vbyte", "delta-gamma-gamma"]
+# the three all-same configurations, the smallest direct coding of format
+# v6 (doc gaps in delta, payloads and coefficients in gamma) and the
+# default, rice doc gaps
+CFGS = [CodecConfig(c, c, c) for c in ("gamma", "delta", "vbyte")] + [CodecConfig("delta", "gamma", "gamma"), CodecConfig()]
+CFG_IDS = ["gamma", "delta", "vbyte", "delta-gamma-gamma", "rice-gamma-gamma"]
 
 
 def _zipf_matrix(tmp_path, num_docs, vocab_size, seed):
@@ -170,6 +172,47 @@ def test_dissolve_pass_properties(V, cfg, min_cols):
     # saves no bits
     cover = _Cover(f, cfg)
     assert all(cover.saving(m) <= 0 for m in range(len(f.metaterms)))
+
+
+def _state_bits(V, f, cfg, w_rows, gone=None):
+    """The bits of f's lists with these W rows and without meta-term
+    `gone`, ids kept: the H lists, each term's cells that its W row does
+    not cover as its direct list, and the W rows."""
+    h = [(mt.cols, mt.base) for mt in f.metaterms if mt.id != gone]
+    for t, row in enumerate(w_rows):
+        covered = {d for m, _ in row for d in f.metaterms[m].cols}
+        h.append(unzip_pairs([(d, p) for d, p in zip(V.rows[t].docs, V.rows[t].payloads) if d not in covered]))
+    w = map(unzip_pairs, w_rows)
+    return sum(list_bit_lengths(h, cfg.doc_gap, cfg.payload, V.num_docs)) + sum(
+        list_bit_lengths(w, cfg.doc_gap, cfg.coeff, len(f.metaterms))
+    )
+
+
+# four terms share docs 0-7 and each holds two more docs of 64: merging the
+# 4 x 8 meta-term back moves each member's rice k from 4 to 2
+_RICE_MERGE = (
+    matrix_from_cells({t: {**dict.fromkeys(range(8), 1), 20 + 10 * t: 1, 21 + 10 * t: 2} for t in range(4)}, num_docs=64),
+    CodecConfig(),
+    4,
+)
+assert (rice_k(2, 64), rice_k(10, 64)) == (4, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_inputs, st.sampled_from(CFGS), st.integers(2, 4))
+@example(*_RICE_MERGE)
+def test_saving_is_the_bits_a_dissolve_saves(V, cfg, min_cols):
+    # the pass sizes every list under its own code: a rice list whose
+    # count moves its parameter (a member's direct list, or its W row) is
+    # costed again whole. With the ids kept, a dissolve changes the file's
+    # list bits by exactly the saving.
+    f = refine_partial(factor_whole_rows(V), FactorParams(min_cols=min_cols))
+    before = _state_bits(V, f, cfg, f.memberships)
+    for m in range(len(f.metaterms)):
+        cover = _Cover(f, cfg)
+        saving = cover.saving(m)
+        cover.dissolve(m)
+        assert saving == before - _state_bits(V, f, cfg, cover.w_rows, gone=m)
 
 
 @settings(max_examples=300, deadline=None)

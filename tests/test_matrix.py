@@ -324,8 +324,8 @@ def test_every_constructor_builds_int_columns(cells, convert, theta):
     # a list decoded from an index section
     cfg = CodecConfig()
     for row in V.rows:
-        blob, _ = encode_lists([(row.docs, row.payloads)], cfg.doc_gap, cfg.payload)
-        ((docs, payloads),) = decode_lists(blob, 1, cfg.doc_gap, cfg.payload)
+        blob, _ = encode_lists([(row.docs, row.payloads)], cfg.doc_gap, cfg.payload, V.num_docs)
+        ((docs, payloads),) = decode_lists(blob, 1, cfg.doc_gap, cfg.payload, universe=V.num_docs)
         decoded = PostingList._from_columns(row.term, docs, payloads)
         _assert_columnar(decoded)
         assert decoded == row

@@ -31,13 +31,24 @@ from mtix import (
     save_index,
     stats,
 )
-from mtix.codec import CODEC_NAMES, decode_lists, encode_lists, encode_vbytes, gamma_encode, unzip_pairs
+from mtix.codec import (
+    CODEC_NAMES,
+    GAP_CODEC_NAMES,
+    _word_values,
+    decode_lists,
+    decode_vbytes,
+    encode_lists,
+    encode_vbytes,
+    gamma_encode,
+    rice_k,
+    unzip_pairs,
+)
 from mtix.factorize import Factorization, MetaTerm
 from mtix.store import _CRC_AT, _HEADER, _checksum, _name_table, encoded_section_parts
 from mtix.synth import planted_matrix, random_matrix, zipf_corpus
 from conftest import bench_workloads, inflated_image, one_object_per_value
 
-ALL_CFGS = [CodecConfig(g, p, c) for g in CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
+ALL_CFGS = [CodecConfig(g, p, c) for g in GAP_CODEC_NAMES for p in CODEC_NAMES for c in CODEC_NAMES]
 
 
 CFGS = [
@@ -67,7 +78,7 @@ def test_round_trip_every_codec_combination(tmp_path):
     V = random_matrix(12, 25, 0.25, rng=rng)
     f = factor(V, FactorParams(min_cols=2))
     names = ("vbyte", "gamma", "delta")
-    for gap in names:
+    for gap in GAP_CODEC_NAMES:
         for pay in names:
             for coeff in names:
                 cfg = CodecConfig(gap, pay, coeff)
@@ -167,10 +178,28 @@ def test_corrupt_magic(tmp_path):
 def test_unsupported_version(tmp_path):
     data = _saved(tmp_path)
     bad = tmp_path / "bad.idx"
-    for version in (1, 2, 3, 4, 5, 99):
+    for version in (1, 2, 3, 4, 5, 6, 99):
         bad.write_bytes(data[:4] + bytes([version]) + data[5:])
         with pytest.raises(FormatError, match=f"^unsupported version {version}$"):
             load_index(bad)
+
+
+def test_codec_ids_past_their_codes_are_rejected(tmp_path):
+    # id 3, rice, names a doc-gap code only; 4 names none
+    data = _saved(tmp_path)
+    for at, cid in ((5, 4), (6, 3), (7, 3), (6, 4)):
+        with pytest.raises(FormatError, match=f"^unknown codec id {cid}$"):
+            _load_resigned(tmp_path, data[:at] + bytes([cid]) + data[at + 1 :])
+    assert load_index(tmp_path / "base.idx").cfg == CodecConfig("rice", "gamma", "gamma")
+
+
+def test_loading_the_default_builds_no_delta_word_table(tmp_path):
+    # rice gap words decode through its own small tables; payloads and
+    # coefficients share the gamma table
+    assert _saved(tmp_path)[5:8] == bytes([3, 1, 1])  # rice, gamma, gamma
+    _word_values.cache_clear()
+    load_index(tmp_path / "base.idx")
+    assert _word_values.cache_info().currsize == 1
 
 
 def test_truncated_sections(tmp_path):
@@ -329,9 +358,10 @@ def test_save_rejects_mismatched_lexicon(tmp_path):
 # its name tables inflated (conftest.inflated_image); H and W count byte
 # for byte, and load_index checks the CRC and offsets of the file itself.
 PINNED_DIGESTS = {
-    "gamma": "db26fdfc44b014824f526c933760abdad78e3da7ddf509b418e0d205e70cbbe1",
-    "delta": "8d9ebbb26b61a4dc4737be94174470ba4090e4d717a5cfa241cbbeea25793a5b",
-    "vbyte": "c97024805d339ee9883cc711c8f3c3a05e786433287de0425b3979f1c5512085",
+    "gamma": "a125c267c85e8944d390d968c5e32a4cf79e0d4dfb7ffc2273ab30e362c1959b",
+    "delta": "e82756f708b0b904a98e0e0f039cb678f5f711e178559f5e4198a8a34a800eae",
+    "vbyte": "3015bbc9dcaacb995e4b609053b5989e260153af192be404080a87d4f9697dc5",
+    "rice": "df97aaff309f6e661e30c1f312638c456ef2c2be2d3d9c076f3f73a4eba625f6",  # CodecConfig()
 }
 
 
@@ -348,7 +378,8 @@ def test_saved_bytes_match_pinned_digest(tmp_path, codec):
     )
     f = factor(V)
     path = tmp_path / "pinned.idx"
-    save_index(f, V.lexicon, CodecConfig(codec, codec, codec), path, V.doc_names)
+    cfg = CodecConfig() if codec == "rice" else CodecConfig(codec, codec, codec)
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
     assert hashlib.sha256(inflated_image(path.read_bytes())).hexdigest() == PINNED_DIGESTS[codec]
     assert load_index(path).factorization == f
 
@@ -368,19 +399,29 @@ def test_stats_closed_form_matches_encoded_lengths(V):
     for cfg in ALL_CFGS:
         st_ = stats(V, f, cfg)
         h_offsets, h, w, _ = encoded_section_parts(f, cfg)
-        assert st_.bytes_factored == len(h_offsets) + len(h) + len(w)
-        direct, _ = encode_lists(map(unzip_pairs, (row.postings for row in V.rows)), cfg.doc_gap, cfg.payload)
-        assert st_.bytes_direct == len(direct)
+        h_lists, w_lists = _lists_bytes(h, cfg, V.num_docs), _lists_bytes(w, cfg, len(f.metaterms))
+        assert st_.bytes_factored == len(h_offsets) + h_lists + w_lists
+        direct, _ = encode_lists(map(unzip_pairs, (row.postings for row in V.rows)), cfg.doc_gap, cfg.payload, V.num_docs)
+        assert st_.bytes_direct == _lists_bytes(direct, cfg, V.num_docs)
 
 
-# All-gamma, mixed vbyte-delta, the default (delta doc gaps) and
-# all-vbyte: the decoder finds junk in a window's tail by a run of zeros
-# that differs per codec.
+def _lists_bytes(blob, cfg, universe):
+    """The bytes of a section's lists: those after its rice table, if any."""
+    if cfg.doc_gap != "rice":
+        return len(blob)
+    return len(blob) - decode_vbytes(blob, rice_k(1, universe) + 1)[1]
+
+
+# All-gamma, mixed vbyte-delta, the default (rice doc gaps), all-vbyte and
+# delta doc gaps: the decoder finds junk in a window's tail by a run of
+# zeros that differs per codec, and reads rice gaps from one stream per k,
+# the others from one gap stream.
 FUZZ_CFGS = [
     CodecConfig("gamma", "gamma", "gamma"),
     CodecConfig("vbyte", "delta", "vbyte"),
     CodecConfig(),
     CodecConfig("vbyte", "vbyte", "vbyte"),
+    CodecConfig("delta", "gamma", "gamma"),
 ]
 
 
@@ -734,6 +775,26 @@ def test_v4_file_is_rejected(tmp_path):
     with pytest.raises(FormatError, match="^unsupported version 4$"):
         load_index(path)
     with pytest.raises(FormatError, match="^unsupported version 4$"):
+        index_sections(path)
+
+
+# A genuine format v6 file (terms "0" "1" "2" over docs "0" "1", delta doc
+# gaps): its H and W lists as three streams each, with no rice table.
+V6_FILE = bytes.fromhex(
+    "4d544958060201015c0b05d50300000000000000020000000000000000000000000000000900000000000000"
+    "10000000000000000300000000000000030000000000000064000000000000008200000000000000a3000000"
+    "00000000ae000000000000000200000000000000060000000000000078da6360606434300400009e00640300"
+    "000000000000090000000000000078da6360606064643430340200013c009700000000000000004d74d30300"
+    "000000000000e0"
+)
+
+
+def test_v6_file_is_rejected(tmp_path):
+    path = tmp_path / "v6.idx"
+    path.write_bytes(V6_FILE)
+    with pytest.raises(FormatError, match="^unsupported version 6$"):
+        load_index(path)
+    with pytest.raises(FormatError, match="^unsupported version 6$"):
         index_sections(path)
 
 
