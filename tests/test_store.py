@@ -127,12 +127,12 @@ def test_identical_inputs_give_identical_bytes(tmp_path):
     assert hashlib.sha256(a.read_bytes()).hexdigest() == hashlib.sha256(b.read_bytes()).hexdigest()
 
 
-def _saved(tmp_path):
+def _saved(tmp_path, cfg=CodecConfig()):
     rng = random.Random(33)
     V = random_matrix(15, 30, 0.2, rng=rng)
-    f = factor(V)
+    f = factor(V, cfg=cfg)
     path = tmp_path / "base.idx"
-    save_index(f, V.lexicon, CodecConfig(), path, V.doc_names)
+    save_index(f, V.lexicon, cfg, path, V.doc_names)
     return path.read_bytes()
 
 
@@ -209,6 +209,14 @@ def test_truncated_sections(tmp_path):
         bad.write_bytes(data[:cut])
         with pytest.raises((CorruptionError, FormatError)):
             load_index(bad)
+    # re-signed, every cut of the H and W sections reaches their decoders:
+    # under rice gaps (one stream per k) and delta gaps (one stream)
+    for cfg in (CodecConfig(), CodecConfig("delta", "gamma", "gamma")):
+        data = _saved(tmp_path, cfg)
+        *_, off_h, _ = _HEADER.unpack_from(data)
+        for cut in range(off_h + 8, len(data)):
+            with pytest.raises(MtixError):
+                _load_resigned(tmp_path, data[:cut])
 
 
 def test_corrupt_offset_detected(tmp_path):
